@@ -20,10 +20,13 @@
 //!
 //! Improvement: a configurable number of passes that try re-binding every
 //! operation to every alternative device and keep strict improvements.
+//! Candidates are pruned exactly: moves the re-scheduler would reject are
+//! filtered before any schedule is built, and a re-schedule aborts as soon
+//! as its running objective lower bound reaches the incumbent's objective.
 
 use crate::problem::path_key;
 use crate::{CoreError, LayerProblem, LayerSolution, LayerSolver, OpId, ScheduledOp};
-use mfhls_chip::DeviceConfig;
+use mfhls_chip::{DeviceConfig, Requirements};
 use mfhls_graph::BitSet;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -56,7 +59,7 @@ impl LayerSolver for HeuristicLayerSolver {
             for &op in p.ops.iter() {
                 // Re-derive the binding after every adoption: device indices
                 // may have been renumbered by pruning.
-                let binding: BTreeMap<OpId, usize> =
+                let mut binding: BTreeMap<OpId, usize> =
                     best.slots.iter().map(|s| (s.op, s.device)).collect();
                 let Some(&current) = binding.get(&op) else {
                     return Err(CoreError::Internal(format!(
@@ -64,39 +67,33 @@ impl LayerSolver for HeuristicLayerSolver {
                         op.index()
                     )));
                 };
-                let alternatives: Vec<usize> =
-                    (0..best.devices.len()).filter(|&d| d != current).collect();
+                let mut ind_held = vec![false; best.devices.len()];
+                for s in &best.slots {
+                    ind_held[s.device] |= p.assay.op(s.op).is_indeterminate();
+                }
                 // Adoption rule: the first improving device in ascending
-                // order. The parallel path evaluates every alternative and
-                // keeps the first improving one, which is exactly what the
-                // sequential early-break finds — results are identical at
-                // any thread count.
-                let adopted = if mfhls_par::max_threads() > 1 && alternatives.len() > 1 {
-                    mfhls_par::par_map(&alternatives, |&d| {
-                        let mut cand = binding.clone();
-                        cand.insert(op, d);
-                        schedule_with_binding(p, &ctx, &det_order, &ind_order, &cand, &best)
-                            .filter(|sol| sol.objective < best.objective)
-                    })
-                    .into_iter()
-                    .flatten()
-                    .next()
-                } else {
-                    let mut found = None;
-                    for &d in &alternatives {
-                        let mut cand = binding.clone();
-                        cand.insert(op, d);
-                        if let Some(sol) =
-                            schedule_with_binding(p, &ctx, &det_order, &ind_order, &cand, &best)
-                        {
-                            if sol.objective < best.objective {
-                                found = Some(sol);
-                                break; // next op, with a fresh binding map
-                            }
-                        }
+                // order. Pruned candidates could not have improved, so the
+                // adopted device is the one an unpruned search finds.
+                let mut adopted = None;
+                for d in (0..best.devices.len()).filter(|&d| d != current) {
+                    if !may_rebind(p, &best, &ind_held, op, d) {
+                        continue;
                     }
-                    found
-                };
+                    binding.insert(op, d);
+                    adopted = schedule_with_binding(
+                        p,
+                        &ctx,
+                        &det_order,
+                        &ind_order,
+                        &binding,
+                        &best,
+                        best.objective,
+                    )
+                    .filter(|sol| sol.objective < best.objective);
+                    if adopted.is_some() {
+                        break; // next op, with a fresh binding map
+                    }
+                }
                 if let Some(sol) = adopted {
                     best = sol;
                     improved_any = true;
@@ -109,6 +106,8 @@ impl LayerSolver for HeuristicLayerSolver {
         }
         best.stats.heuristic_rounds = rounds;
         best.stats.rebind_adoptions = adoptions;
+        #[cfg(test)]
+        tests::assert_matches_unpruned(self, p, &best);
         Ok(best)
     }
 }
@@ -282,6 +281,10 @@ struct State<'p, 'a> {
     avail: Vec<u64>,
     slots: BTreeMap<OpId, ScheduledOp>,
     new_paths: PairSet,
+    /// Running makespan of the committed slots.
+    span: u64,
+    /// Number of entries in `new_paths`.
+    path_count: u64,
     /// Creation quotas per fresh config (see [`provision_quotas`]); empty
     /// when quotas are not enforced (re-evaluation never creates devices).
     quotas: BTreeMap<DeviceConfig, usize>,
@@ -304,6 +307,8 @@ impl<'p, 'a> State<'p, 'a> {
             avail: vec![0; p.devices.len()],
             slots: BTreeMap::new(),
             new_paths: PairSet::new(ctx.pair_cap),
+            span: 0,
+            path_count: 0,
             quotas: BTreeMap::new(),
             created_of: BTreeMap::new(),
             compat_any: Vec::new(),
@@ -380,22 +385,30 @@ impl<'p, 'a> State<'p, 'a> {
             let q = self.ctx.parents[op.index()][qi];
             if let Some(s) = self.slots.get(&q) {
                 if s.device != device {
-                    let k = path_key(s.device, device);
-                    if !self.ctx.existing.contains(k) {
-                        self.new_paths.insert(k);
-                    }
+                    self.add_path(path_key(s.device, device));
                 }
             }
         }
         for ci in 0..self.p.cross_inputs.len() {
             let (child, pd) = self.p.cross_inputs[ci];
             if child == op && pd != device {
-                let k = path_key(pd, device);
-                if !self.ctx.existing.contains(k) {
-                    self.new_paths.insert(k);
-                }
+                self.add_path(path_key(pd, device));
             }
         }
+    }
+
+    fn add_path(&mut self, k: (usize, usize)) {
+        if !self.ctx.existing.contains(k) && self.new_paths.insert(k) {
+            self.path_count += 1;
+        }
+    }
+
+    /// Lower bound on the objective of any completion of this state, given
+    /// the exact `capex` of the created devices the final binding uses:
+    /// makespan and new paths only grow as slots commit.
+    fn lower_bound(&self, capex: u64) -> u64 {
+        let w = self.p.weights;
+        capex + w.time * self.span + w.paths * self.path_count
     }
 
     /// Records a slot and its induced paths.
@@ -418,6 +431,7 @@ impl<'p, 'a> State<'p, 'a> {
             },
         );
         self.avail[device] = self.avail[device].max(start + dur + transport);
+        self.span = self.span.max(start + dur);
     }
 
     /// Capex of creating / retrofitting relative to the current configs.
@@ -522,14 +536,49 @@ fn device_compatible(state: &State<'_, '_>, op: OpId, d: usize) -> bool {
     if inherited && !p.bindable.get(d).copied().unwrap_or(false) {
         return false;
     }
-    let req = p.assay.op(op).requirements();
-    let cfg = &state.devices[d];
+    config_fits(p, &state.devices[d], p.assay.op(op).requirements())
+}
+
+/// Whether config `cfg` can host `req` under the problem's binding mode:
+/// a superset in component-oriented mode, the exact signature otherwise.
+fn config_fits(p: &LayerProblem<'_>, cfg: &DeviceConfig, req: &Requirements) -> bool {
     if p.component_oriented {
         cfg.satisfies(req)
     } else {
         let (kind, cap, acc) = req.signature();
         cfg.container() == kind && cfg.capacity() == cap && cfg.accessories() == acc
     }
+}
+
+/// Allocation-free prefilter for re-binding `op` onto device `d` of `best`.
+/// `false` only where [`schedule_with_binding`] would reject the move:
+/// an invisible or unfit inherited device (inherited configs never
+/// change), a created device whose container or capacity conflicts (only
+/// its accessories are re-unioned), or an indeterminate op joining a
+/// device that `ind_held` marks as hosting another indeterminate op.
+fn may_rebind(
+    p: &LayerProblem<'_>,
+    best: &LayerSolution,
+    ind_held: &[bool],
+    op: OpId,
+    d: usize,
+) -> bool {
+    let o = p.assay.op(op);
+    if o.is_indeterminate() && ind_held[d] {
+        return false;
+    }
+    let req = o.requirements();
+    match p.devices.get(d) {
+        Some(cfg) => p.bindable.get(d).copied().unwrap_or(false) && config_fits(p, cfg, req),
+        None => shape_fits(&best.devices[d], req),
+    }
+}
+
+/// Whether `req` accepts `cfg`'s container and capacity, the part of a
+/// created device's config that retrofits and re-binding never change.
+fn shape_fits(cfg: &DeviceConfig, req: &Requirements) -> bool {
+    req.container.is_none_or(|k| k == cfg.container())
+        && req.capacity.is_none_or(|c| c == cfg.capacity())
 }
 
 /// The configuration a fresh device for `op` would get, or `None` for
@@ -616,9 +665,7 @@ fn candidates(
         if p.component_oriented && !inherited && visible {
             // Retrofit: same container/capacity, add missing accessories.
             let cfg = &state.devices[d];
-            let kind_ok = req.container.is_none_or(|k| k == cfg.container());
-            let cap_ok = req.capacity.is_none_or(|c| c == cfg.capacity());
-            if kind_ok && cap_ok && !req.accessories.is_subset(&cfg.accessories()) {
+            if shape_fits(cfg, req) && !req.accessories.is_subset(&cfg.accessories()) {
                 out.push(Decision::Retrofit {
                     device: d,
                     union: cfg.accessories().union(req.accessories),
@@ -881,8 +928,11 @@ fn align_and_commit_indeterminate(state: &mut State<'_, '_>, placed: &[(OpId, us
 
 /// Re-schedules with a *pinned* binding (op -> device index in
 /// `reference.devices`), preserving the construction order. Used by the
-/// improvement passes. Returns `None` if the binding is incompatible or
-/// violates indeterminate exclusivity.
+/// improvement passes. Returns `None` if the binding is incompatible,
+/// violates indeterminate exclusivity, or cannot beat `bound`: the
+/// re-scheduling aborts once its running objective lower bound reaches
+/// `bound`, which is exact for callers that adopt only objectives below
+/// `bound`.
 fn schedule_with_binding(
     p: &LayerProblem<'_>,
     ctx: &Ctx,
@@ -890,6 +940,7 @@ fn schedule_with_binding(
     ind_order: &[OpId],
     binding: &BTreeMap<OpId, usize>,
     reference: &LayerSolution,
+    bound: u64,
 ) -> Option<LayerSolution> {
     let mut state = State::new(p, ctx);
     // Recreate the reference's created devices with their *base* (cheapest)
@@ -911,13 +962,7 @@ fn schedule_with_binding(
         }
         if state.created.contains(&d) {
             let req = p.assay.op(op).requirements();
-            if req
-                .container
-                .is_some_and(|k| k != state.devices[d].container())
-                || req
-                    .capacity
-                    .is_some_and(|c| c != state.devices[d].capacity())
-            {
+            if !shape_fits(&state.devices[d], req) {
                 return None;
             }
             let mut cfg = state.devices[d];
@@ -927,20 +972,11 @@ fn schedule_with_binding(
     }
     // Compatibility check for every binding.
     for (&op, &d) in binding {
-        let req = p.assay.op(op).requirements();
         let inherited = !state.created.contains(&d);
         if inherited && !p.bindable.get(d).copied().unwrap_or(false) {
             return None;
         }
-        let ok = if p.component_oriented {
-            state.devices[d].satisfies(req)
-        } else {
-            let (kind, cap, acc) = req.signature();
-            state.devices[d].container() == kind
-                && state.devices[d].capacity() == cap
-                && state.devices[d].accessories() == acc
-        };
-        if !ok {
+        if !config_fits(p, &state.devices[d], p.assay.op(op).requirements()) {
             return None;
         }
     }
@@ -954,10 +990,32 @@ fn schedule_with_binding(
         return None;
     }
 
+    // The binding already fixes which created devices stay in use and
+    // their configs, so their capex is exact before any slot commits.
+    let mut in_use = vec![false; state.devices.len()];
+    for &d in binding.values() {
+        in_use[d] = true;
+    }
+    let w = p.weights;
+    let capex: u64 = state
+        .created
+        .iter()
+        .filter(|&&d| in_use[d])
+        .map(|&d| {
+            let cfg = &state.devices[d];
+            w.area * p.costs.device_area(cfg) + w.processing * p.costs.device_processing(cfg)
+        })
+        .sum();
+    if state.lower_bound(capex) >= bound {
+        return None;
+    }
     for &op in det_order {
         let &d = binding.get(&op)?;
         let start = state.ready_time(op).max(state.avail[d]);
         state.commit(op, d, start);
+        if state.lower_bound(capex) >= bound {
+            return None;
+        }
     }
     let mut placed: Vec<(OpId, usize, u64)> = Vec::with_capacity(ind_order.len());
     for (&op, &d) in ind_order.iter().zip(&ind_devs) {
@@ -965,7 +1023,17 @@ fn schedule_with_binding(
         placed.push((op, d, e));
     }
     align_and_commit_indeterminate(&mut state, &placed);
-    Some(state.finish())
+    let lower = state.lower_bound(capex);
+    if lower >= bound {
+        return None;
+    }
+    let sol = state.finish();
+    debug_assert!(
+        lower <= sol.objective,
+        "re-binding lower bound {lower} exceeds the objective {}",
+        sol.objective
+    );
+    Some(sol)
 }
 
 #[cfg(test)]
@@ -976,6 +1044,142 @@ mod tests {
         Weights,
     };
     use mfhls_chip::{Accessory, Capacity, ContainerKind, CostModel};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// Heuristic solves cross-checked by [`assert_matches_unpruned`].
+    static CROSS_CHECKED: AtomicUsize = AtomicUsize::new(0);
+
+    /// The re-binding search without pruning: every alternative device is
+    /// re-scheduled in full, and the first strict improvement in ascending
+    /// device order is adopted.
+    fn solve_unpruned(
+        solver: &HeuristicLayerSolver,
+        p: &LayerProblem<'_>,
+    ) -> Result<LayerSolution, CoreError> {
+        let ctx = Ctx::new(p);
+        let (det_order, ind_order) = priority_orders(p)?;
+        let mut best = construct(p, &ctx, &det_order, &ind_order)?;
+        let (mut rounds, mut adoptions) = (0u64, 0u64);
+        for _ in 0..solver.improvement_passes {
+            rounds += 1;
+            let mut improved_any = false;
+            for &op in &p.ops {
+                let binding: BTreeMap<OpId, usize> =
+                    best.slots.iter().map(|s| (s.op, s.device)).collect();
+                let current = binding[&op];
+                let adopted = (0..best.devices.len())
+                    .filter(|&d| d != current)
+                    .find_map(|d| {
+                        let mut cand = binding.clone();
+                        cand.insert(op, d);
+                        schedule_with_binding(
+                            p,
+                            &ctx,
+                            &det_order,
+                            &ind_order,
+                            &cand,
+                            &best,
+                            u64::MAX,
+                        )
+                        .filter(|sol| sol.objective < best.objective)
+                    });
+                if let Some(sol) = adopted {
+                    best = sol;
+                    improved_any = true;
+                    adoptions += 1;
+                }
+            }
+            if !improved_any {
+                break;
+            }
+        }
+        best.stats.heuristic_rounds = rounds;
+        best.stats.rebind_adoptions = adoptions;
+        Ok(best)
+    }
+
+    /// Run by every heuristic solve in this crate's tests: the pruned
+    /// search must adopt exactly what the unpruned reference adopts —
+    /// slots, devices, new devices, paths, objective and counters.
+    pub(super) fn assert_matches_unpruned(
+        solver: &HeuristicLayerSolver,
+        p: &LayerProblem<'_>,
+        pruned: &LayerSolution,
+    ) {
+        let reference = solve_unpruned(solver, p).expect("reference solves what pruning solves");
+        assert_eq!(
+            *pruned, reference,
+            "pruned re-binding diverged from the unpruned reference"
+        );
+        CROSS_CHECKED.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Re-homes an assay built by a dependent crate, which links the
+    /// library build of this crate (a distinct type), into this test build.
+    macro_rules! rehome {
+        ($assay:expr) => {{
+            let src = $assay;
+            let mut out = Assay::new(src.name());
+            for (_, op) in src.iter() {
+                let min = op.duration().min_duration();
+                let duration = if op.is_indeterminate() {
+                    Duration::at_least(min)
+                } else {
+                    Duration::fixed(min)
+                };
+                out.add_op(
+                    Operation::new(op.name())
+                        .requirements_from(op.requirements().clone())
+                        .with_duration(duration),
+                );
+            }
+            for (parent, child) in src.dependencies() {
+                out.add_dependency(OpId(parent.index()), OpId(child.index()))
+                    .expect("a DAG stays a DAG");
+            }
+            out
+        }};
+    }
+
+    #[test]
+    fn pruning_adopts_what_the_unpruned_search_adopts() {
+        // Paper cases 1-3 at the default configuration, then the committed
+        // corpus (`bench/corpus/` is `gen --seed 1 --count 2`) at its check
+        // configuration. Every layer of every re-synthesis pass goes
+        // through `assert_matches_unpruned`, including the speculative
+        // pre-solves that only run on the pool.
+        let mut cases: Vec<(String, Assay, usize)> = mfhls_assays::benchmarks()
+            .into_iter()
+            .map(|(case, _, a)| (format!("case {case}"), rehome!(a), 25))
+            .collect();
+        for profile in mfhls_bench::gen::Profile::ALL {
+            for seed in 1..=2 {
+                let budget = mfhls_bench::gen::check_config(profile).max_devices;
+                let assay = rehome!(mfhls_bench::gen::generate(profile, seed));
+                cases.push((format!("{profile}/{seed}"), assay, budget));
+            }
+        }
+        for (tag, assay, budget) in &cases {
+            let layers = crate::layer_assay(assay, 10).expect("layers").num_layers();
+            for threads in [1, 4] {
+                let before = CROSS_CHECKED.load(Ordering::Relaxed);
+                let config = crate::SynthConfig::builder()
+                    .max_devices(*budget)
+                    .build()
+                    .expect("valid config");
+                let run =
+                    mfhls_par::with_threads(threads, || crate::Synthesizer::new(config).run(assay));
+                let checked = CROSS_CHECKED.load(Ordering::Relaxed) - before;
+                match run {
+                    Ok(_) => assert!(checked >= layers, "{tag}: {checked} of {layers} checked"),
+                    // Starved budgets may strand an op; the layers solved
+                    // before that were still cross-checked.
+                    Err(CoreError::DeviceBudgetExhausted { .. }) => {}
+                    Err(e) => panic!("{tag}: {e}"),
+                }
+            }
+        }
+    }
 
     fn solve_single_layer(assay: &Assay, max_devices: usize) -> LayerSolution {
         let costs = CostModel::default();

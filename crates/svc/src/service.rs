@@ -1264,21 +1264,33 @@ mod tests {
         // stats, so a second connection inherited the first one's rate.
         // (Delta cache off so the duplicate actually reaches the layer
         // cache instead of being replayed whole.)
-        let service = SynthesisService::new(ServiceConfig {
+        let config = ServiceConfig {
             delta_cache: false,
             ..ServiceConfig::default()
-        });
+        };
+        let service = SynthesisService::new(config.clone());
         let warm = format!("{}\n\n{}\n", req("a", 4), req("b", 4));
         let (_, first) = run(&service, &warm);
         assert!(first.window_hits > 0);
-        // A loop over a disjoint assay sees only misses, regardless of
-        // the hits racked up by the first loop.
+        // A loop over a disjoint assay counts exactly what the same loop
+        // counts on a fresh service, whatever the first loop racked up.
+        // That need not be zero hits: with more than one pool thread, the
+        // run's speculative pre-solve warms the cache for its own later
+        // re-synthesis passes.
         let (_, second) = run(&service, &req("fresh", 7));
-        assert_eq!(second.window_hits, 0, "{second:?}");
+        let (_, alone) = run(&SynthesisService::new(config), &req("fresh", 7));
+        let window = |s: &ServiceSummary| {
+            (
+                s.window_hits,
+                s.window_canonical_hits,
+                s.window_store_hits,
+                s.window_misses,
+            )
+        };
+        assert_eq!(window(&second), window(&alone), "{second:?}");
         assert!(second.window_misses > 0, "{second:?}");
-        assert_eq!(second.window_hit_rate(), 0.0);
         // Lifetime stats still accumulate for capacity accounting.
-        assert!(second.cache.hits >= first.window_hits);
+        assert!(second.cache.hits >= first.window_hits + second.window_hits);
     }
 
     #[test]
