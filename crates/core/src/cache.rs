@@ -85,6 +85,22 @@ use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
+/// Version of what the built-in solvers return for a given problem,
+/// folded into every key a solution is stored under — the
+/// [`CacheContext`] and the [`CanonicalLayerKey`] header (`clk<epoch>`).
+/// Persisted stores outlive the binary that wrote them, and neither key
+/// otherwise says which solver produced an entry, so without it a new
+/// build would replay an old build's solutions and counters.
+///
+/// **Bump it whenever a solver's solution or its counters change for the
+/// same problem.** Records written under an earlier epoch still load,
+/// but no key of this build can match them, so those layers start cold.
+///
+/// Epoch 1 covers every release through 0.12.0. Epoch 2 (0.13.0): the
+/// portfolio's exact legs skip models the pivot-work budget cannot
+/// search, which zeroes their `ilp_solves`/`pivots` on those layers.
+pub const SOLVER_EPOCH: u32 = 2;
+
 /// A persistence layer behind a [`SharedLayerCache`]: the cache reads
 /// through to it on a miss and writes behind to it on insert.
 ///
@@ -281,7 +297,8 @@ impl CanonicalLayerKey {
     /// Extracts the canonical key of `problem`. `solver_fingerprint`
     /// pins the solver kind and its parameters (e.g.
     /// `format!("{:?}", config.solver)`) — the only solver-relevant input
-    /// the [`LayerProblem`] itself does not carry.
+    /// the [`LayerProblem`] itself does not carry besides the
+    /// [`SOLVER_EPOCH`], which the header adds.
     pub fn of(problem: &LayerProblem<'_>, solver_fingerprint: &str) -> CanonicalLayerKey {
         let n = problem.ops.len();
         let nd = problem.devices.len();
@@ -300,7 +317,7 @@ impl CanonicalLayerKey {
         let mut header = String::new();
         let _ = write!(
             header,
-            "clk1|s:{solver_fingerprint}|md{}|w{:?}|c{:?}|co{}|n{n}|d{nd}|",
+            "clk{SOLVER_EPOCH}|s:{solver_fingerprint}|md{}|w{:?}|c{:?}|co{}|n{n}|d{nd}|",
             problem.max_devices, problem.weights, problem.costs, problem.component_oriented,
         );
 
@@ -820,14 +837,14 @@ impl CacheContext {
     /// beyond what [`LayerKey`] already captures: each operation's
     /// requirements and duration, the dependency edges, the layering
     /// threshold, the device budget, the objective weights, the cost
-    /// model, the solver kind (with its parameters) and the binding mode.
-    /// Operation display names are excluded — they never influence
-    /// solving.
+    /// model, the solver kind (with its parameters) and the binding mode,
+    /// all behind the [`SOLVER_EPOCH`]. Operation display names are
+    /// excluded — they never influence solving.
     pub fn of(assay: &crate::Assay, config: &SynthConfig) -> CacheContext {
         let mut s = String::new();
         let _ = write!(
             s,
-            "cfg:d{} t{} w{:?} c{:?} s{:?} co{}|",
+            "epoch{SOLVER_EPOCH}|cfg:d{} t{} w{:?} c{:?} s{:?} co{}|",
             config.max_devices,
             config.indeterminate_threshold,
             config.weights,

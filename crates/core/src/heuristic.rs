@@ -1037,7 +1037,7 @@ fn schedule_with_binding(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::{
         Assay, Duration, HybridSchedule, LayerSchedule, Operation, TransportConfig, TransportTimes,
@@ -1140,6 +1140,7 @@ mod tests {
             out
         }};
     }
+    pub(crate) use rehome;
 
     #[test]
     fn pruning_adopts_what_the_unpruned_search_adopts() {

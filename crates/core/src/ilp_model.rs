@@ -57,14 +57,18 @@ pub struct IlpLayerSolver {
     /// [`mfhls_ilp::SolverConfig::max_pivots`]).
     pub max_pivots: Option<u64>,
     /// Deterministic work budget in *tableau cells*: a simplex pivot
-    /// updates ~rows × columns cells, so dividing this by the built
-    /// model's dimensions yields a pivot budget proportional to
-    /// wall-clock across model sizes — a dense paper-scale layer pays
-    /// milliseconds per pivot where a small corpus layer pays
-    /// microseconds, which no flat pivot (let alone node) budget can
-    /// bound evenly. Converted to a pivot cap once the model is built;
-    /// the tighter of the two limits wins. The portfolio racer keys its
-    /// ILP legs on this.
+    /// updates ~rows × columns cells, so dividing this by the model's
+    /// dimensions yields a pivot budget proportional to wall-clock across
+    /// model sizes — a dense paper-scale layer pays milliseconds per pivot
+    /// where a small corpus layer pays microseconds, which no flat pivot
+    /// (let alone node) budget can bound evenly. The dimensions are
+    /// counted before the model is built. When the budget affords fewer
+    /// pivots than the model has rows — less than one basis change per
+    /// row, so the root LP seldom even finishes — the solve is skipped
+    /// without allocating anything: it returns [`CoreError::Ilp`] with
+    /// zero counters and emits an `ilp_leg_skipped` diagnostic.
+    /// Otherwise the budget becomes a pivot cap; the tighter of this and
+    /// `max_pivots` wins. The portfolio racer keys its ILP legs on this.
     pub pivot_work: Option<u64>,
 }
 
@@ -100,18 +104,30 @@ impl IlpLayerSolver {
                 crate::SolverStats::default(),
             );
         }
-        let built = build_model(p);
-        // `pivot_work` is denominated in tableau cells; the simplex works
-        // on an m × (n + m) tableau, so one pivot costs ~m·(n+m) cells.
-        let from_work = self.pivot_work.map(|work| {
-            let m = built.model.num_cons() as u64;
-            let cells = m.saturating_mul(m + built.model.num_vars() as u64);
-            (work / cells.max(1)).max(1)
-        });
-        let max_pivots = match (self.max_pivots, from_work) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
+        let facts = ModelFacts::of(p);
+        let mut max_pivots = self.max_pivots;
+        if let Some(work) = self.pivot_work {
+            // `pivot_work` is denominated in tableau cells; the simplex
+            // works on an m × (n + m) tableau, so one pivot costs ~m·(n+m)
+            // cells. Decided from the counted dimensions, before the model
+            // or its tableau is allocated.
+            let (rows, cols) = facts.dims(p);
+            let m = rows as u64;
+            let affordable = work / m.saturating_mul(m + cols as u64).max(1);
+            if affordable < m {
+                leg_skipped("budget", p.ops.len(), rows, cols, affordable);
+                return (
+                    Err(CoreError::Ilp(format!(
+                        "work budget affords {affordable} pivots on a {rows}-row model; \
+                         exact leg skipped"
+                    ))),
+                    crate::SolverStats::default(),
+                );
+            }
+            let cap = affordable.max(1);
+            max_pivots = Some(max_pivots.map_or(cap, |a| a.min(cap)));
+        }
+        let built = build_model(p, &facts);
         let config = SolverConfig {
             max_nodes: self.max_nodes,
             time_limit: self.time_limit,
@@ -145,6 +161,32 @@ impl IlpLayerSolver {
             ),
         }
     }
+}
+
+/// Records an exact leg that sat out: `reason` is `op_limit` (the
+/// portfolio's size pre-check, decided before counting, so `rows`, `cols`
+/// and `pivots_affordable` are 0) or `budget` (the pivot-work gate in
+/// [`IlpLayerSolver::solve_with_stats`]). Diagnostic, not logical: the
+/// portfolio's speculative pre-solves run on pool threads, so how many
+/// skips reach the recording thread depends on the pool size.
+pub(crate) fn leg_skipped(
+    reason: &str,
+    ops: usize,
+    rows: usize,
+    cols: usize,
+    pivots_affordable: u64,
+) {
+    mfhls_obs::diagnostic(
+        mfhls_obs::Level::Debug,
+        "ilp_leg_skipped",
+        &[
+            ("reason", reason.into()),
+            ("ops", ops.into()),
+            ("rows", rows.into()),
+            ("cols", cols.into()),
+            ("pivots_affordable", pivots_affordable.into()),
+        ],
+    );
 }
 
 /// Converts the `mfhls-ilp` counters into the aggregate-friendly core type.
@@ -201,7 +243,7 @@ impl LayerSolver for IlpLayerSolver {
 /// assert!(lp.contains("Minimize"));
 /// ```
 pub fn export_lp(p: &LayerProblem<'_>) -> String {
-    mfhls_ilp::write::to_lp_format(&build_model(p).model)
+    mfhls_ilp::write::to_lp_format(&build_model(p, &ModelFacts::of(p)).model)
 }
 
 struct BuiltModel {
@@ -217,19 +259,183 @@ struct BuiltModel {
     n_devices: usize,
 }
 
-fn build_model(p: &LayerProblem<'_>) -> BuiltModel {
+/// The index sets [`build_model`] walks, gathered once per problem: the
+/// device slots, which slots each op may bind to, the in-layer
+/// dependencies, the op pairs that need a device-conflict disjunction and
+/// the indeterminate ops. [`ModelFacts::dims`] counts the model from them
+/// before anything is built, and `build_model` emits its rows and columns
+/// from the same sets — the eq.-21 path rows through one shared walker —
+/// so the count cannot drift from the build.
+struct ModelFacts {
+    /// Inherited devices; slots `n_existing..n_devices` are new devices.
+    n_existing: usize,
+    n_devices: usize,
+    /// Row-major `ops × n_devices` mask: op `i` may bind to slot `j`
+    /// (the model has a `bind_i_j` variable).
+    candidate: Vec<bool>,
+    /// In-layer dependencies as (parent, child) op indices.
+    internal: Vec<(usize, usize)>,
+    /// Cross-layer inputs as (child op index, parent's device).
+    cross: Vec<(usize, usize)>,
+    /// Op pairs `a < b` not ordered by an in-layer dependency path.
+    free_pairs: Vec<(usize, usize)>,
+    /// Indices of the indeterminate ops.
+    indeterminate: Vec<usize>,
+}
+
+impl ModelFacts {
+    fn of(p: &LayerProblem<'_>) -> ModelFacts {
+        let ops = &p.ops;
+        let n = ops.len();
+        let n_existing = p.devices.len();
+        let bindable = |d: usize| p.bindable.get(d).copied().unwrap_or(false);
+        // New-device slots: the budget counts only *bindable* inherited
+        // devices (masked-out D'_i slots are free for reconfiguration,
+        // §3.2), and never exceeds what the layer's ops could use.
+        let n_bindable = (0..n_existing).filter(|&d| bindable(d)).count();
+        let n_new = p.max_devices.saturating_sub(n_bindable).min(n);
+        let n_devices = n_existing + n_new;
+        let mut candidate = Vec::with_capacity(n * n_devices);
+        for &op in ops {
+            let req = p.assay.op(op).requirements();
+            // Existing devices: compatibility is a constant. New devices
+            // may take any configuration.
+            candidate.extend(
+                (0..n_devices)
+                    .map(|j| j >= n_existing || (bindable(j) && p.devices[j].satisfies(req))),
+            );
+        }
+        let idx_of: BTreeMap<OpId, usize> = ops.iter().enumerate().map(|(i, &o)| (o, i)).collect();
+        let internal: Vec<(usize, usize)> = p
+            .internal_deps()
+            .iter()
+            .map(|(a, b)| (idx_of[a], idx_of[b]))
+            .collect();
+        let cross = p
+            .cross_inputs
+            .iter()
+            .map(|(child, pd)| (idx_of[child], *pd))
+            .collect();
+        // Pairs already ordered by a dependency path within the layer need
+        // no conflict disjunction.
+        let mut g = mfhls_graph::Digraph::new(n);
+        for &(a, b) in &internal {
+            g.add_edge(a, b).expect("layer edge");
+        }
+        let desc = mfhls_graph::reach::all_descendants(&g);
+        let free_pairs = (0..n)
+            .flat_map(|a| (a + 1..n).map(move |b| (a, b)))
+            .filter(|&(a, b)| !desc[a].contains(b) && !desc[b].contains(a))
+            .collect();
+        let indeterminate = (0..n)
+            .filter(|&i| p.assay.op(ops[i]).is_indeterminate())
+            .collect();
+        ModelFacts {
+            n_existing,
+            n_devices,
+            candidate,
+            internal,
+            cross,
+            free_pairs,
+            indeterminate,
+        }
+    }
+
+    fn can_bind(&self, op: usize, slot: usize) -> bool {
+        self.candidate[op * self.n_devices + slot]
+    }
+
+    /// Device slots both ops may bind to: one eq.-12 (or exclusivity) row
+    /// each.
+    fn shared_slots(&self, a: usize, b: usize) -> usize {
+        (0..self.n_devices)
+            .filter(|&j| self.can_bind(a, j) && self.can_bind(b, j))
+            .count()
+    }
+
+    /// Visits every eq.-21 path row in build order with the binding of the
+    /// sending op (`None` for a cross-layer parent, already placed), the
+    /// binding of the receiving op and the path key the transfer would pay
+    /// for. Paths inherited from earlier layers are already paid for and
+    /// get no row.
+    fn for_each_path_row(
+        &self,
+        p: &LayerProblem<'_>,
+        mut row: impl FnMut(Option<(usize, usize)>, (usize, usize), (usize, usize)),
+    ) {
+        for &(a, b) in &self.internal {
+            for d1 in 0..self.n_devices {
+                for d2 in 0..self.n_devices {
+                    if d1 == d2 || !self.can_bind(a, d1) || !self.can_bind(b, d2) {
+                        continue;
+                    }
+                    let key = path_key(d1, d2);
+                    if !p.existing_paths.contains(&key) {
+                        row(Some((a, d1)), (b, d2), key);
+                    }
+                }
+            }
+        }
+        for &(child, pd) in &self.cross {
+            for d in 0..self.n_devices {
+                if d == pd || !self.can_bind(child, d) {
+                    continue;
+                }
+                let key = path_key(pd, d);
+                if !p.existing_paths.contains(&key) {
+                    row(None, (child, d), key);
+                }
+            }
+        }
+    }
+
+    /// `(rows, columns)` of the model [`build_model`] makes from these
+    /// facts, counted without building it.
+    fn dims(&self, p: &LayerProblem<'_>) -> (usize, usize) {
+        let n = p.ops.len();
+        let n_new = self.n_devices - self.n_existing;
+        let binds = self.candidate.iter().filter(|&&c| c).count();
+        let kind_and_accessory_rows: usize = p
+            .ops
+            .iter()
+            .map(|&op| 1 + p.assay.op(op).requirements().accessories.len())
+            .sum();
+        let conflict_rows: usize = self
+            .free_pairs
+            .iter()
+            .map(|&(a, b)| 3 + self.shared_slots(a, b))
+            .sum();
+        let ind = &self.indeterminate;
+        let exclusive_rows: usize = ind
+            .iter()
+            .enumerate()
+            .flat_map(|(x, &a)| ind[x + 1..].iter().map(move |&b| (a, b)))
+            .map(|(a, b)| self.shared_slots(a, b))
+            .sum();
+        let mut path_rows = 0;
+        let mut path_keys = BTreeSet::new();
+        self.for_each_path_row(p, |_, _, key| {
+            path_rows += 1;
+            path_keys.insert(key);
+        });
+        let rows = 6 * n_new // used <= 1, accessories only on used devices
+            + n_new.saturating_sub(1) // symmetry breaking
+            + n_new * kind_and_accessory_rows + n // eqs. 6-7, eq. 5
+            + self.internal.len() // eq. 9
+            + conflict_rows // eqs. 10-13
+            + ind.len() * n.saturating_sub(1) + exclusive_rows // eq. 14
+            + n // eq. 15
+            + path_rows; // eq. 21
+        let cols = 11 * n_new + binds + n + 3 * self.free_pairs.len() + 1 + path_keys.len();
+        (rows, cols)
+    }
+}
+
+fn build_model(p: &LayerProblem<'_>, facts: &ModelFacts) -> BuiltModel {
     let mut m = Model::minimize();
     let ops = &p.ops;
     let n = ops.len();
-    let n_existing = p.devices.len();
-    // New-device slots: the budget counts only *bindable* inherited devices
-    // (masked-out D'_i slots are free for reconfiguration, §3.2), and never
-    // exceeds what the layer's ops could use.
-    let n_bindable = (0..n_existing)
-        .filter(|&d| p.bindable.get(d).copied().unwrap_or(false))
-        .count();
-    let n_new = p.max_devices.saturating_sub(n_bindable).min(n);
-    let n_devices = n_existing + n_new;
+    let (n_existing, n_devices) = (facts.n_existing, facts.n_devices);
     let horizon = p.horizon() as f64;
     // Eq. 10 with q0 = 1 must hold for every feasible assignment:
     // st_a + M >= st_b + dur_b + t_b, worst case st_a = 0, st_b = horizon,
@@ -278,35 +484,28 @@ fn build_model(p: &LayerProblem<'_>) -> BuiltModel {
     for (i, &op) in ops.iter().enumerate() {
         let req = p.assay.op(op).requirements();
         let mut choices = LinExpr::new();
-        for j in 0..n_devices {
+        for j in (0..n_devices).filter(|&j| facts.can_bind(i, j)) {
+            let v = m.binary(&format!("bind_{i}_{j}"));
+            bind.insert((i, j), v);
+            choices.add_term(v, 1.0);
             if j < n_existing {
-                // Existing device: compatibility is a constant.
-                if !p.bindable.get(j).copied().unwrap_or(false) || !p.devices[j].satisfies(req) {
-                    continue;
-                }
-                let v = m.binary(&format!("bind_{i}_{j}"));
-                bind.insert((i, j), v);
-                choices.add_term(v, 1.0);
-            } else {
-                let v = m.binary(&format!("bind_{i}_{j}"));
-                bind.insert((i, j), v);
-                choices.add_term(v, 1.0);
-                // Container kind (eq. 6).
-                let kind_set: Vec<VarId> = CONFIGS
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, (k, cap))| {
-                        req.container.is_none_or(|rk| rk == *k)
-                            && req.capacity.is_none_or(|rc| rc == *cap)
-                    })
-                    .map(|(k, _)| conf[&j][k])
-                    .collect();
-                // bind <= sum of allowed configs (also enforces "used").
-                m.add_con(v - LinExpr::sum(kind_set), Sense::Le, 0.0);
-                // Accessories (eq. 7).
-                for a_req in req.accessories.iter() {
-                    m.add_con(v - acc[&j][a_req.index()], Sense::Le, 0.0);
-                }
+                continue;
+            }
+            // Container kind (eq. 6).
+            let kind_set: Vec<VarId> = CONFIGS
+                .iter()
+                .enumerate()
+                .filter(|(_, (k, cap))| {
+                    req.container.is_none_or(|rk| rk == *k)
+                        && req.capacity.is_none_or(|rc| rc == *cap)
+                })
+                .map(|(k, _)| conf[&j][k])
+                .collect();
+            // bind <= sum of allowed configs (also enforces "used").
+            m.add_con(v - LinExpr::sum(kind_set), Sense::Le, 0.0);
+            // Accessories (eq. 7).
+            for a_req in req.accessories.iter() {
+                m.add_con(v - acc[&j][a_req.index()], Sense::Le, 0.0);
             }
         }
         // Eq. 5: exactly one device.
@@ -317,57 +516,41 @@ fn build_model(p: &LayerProblem<'_>) -> BuiltModel {
     let start: Vec<VarId> = (0..n)
         .map(|i| m.integer(&format!("st_{i}"), 0.0, horizon))
         .collect();
-    let idx_of: BTreeMap<OpId, usize> = ops.iter().enumerate().map(|(i, &o)| (o, i)).collect();
-    let internal = p.internal_deps();
-    for &(a, b) in &internal {
-        let (ia, ib) = (idx_of[&a], idx_of[&b]);
+    for &(a, b) in &facts.internal {
         // st_b >= st_a + dur_a + t_a.
-        m.add_con(start[ib] - start[ia], Sense::Ge, dur(ia) + t_eff(ia));
+        m.add_con(start[b] - start[a], Sense::Ge, dur(a) + t_eff(a));
     }
 
     // ---- Device conflicts (eqs. 10-13) ------------------------------------
-    // Skip pairs already ordered by a dependency path within the layer.
-    let mut g = mfhls_graph::Digraph::new(n);
-    for &(a, b) in &internal {
-        g.add_edge(idx_of[&a], idx_of[&b]).expect("layer edge");
-    }
-    let desc = mfhls_graph::reach::all_descendants(&g);
-    for a in 0..n {
-        for b in a + 1..n {
-            if desc[a].contains(b) || desc[b].contains(a) {
-                continue;
+    for &(a, b) in &facts.free_pairs {
+        let q0 = m.binary(&format!("q0_{a}_{b}"));
+        let q1 = m.binary(&format!("q1_{a}_{b}"));
+        let q2 = m.binary(&format!("q2_{a}_{b}"));
+        // (10) st_a + q0 M >= st_b + dur_b + t_b.
+        m.add_con(
+            start[a] - start[b] + big_m * q0,
+            Sense::Ge,
+            dur(b) + t_eff(b),
+        );
+        // (11) st_a + dur_a + t_a - q1 M <= st_b.
+        m.add_con(
+            start[a] - start[b] - big_m * q1,
+            Sense::Le,
+            -(dur(a) + t_eff(a)),
+        );
+        // (12) per device.
+        for j in 0..n_devices {
+            if let (Some(&va), Some(&vb)) = (bind.get(&(a, j)), bind.get(&(b, j))) {
+                m.add_con(va + vb - q2, Sense::Le, 1.0);
             }
-            let q0 = m.binary(&format!("q0_{a}_{b}"));
-            let q1 = m.binary(&format!("q1_{a}_{b}"));
-            let q2 = m.binary(&format!("q2_{a}_{b}"));
-            // (10) st_a + q0 M >= st_b + dur_b + t_b.
-            m.add_con(
-                start[a] - start[b] + big_m * q0,
-                Sense::Ge,
-                dur(b) + t_eff(b),
-            );
-            // (11) st_a + dur_a + t_a - q1 M <= st_b.
-            m.add_con(
-                start[a] - start[b] - big_m * q1,
-                Sense::Le,
-                -(dur(a) + t_eff(a)),
-            );
-            // (12) per device.
-            for j in 0..n_devices {
-                if let (Some(&va), Some(&vb)) = (bind.get(&(a, j)), bind.get(&(b, j))) {
-                    m.add_con(va + vb - q2, Sense::Le, 1.0);
-                }
-            }
-            // (13).
-            m.add_con(q0 + q1 + q2, Sense::Le, 2.0);
         }
+        // (13).
+        m.add_con(q0 + q1 + q2, Sense::Le, 2.0);
     }
 
     // ---- Indeterminate-at-end (eq. 14) + exclusive devices ----------------
-    let ind_idx: Vec<usize> = (0..n)
-        .filter(|&i| p.assay.op(ops[i]).is_indeterminate())
-        .collect();
-    for &i in &ind_idx {
+    let ind_idx = &facts.indeterminate;
+    for &i in ind_idx {
         for a in 0..n {
             if a != i {
                 // st_a <= st_i + dur_i.
@@ -394,45 +577,16 @@ fn build_model(p: &LayerProblem<'_>) -> BuiltModel {
     // ---- Paths (eq. 21) ----------------------------------------------------
     // One variable per device pair that could newly carry a transfer.
     let mut path_vars: BTreeMap<(usize, usize), VarId> = BTreeMap::new();
-    let mut path_var = |m: &mut Model, d1: usize, d2: usize| -> Option<VarId> {
-        let key = path_key(d1, d2);
-        if p.existing_paths.contains(&key) {
-            return None; // already paid for
+    facts.for_each_path_row(p, |from, to, key| {
+        let pv = *path_vars
+            .entry(key)
+            .or_insert_with(|| m.binary(&format!("path_{}_{}", key.0, key.1)));
+        let vc = bind[&to];
+        match from {
+            Some(from) => m.add_con(bind[&from] + vc - pv, Sense::Le, 1.0),
+            None => m.add_con(vc - pv, Sense::Le, 0.0),
         }
-        Some(
-            *path_vars
-                .entry(key)
-                .or_insert_with(|| m.binary(&format!("path_{}_{}", key.0, key.1))),
-        )
-    };
-    for &(a, b) in &internal {
-        let (ia, ib) = (idx_of[&a], idx_of[&b]);
-        for d1 in 0..n_devices {
-            for d2 in 0..n_devices {
-                if d1 == d2 {
-                    continue;
-                }
-                if let (Some(&va), Some(&vb)) = (bind.get(&(ia, d1)), bind.get(&(ib, d2))) {
-                    if let Some(pv) = path_var(&mut m, d1, d2) {
-                        m.add_con(va + vb - pv, Sense::Le, 1.0);
-                    }
-                }
-            }
-        }
-    }
-    for &(child, pd) in &p.cross_inputs {
-        let ic = idx_of[&child];
-        for d in 0..n_devices {
-            if d == pd {
-                continue;
-            }
-            if let Some(&vc) = bind.get(&(ic, d)) {
-                if let Some(pv) = path_var(&mut m, pd, d) {
-                    m.add_con(vc - pv, Sense::Le, 0.0);
-                }
-            }
-        }
-    }
+    });
 
     // ---- Objective ---------------------------------------------------------
     let w = p.weights;
@@ -813,6 +967,151 @@ mod tests {
             ..IlpLayerSolver::default()
         };
         assert_eq!(loose.solve(&p).unwrap().objective, optimal.objective);
+    }
+
+    /// Every layer of paper cases 1-3 and of the committed corpus, posed
+    /// twice: fresh, and over an inherited pool with a partial
+    /// bindability mask, inherited paths and cross-layer inputs, so every
+    /// branch of the model (masked and unfit inherited devices, free
+    /// paths, cross-input path rows) is exercised.
+    fn for_each_layer_problem(mut visit: impl FnMut(&str, &LayerProblem<'_>)) {
+        use crate::heuristic::tests::rehome;
+        let mut cases: Vec<(String, Assay, usize, usize)> = mfhls_assays::benchmarks()
+            .into_iter()
+            .map(|(case, _, a)| (format!("case {case}"), rehome!(a), 25, 10))
+            .collect();
+        for profile in mfhls_bench::gen::Profile::ALL {
+            for seed in 1..=2 {
+                let config = mfhls_bench::gen::check_config(profile);
+                let assay = rehome!(mfhls_bench::gen::generate(profile, seed));
+                cases.push((
+                    format!("{profile}/{seed}"),
+                    assay,
+                    config.max_devices,
+                    config.indeterminate_threshold,
+                ));
+            }
+        }
+        let inherited: Vec<DeviceConfig> = CONFIGS
+            .iter()
+            .enumerate()
+            .map(|(k, &(kind, cap))| {
+                let accessories = Accessory::ALL.into_iter().skip(k % 5).take(k % 3);
+                DeviceConfig::new(kind, cap, accessories.collect()).expect("fabricable")
+            })
+            .collect();
+        let costs = CostModel::default();
+        for (tag, assay, max_devices, threshold) in &cases {
+            let layering = crate::layer_assay(assay, *threshold).expect("layers");
+            let transport = TransportTimes::initial(assay, &TransportConfig::default());
+            for (li, ops) in layering.layers().iter().enumerate() {
+                let fresh = LayerProblem {
+                    assay,
+                    ops: ops.clone(),
+                    devices: vec![],
+                    bindable: vec![],
+                    max_devices: *max_devices,
+                    transport: &transport,
+                    weights: Weights::default(),
+                    costs: &costs,
+                    existing_paths: BTreeSet::new(),
+                    cross_inputs: vec![],
+                    component_oriented: true,
+                };
+                visit(&format!("{tag} layer {li} fresh"), &fresh);
+                let cross_inputs = assay
+                    .dependencies()
+                    .filter(|&(p, c)| layering.layer_of(c) == li && layering.layer_of(p) < li)
+                    .map(|(p, c)| (c, p.index() % inherited.len()))
+                    .collect();
+                let warm = LayerProblem {
+                    devices: inherited.clone(),
+                    bindable: (0..inherited.len()).map(|j| j % 3 != 2).collect(),
+                    existing_paths: [(0, 1), (1, 3), (2, 4)].into_iter().collect(),
+                    cross_inputs,
+                    ..fresh
+                };
+                visit(&format!("{tag} layer {li} inherited"), &warm);
+            }
+        }
+    }
+
+    #[test]
+    fn counted_dims_equal_the_built_model() {
+        let mut checked = 0;
+        for_each_layer_problem(|tag, p| {
+            let facts = ModelFacts::of(p);
+            let model = build_model(p, &facts).model;
+            assert_eq!(
+                facts.dims(p),
+                (model.num_cons(), model.num_vars()),
+                "{tag}: counted (rows, cols) differ from the built model"
+            );
+            checked += 1;
+        });
+        assert!(checked >= 100, "layer walk degenerated: {checked} problems");
+    }
+
+    fn diamond() -> Assay {
+        let mut a = Assay::new("diamond");
+        let src = a.add_op(Operation::new("src").with_duration(Duration::fixed(4)));
+        let l = a.add_op(
+            Operation::new("l")
+                .accessory(Accessory::HeatingPad)
+                .with_duration(Duration::fixed(6)),
+        );
+        let r = a.add_op(Operation::new("r").with_duration(Duration::fixed(5)));
+        let sink = a.add_op(Operation::new("sink").with_duration(Duration::at_least(3)));
+        for (x, y) in [(src, l), (src, r), (l, sink), (r, sink)] {
+            a.add_dependency(x, y).unwrap();
+        }
+        a
+    }
+
+    #[test]
+    fn pivot_work_gate_admits_exactly_one_pivot_per_row() {
+        let a = diamond();
+        let costs = CostModel::default();
+        let tr = TransportTimes::initial(&a, &TransportConfig::default());
+        let p = problem_for(&a, &costs, &tr, 4);
+        let (rows, cols) = ModelFacts::of(&p).dims(&p);
+        let m = rows as u64;
+        let per_pivot = m * (m + cols as u64);
+        let budgeted = |work: u64| IlpLayerSolver {
+            pivot_work: Some(work),
+            ..IlpLayerSolver::default()
+        };
+
+        // Exactly `m` pivots affordable: the leg runs.
+        let (_, stats) = budgeted(m * per_pivot).solve_with_stats(&p);
+        assert_eq!(stats.ilp_solves, 1);
+        assert!(stats.pivots > 0);
+
+        // One cell less: skipped before building, with zero counters and
+        // a diagnostic (never logical) trace record.
+        let ((gated, stats), trace) =
+            mfhls_obs::with_capture(mfhls_obs::CaptureConfig::default(), || {
+                budgeted(m * per_pivot - 1).solve_with_stats(&p)
+            });
+        assert!(matches!(gated, Err(CoreError::Ilp(_))), "{gated:?}");
+        assert_eq!(stats, crate::SolverStats::default());
+        let skipped: Vec<_> = trace
+            .records
+            .iter()
+            .filter(|r| r.name == "ilp_leg_skipped")
+            .collect();
+        assert_eq!(skipped.len(), 1);
+        assert_eq!(skipped[0].class, mfhls_obs::Class::Diagnostic);
+        use mfhls_obs::OwnedValue::{Str, U64};
+        let expected = vec![
+            ("reason".to_owned(), Str("budget".to_owned())),
+            ("ops".to_owned(), U64(4)),
+            ("rows".to_owned(), U64(m)),
+            ("cols".to_owned(), U64(cols as u64)),
+            ("pivots_affordable".to_owned(), U64(m - 1)),
+        ];
+        assert_eq!(skipped[0].fields, expected);
+        assert!(!trace.logical_fingerprint().contains("ilp_leg_skipped"));
     }
 
     #[test]

@@ -185,12 +185,18 @@ pub enum SolverKind {
     ///
     /// Backends must be leaf strategies (`heuristic`, `sdc`, `ilp`) —
     /// nesting `portfolio` or `hybrid` is a configuration error. ILP legs
-    /// sit out layers larger than [`PORTFOLIO_ILP_OP_LIMIT`] ops (past
-    /// paper scale, branch-and-bound reliably exhausts any budget without
-    /// an integer-feasible incumbent, so racing it buys nothing) and run
-    /// under the deterministic [`PORTFOLIO_ILP_PIVOT_WORK`] work budget
-    /// — both gates depend only on the problem, never the clock, so a
-    /// race is byte-identical across machines and thread counts.
+    /// pass two size gates before they race. Layers larger than
+    /// [`PORTFOLIO_ILP_OP_LIMIT`] ops are skipped outright (past paper
+    /// scale, branch-and-bound reliably exhausts any budget without an
+    /// integer-feasible incumbent, so racing it buys nothing). The rest
+    /// run under the deterministic [`PORTFOLIO_ILP_PIVOT_WORK`] work
+    /// budget, which also skips — before building anything — every model
+    /// it affords fewer pivots than rows (see
+    /// [`IlpLayerSolver::pivot_work`](crate::ilp_model::IlpLayerSolver)).
+    /// Both gates depend only on the problem, never the clock, so a race
+    /// is byte-identical across machines and thread counts. A skipped leg
+    /// adds no counters; it shows in traces as an `ilp_leg_skipped`
+    /// diagnostic.
     Portfolio {
         /// The backends to race, in adoption-priority order.
         backends: Vec<SolverKind>,
@@ -213,11 +219,15 @@ pub const PORTFOLIO_ILP_OP_LIMIT: usize = 25;
 /// 20 000 nodes would run for hours — and a wall-clock limit would trade
 /// the hang for nondeterminism; a work budget is both time-proportional
 /// and machine-independent, so the race stays fast *and* byte-identical
-/// everywhere. 10⁹ cells means ~350 pivots (≲1 s) on that densest
-/// ~1 500-row model — comfortably above the ~230 it needs to prune its
-/// refined iterations — ~30 on the pathological 5 000-row kinase layer
-/// that can't be closed anyway, and tens of thousands on the small
-/// corpus layers where the exact search actually closes gaps.
+/// everywhere. A model of `m` rows and `n` columns gets
+/// `10⁹ / (m·(n+m))` pivots, and a leg whose model would get fewer than
+/// `m` is skipped before it is built. That skips the 10-op layers of
+/// cases 2 and 3 (~1 200–1 600 rows, ~320–540 pivots) and the
+/// 5 300–6 300-row layers of case 1 (22–31 pivots): none of them ever
+/// produced an adopted solution. It admits the small layers of a few
+/// hundred rows, which get thousands of pivots; every adopted leg
+/// measured on the paper cases and `bench/corpus/` affords at least 22
+/// pivots per row.
 pub const PORTFOLIO_ILP_PIVOT_WORK: u64 = 1_000_000_000;
 
 impl Default for SolverKind {
@@ -345,6 +355,7 @@ fn solve_portfolio(
             continue;
         };
         if problem.ops.len() > PORTFOLIO_ILP_OP_LIMIT {
+            crate::ilp_model::leg_skipped("op_limit", problem.ops.len(), 0, 0, 0);
             continue;
         }
         let (exact, work) = crate::ilp_model::IlpLayerSolver {
@@ -516,6 +527,50 @@ mod tests {
             }],
         };
         assert!(matches!(hybrid.solve(&p), Err(CoreError::Config(_))));
+    }
+
+    #[test]
+    fn ilp_legs_past_the_op_limit_sit_out_with_a_diagnostic() {
+        let mut assay = Assay::new("wide");
+        for k in 0..=PORTFOLIO_ILP_OP_LIMIT {
+            assay.add_op(Operation::new(&format!("o{k}")).with_duration(Duration::fixed(2)));
+        }
+        let transport = TransportTimes::initial(&assay, &TransportConfig::default());
+        let costs = CostModel::default();
+        let p = problem(&assay, &transport, &costs);
+        let spec = SolverKind::Portfolio {
+            backends: vec![
+                SolverKind::Heuristic {
+                    improvement_passes: 0,
+                },
+                SolverKind::Ilp { max_nodes: 1 },
+            ],
+        };
+        let (sol, trace) = mfhls_obs::with_capture(mfhls_obs::CaptureConfig::default(), || {
+            spec.solve(&p).unwrap()
+        });
+        assert_eq!(sol.stats.ilp_solves, 0);
+        assert_eq!(sol.stats.wins_heuristic, 1);
+        let skipped: Vec<_> = trace
+            .records
+            .iter()
+            .filter(|r| r.name == "ilp_leg_skipped")
+            .collect();
+        assert_eq!(skipped.len(), 1);
+        assert_eq!(skipped[0].class, mfhls_obs::Class::Diagnostic);
+        assert_eq!(
+            skipped[0].fields[..2],
+            [
+                (
+                    "reason".to_owned(),
+                    mfhls_obs::OwnedValue::Str("op_limit".to_owned())
+                ),
+                (
+                    "ops".to_owned(),
+                    mfhls_obs::OwnedValue::U64(PORTFOLIO_ILP_OP_LIMIT as u64 + 1)
+                ),
+            ]
+        );
     }
 
     #[test]

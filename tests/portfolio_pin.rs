@@ -1,11 +1,12 @@
-//! The paper-scale portfolio pin: `portfolio:heuristic+sdc+ilp` on the
-//! 120-op single-cell RT-qPCR assay (case 3 of Table 2).
+//! The paper-scale portfolio pins: `portfolio:heuristic+sdc+ilp` on the
+//! 120-op single-cell RT-qPCR assay (case 3 of Table 2), and on the one
+//! generated assay where the exact leg races and wins.
 //!
-//! A whole-assay `--solver ilp` synthesis is intractable here — on the
-//! assay's 40-60-op layers branch-and-bound exhausts any budget without
-//! an integer-feasible incumbent (measured: a 2 000-node budget burns
-//! minutes and then errors) — so the exec-time pin is taken against the
-//! heuristic baseline the race can only improve on, and exactness is
+//! A whole-assay `--solver ilp` synthesis is intractable on case 3 — on
+//! the assay's 40-60-op layers branch-and-bound exhausts any budget
+//! without an integer-feasible incumbent (measured: a 2 000-node budget
+//! burns minutes and then errors) — so the exec-time pin is taken against
+//! the heuristic baseline the race can only improve on, and exactness is
 //! covered per layer by `sdc_parity` (the race returns the
 //! proven-optimal solution wherever one is computable). What this file
 //! pins:
@@ -13,13 +14,18 @@
 //! 1. the race completes on the 120-op assay and never regresses the
 //!    heuristic's execution time (golden value from the committed
 //!    `bench/trajectory/` points);
-//! 2. the full hybrid schedule is byte-identical at 1 vs 4 threads —
-//!    the ILP legs' deterministic pivot-work budget is what makes
-//!    bounded exact racing reproducible;
-//! 3. the race accounting (`portfolio_races`, `wins_*`) balances over a
-//!    whole synthesis and the merged counters show every leg worked.
+//! 2. the exact legs sit out every case-3 layer: the big layers exceed
+//!    the op limit, and the pivot-work budget affords the remaining
+//!    models fewer pivots than they have rows, so no leg is even built;
+//! 3. on `gen-small-1` an exact leg is admitted and adopted, improving
+//!    the heuristic's quality;
+//! 4. schedules and solver counters are byte-identical at 1 vs 4
+//!    threads — the ILP legs' deterministic pivot-work budget is what
+//!    makes bounded exact racing reproducible — and the race accounting
+//!    (`portfolio_races`, `wins_*`) balances over a whole synthesis.
 
-use mfhls::core::{SolverKind, SynthConfig, Synthesizer};
+use mfhls::bench::gen::{self, Profile};
+use mfhls::core::{Assay, SolverKind, SolverStats, SynthConfig, SynthesisResult, Synthesizer};
 use mfhls::par::with_threads;
 
 /// The spec-default race: what `--solver portfolio:heuristic+sdc+ilp`
@@ -38,20 +44,55 @@ fn race() -> SolverKind {
     }
 }
 
+fn run(assay: &Assay, solver: SolverKind) -> SynthesisResult {
+    Synthesizer::new(
+        SynthConfig::builder()
+            .solver(solver)
+            .build()
+            .expect("valid config"),
+    )
+    .run(assay)
+    .expect("the assay must synthesize")
+}
+
+/// Fixed exec time, used devices and paths: the paper's Table 2 columns.
+fn quality(assay: &Assay, result: &SynthesisResult) -> (u64, usize, usize) {
+    (
+        result.schedule.exec_time(assay).fixed,
+        result.schedule.used_device_count(),
+        result.schedule.path_count(),
+    )
+}
+
+/// Solver counters summed over every re-synthesis iteration.
+fn all_iterations(result: &SynthesisResult) -> SolverStats {
+    let mut total = SolverStats::default();
+    for it in &result.iterations {
+        total.merge(&it.solver);
+    }
+    total
+}
+
+/// The race is byte-identical at 1 vs 4 threads, schedule and counters.
+fn assert_thread_invariant(assay: &Assay, one: &SynthesisResult) {
+    let four = with_threads(4, || run(assay, race()));
+    assert_eq!(
+        one.schedule, four.schedule,
+        "portfolio schedule differs between 1 and 4 threads"
+    );
+    let solver = |r: &SynthesisResult| r.iterations.iter().map(|it| it.solver).collect::<Vec<_>>();
+    assert_eq!(
+        solver(one),
+        solver(&four),
+        "portfolio solver counters differ between 1 and 4 threads"
+    );
+}
+
 #[test]
 fn portfolio_race_matches_heuristic_exec_on_the_120_op_assay() {
     let assay = mfhls::assays::rtqpcr(20);
     assert_eq!(assay.len(), 120, "case 3 changed size");
-    let run = |solver: SolverKind| {
-        Synthesizer::new(
-            SynthConfig::builder()
-                .solver(solver)
-                .build()
-                .expect("valid config"),
-        )
-        .run(&assay)
-        .expect("case 3 must synthesize")
-    };
+    let run = |solver: SolverKind| run(&assay, solver);
     let heur = run(SolverKind::Heuristic {
         improvement_passes: 2,
     });
@@ -75,9 +116,11 @@ fn portfolio_race_matches_heuristic_exec_on_the_120_op_assay() {
     assert_eq!(port_exec.fixed, 274, "golden case-3 exec time moved");
 
     // Whole-synthesis race accounting: every layer of every iteration
-    // raced once, and the adopted counters absorbed each leg's work —
-    // including the exact legs admitted on the small (10-op) layer.
-    let total = &port.final_stats().solver;
+    // raced once, and the adopted counters absorbed the work of every leg
+    // that ran. No exact leg ran: the layers past the op limit sit out,
+    // and the pivot-work budget affords each remaining layer's model
+    // fewer pivots than it has rows, so none is even built.
+    let total = all_iterations(&port);
     assert!(total.portfolio_races > 0, "no races recorded");
     assert_eq!(
         total.wins_heuristic + total.wins_sdc + total.wins_ilp,
@@ -85,23 +128,48 @@ fn portfolio_race_matches_heuristic_exec_on_the_120_op_assay() {
         "race accounting out of balance"
     );
     assert!(total.sdc_solves > 0, "sdc leg never ran");
-    assert!(total.ilp_solves > 0, "ilp leg never raced the small layer");
-    assert!(
-        total.pivots > 0,
-        "ilp leg reported no pivot work despite racing"
-    );
+    assert_eq!(total.ilp_solves, 0, "an exact leg ran past the size gates");
+    assert_eq!(total.pivots, 0, "a skipped exact leg reported pivot work");
 
-    // Thread-count invariance at paper scale: the deterministic
-    // pivot-work budget (not a wall clock) bounds the ILP legs, so the
-    // bytes cannot depend on the machine or the worker count.
-    let par = with_threads(4, || run(race()));
+    // Thread-count invariance at paper scale.
+    assert_thread_invariant(&assay, &port);
+}
+
+#[test]
+fn the_exact_leg_races_and_wins_on_gen_small_1() {
+    let assay = gen::generate(Profile::Small, 1);
+    let heur = run(
+        &assay,
+        SolverKind::Heuristic {
+            improvement_passes: 2,
+        },
+    );
+    let port = with_threads(1, || run(&assay, race()));
+    port.schedule
+        .validate(&assay)
+        .expect("portfolio schedule must satisfy every paper constraint");
     assert_eq!(
-        port.schedule, par.schedule,
-        "portfolio schedule differs between 1 and 4 threads"
+        quality(&assay, &heur),
+        (128, 4, 5),
+        "heuristic baseline moved"
     );
     assert_eq!(
-        port.final_stats().solver,
-        par.final_stats().solver,
-        "portfolio solver counters differ between 1 and 4 threads"
+        quality(&assay, &port),
+        (123, 3, 3),
+        "the exact leg's win on gen-small-1 moved"
     );
+    // The small layers pass both size gates: over the whole synthesis
+    // the exact legs run on every race and one of them is adopted.
+    let total = all_iterations(&port);
+    assert_eq!(
+        total.wins_heuristic + total.wins_sdc + total.wins_ilp,
+        total.portfolio_races,
+        "race accounting out of balance"
+    );
+    assert_eq!(
+        (total.portfolio_races, total.wins_ilp, total.ilp_solves),
+        (9, 1, 9),
+        "exact-leg admission or adoption on gen-small-1 moved"
+    );
+    assert_thread_invariant(&assay, &port);
 }

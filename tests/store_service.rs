@@ -250,3 +250,106 @@ fn an_evicting_cache_reads_back_through_the_store() {
         );
     }
 }
+
+/// A portfolio request on paper case 1 (kinase, scale 2): one whose exact
+/// legs earlier solvers raced and reported work for.
+fn portfolio_request(id: &str) -> String {
+    let mut line = String::new();
+    Json::Object(vec![
+        ("version".to_owned(), Json::Str(VERSION.to_owned())),
+        ("type".to_owned(), Json::Str("synthesize".to_owned())),
+        ("id".to_owned(), Json::Str(id.to_owned())),
+        (
+            "assay".to_owned(),
+            Json::Object(vec![
+                ("benchmark".to_owned(), Json::Str("kinase".to_owned())),
+                ("scale".to_owned(), Json::Int(2)),
+            ]),
+        ),
+        (
+            "config".to_owned(),
+            Json::Object(vec![(
+                "solver".to_owned(),
+                Json::Str("portfolio:heuristic+sdc+ilp".to_owned()),
+            )]),
+        ),
+    ])
+    .write(&mut line);
+    line
+}
+
+/// Re-tags every record of a segment image with `epoch`, the way a build
+/// at that solver epoch would have keyed it, and inflates the ILP counters
+/// so any replay of the record shows in the response bytes.
+fn retagged_image(image: &[u8], epoch: u32) -> Vec<u8> {
+    use mfhls::core::cache::SOLVER_EPOCH;
+    use mfhls::store::format::{empty_segment, encode_record, scan_segment};
+    let scan = scan_segment(image).expect("seeded image scans");
+    assert!(scan.quarantined.is_empty() && scan.torn_tail_at.is_none());
+    let context_tag = format!("epoch{SOLVER_EPOCH}|");
+    let header = format!("clk{SOLVER_EPOCH}|");
+    let old_header = format!("clk{epoch}|");
+    let mut out = empty_segment();
+    for mut rec in scan.records {
+        let bare = rec
+            .context
+            .strip_prefix(&context_tag)
+            .expect("contexts carry the solver epoch");
+        // Epoch 1 contexts carried no epoch component at all.
+        rec.context = if epoch == 1 {
+            bare.to_owned()
+        } else {
+            format!("epoch{epoch}|{bare}")
+        };
+        let canonical = rec.canonical.as_mut().expect("the service persists kind-2");
+        for bytes in [&mut canonical.canon, &mut canonical.positional] {
+            assert!(bytes.starts_with(header.as_bytes()));
+            bytes.splice(..header.len(), old_header.bytes());
+        }
+        rec.solution.stats.ilp_solves += 3;
+        rec.solution.stats.pivots += 75;
+        out.extend_from_slice(&encode_record(&rec));
+    }
+    out
+}
+
+#[test]
+fn records_from_an_earlier_solver_epoch_load_but_never_answer() {
+    use mfhls::core::cache::SOLVER_EPOCH;
+    let mut input = workload();
+    input.push_str(&portfolio_request("k"));
+    input.push('\n');
+    let cold = baseline(&input);
+    let image = seeded_image(&input);
+    let persisted = SolutionStore::open(DIR, StoreConfig::default(), {
+        let io = Arc::new(MemIo::new());
+        io.set_contents(&segment_path(), image.clone());
+        io
+    })
+    .stats()
+    .loaded;
+    assert!(persisted > 0);
+
+    let serve_over = |image: Vec<u8>| {
+        let io = Arc::new(MemIo::new());
+        io.set_contents(&segment_path(), image);
+        let store = Arc::new(SolutionStore::open(DIR, StoreConfig::default(), io));
+        let service = SynthesisService::with_store(ServiceConfig::default(), store.clone());
+        let loaded = store.stats().loaded;
+        (serve(&service, &input).0, loaded, store.stats())
+    };
+
+    // Control: under this build's epoch the inflated records are served,
+    // and the inflated counters reach the response bytes.
+    let (out, _, _) = serve_over(retagged_image(&image, SOLVER_EPOCH));
+    assert_ne!(out, cold, "inflated records never reached a response");
+
+    // Under the previous epoch every record still loads, none answers,
+    // and every layer is solved and persisted afresh.
+    let (out, loaded, stats) = serve_over(retagged_image(&image, SOLVER_EPOCH - 1));
+    assert_eq!(loaded, persisted, "{stats}");
+    assert_eq!(stats.quarantined, 0, "{stats}");
+    assert_eq!(stats.hits, 0, "an old-epoch record answered: {stats}");
+    assert_eq!(stats.appended, persisted, "{stats}");
+    assert_eq!(out, cold, "an old-epoch record changed a response");
+}
