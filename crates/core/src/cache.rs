@@ -2,7 +2,7 @@
 //! shared across runs.
 //!
 //! Re-synthesis (§3.2) repeatedly re-solves per-layer scheduling problems;
-//! across iterations many of those sub-problems are *structurally
+//! across iterations some of those sub-problems are *structurally
 //! identical* — same device pool, same inherited paths, same transport
 //! estimates. A [`LayerCache`] lives for the duration of one
 //! [`Synthesizer::run_seeded`](crate::Synthesizer::run_seeded) call and maps
@@ -738,21 +738,6 @@ impl LayerCache {
         None
     }
 
-    /// Whether the lookup would hit (exact or canonical), without touching
-    /// the counters.
-    pub fn contains(&self, key: &LayerKey, canonical: Option<&CanonicalLayerKey>) -> bool {
-        if self.map.contains_key(key) {
-            return true;
-        }
-        canonical.is_some_and(|ck| {
-            self.canon.get(ck.canon_bytes()).is_some_and(|bucket| {
-                bucket
-                    .iter()
-                    .any(|e| e.positional.as_ref() == ck.positional_bytes())
-            })
-        })
-    }
-
     /// Stores a solution (counted as part of the preceding
     /// [`LayerCache::lookup`] miss).
     pub fn insert(
@@ -775,21 +760,6 @@ impl LayerCache {
             }
         }
         self.map.insert(key, solution);
-    }
-
-    /// Stores a speculatively pre-solved solution without touching the
-    /// counters — used by the parallel pre-solve phase, whose predictions
-    /// are not demand lookups.
-    pub fn warm(
-        &mut self,
-        key: LayerKey,
-        canonical: Option<&CanonicalLayerKey>,
-        solution: LayerSolution,
-    ) {
-        if self.map.contains_key(&key) {
-            return;
-        }
-        self.insert(key, canonical, solution);
     }
 
     /// Demand lookups that found a solution (any hit class) since the last
@@ -886,10 +856,9 @@ impl CacheContext {
 
 /// Aggregate counters of a [`SharedLayerCache`].
 ///
-/// Hits and misses count *demand* lookups only (speculative warming is
-/// excluded, mirroring [`LayerCache`]). The split is diagnostic: it varies
-/// with request interleaving and worker count, while the schedules served
-/// from the cache never do.
+/// The hit/miss split is diagnostic: it depends on the cache's history —
+/// which requests ran first, and so on their interleaving across workers —
+/// while the schedules served from the cache never do.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Demand lookups satisfied by the exact in-memory index.
@@ -903,7 +872,8 @@ pub struct CacheStats {
     pub store_hits: u64,
     /// Demand lookups that missed everywhere.
     pub misses: u64,
-    /// Entries stored (demand and speculative).
+    /// Entries stored: solved layers, promoted canonical and store hits,
+    /// and records warm-loaded from a store.
     pub insertions: u64,
     /// Entries dropped to keep the cache within its capacity.
     pub evictions: u64,
@@ -1082,29 +1052,6 @@ impl SharedLayerCache {
         st.counters.misses += 1;
         st.window.misses += 1;
         None
-    }
-
-    fn contains(
-        &self,
-        context: &CacheContext,
-        key: &LayerKey,
-        canonical: Option<&CanonicalLayerKey>,
-    ) -> bool {
-        let st = self.locked();
-        let probe = SharedKey {
-            context: context.clone(),
-            key: key.clone(),
-        };
-        if st.map.contains_key(&probe) {
-            return true;
-        }
-        canonical.is_some_and(|ck| {
-            st.canon.get(ck.canon_bytes()).is_some_and(|bucket| {
-                bucket.iter().any(|e| {
-                    e.positional.as_ref() == ck.positional_bytes() && st.map.contains_key(&e.shared)
-                })
-            })
-        })
     }
 
     fn insert(
@@ -1315,15 +1262,6 @@ impl RunCache {
         }
     }
 
-    /// Whether a lookup would hit (exact or canonical), without touching
-    /// the counters.
-    pub fn contains(&self, key: &LayerKey, canonical: Option<&CanonicalLayerKey>) -> bool {
-        match self {
-            RunCache::Local(c) => c.contains(key, canonical),
-            RunCache::Shared { cache, context, .. } => cache.contains(context, key, canonical),
-        }
-    }
-
     /// Stores a demand-solved solution.
     pub fn insert(
         &mut self,
@@ -1333,21 +1271,6 @@ impl RunCache {
     ) {
         match self {
             RunCache::Local(c) => c.insert(key, canonical, solution),
-            RunCache::Shared { cache, context, .. } => {
-                cache.insert(context, key, canonical, solution)
-            }
-        }
-    }
-
-    /// Stores a speculatively pre-solved solution without counting.
-    pub fn warm(
-        &mut self,
-        key: LayerKey,
-        canonical: Option<&CanonicalLayerKey>,
-        solution: LayerSolution,
-    ) {
-        match self {
-            RunCache::Local(c) => c.warm(key, canonical, solution),
             RunCache::Shared { cache, context, .. } => {
                 cache.insert(context, key, canonical, solution)
             }
@@ -1449,7 +1372,6 @@ mod tests {
         assert!(cache.lookup(&key, None).is_none());
         let sol = crate::solver::SolverKind::default().solve(&p).unwrap();
         cache.insert(key.clone(), None, sol.clone());
-        assert!(cache.contains(&key, None));
         assert_eq!(
             cache.lookup(&key, None),
             Some((sol.clone(), HitClass::Exact))
@@ -1466,9 +1388,6 @@ mod tests {
         assert_eq!(cache.take_counters(), CacheCounters::default());
         assert_eq!(cache.len(), 1);
         assert!(!cache.is_empty());
-        // warm never overwrites and never counts.
-        cache.warm(key.clone(), None, sol);
-        assert_eq!((cache.hits(), cache.misses()), (0, 0));
     }
 
     #[test]
@@ -1517,8 +1436,14 @@ mod tests {
         let mut b = assay();
         b.add_op(Operation::new("z").with_duration(Duration::fixed(9)));
         let mut run_b = RunCache::shared(shared.clone(), &b, &config);
-        assert!(!run_b.contains(&key0, None));
         assert!(run_b.lookup(&key0, None).is_none());
+        assert_eq!(
+            run_b.take_counters(),
+            CacheCounters {
+                misses: 1,
+                ..CacheCounters::default()
+            }
+        );
 
         // FIFO eviction keeps the bound: capacity 2, three inserts.
         run_a.insert(LayerKey::of(&p, 1), None, sol.clone());
@@ -1528,10 +1453,21 @@ mod tests {
         assert_eq!(stats.capacity, 2);
         assert_eq!(stats.evictions, 1);
         assert_eq!(stats.insertions, 3);
-        // The oldest entry (key0) was the victim.
-        assert!(!run_a.contains(&key0, None));
-        assert!(run_a.contains(&LayerKey::of(&p, 2), None));
         assert!(stats.hit_rate() > 0.0);
+        // The oldest entry (key0) was the victim; the newest survives.
+        assert!(run_a.lookup(&key0, None).is_none());
+        assert_eq!(
+            run_a.lookup(&LayerKey::of(&p, 2), None),
+            Some((sol.clone(), HitClass::Exact))
+        );
+        assert_eq!(
+            run_a.take_counters(),
+            CacheCounters {
+                exact_hits: 1,
+                misses: 1,
+                ..CacheCounters::default()
+            }
+        );
 
         shared.clear();
         assert!(shared.is_empty());

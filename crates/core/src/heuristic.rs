@@ -1146,9 +1146,8 @@ pub(crate) mod tests {
     fn pruning_adopts_what_the_unpruned_search_adopts() {
         // Paper cases 1-3 at the default configuration, then the committed
         // corpus (`bench/corpus/` is `gen --seed 1 --count 2`) at its check
-        // configuration. Every layer of every re-synthesis pass goes
-        // through `assert_matches_unpruned`, including the speculative
-        // pre-solves that only run on the pool.
+        // configuration. Every layer solve of every re-synthesis pass goes
+        // through `assert_matches_unpruned`.
         let mut cases: Vec<(String, Assay, usize)> = mfhls_assays::benchmarks()
             .into_iter()
             .map(|(case, _, a)| (format!("case {case}"), rehome!(a), 25))

@@ -57,11 +57,13 @@ pub struct IlpLayerSolver {
     /// [`mfhls_ilp::SolverConfig::max_pivots`]).
     pub max_pivots: Option<u64>,
     /// Deterministic work budget in *tableau cells*: a simplex pivot
-    /// updates ~rows × columns cells, so dividing this by the model's
-    /// dimensions yields a pivot budget proportional to wall-clock across
-    /// model sizes — a dense paper-scale layer pays milliseconds per pivot
-    /// where a small corpus layer pays microseconds, which no flat pivot
-    /// (let alone node) budget can bound evenly. The dimensions are
+    /// updates at most rows × columns cells (it touches only the pivot
+    /// row's nonzeros in each row it changes, so that is an upper bound),
+    /// and dividing this by the model's dimensions yields a pivot budget
+    /// that scales with wall-clock across model sizes — a dense
+    /// paper-scale layer pays milliseconds per pivot where a small corpus
+    /// layer pays microseconds, which no flat pivot (let alone node)
+    /// budget can bound evenly. The dimensions are
     /// counted before the model is built. When the budget affords fewer
     /// pivots than the model has rows — less than one basis change per
     /// row, so the root LP seldom even finishes — the solve is skipped
@@ -108,8 +110,8 @@ impl IlpLayerSolver {
         let mut max_pivots = self.max_pivots;
         if let Some(work) = self.pivot_work {
             // `pivot_work` is denominated in tableau cells; the simplex
-            // works on an m × (n + m) tableau, so one pivot costs ~m·(n+m)
-            // cells. Decided from the counted dimensions, before the model
+            // works on an m × (n + m) tableau, so one pivot costs at most
+            // m·(n+m) cells. Decided from the counted dimensions, before the model
             // or its tableau is allocated.
             let (rows, cols) = facts.dims(p);
             let m = rows as u64;
@@ -166,9 +168,10 @@ impl IlpLayerSolver {
 /// Records an exact leg that sat out: `reason` is `op_limit` (the
 /// portfolio's size pre-check, decided before counting, so `rows`, `cols`
 /// and `pivots_affordable` are 0) or `budget` (the pivot-work gate in
-/// [`IlpLayerSolver::solve_with_stats`]). Diagnostic, not logical: the
-/// portfolio's speculative pre-solves run on pool threads, so how many
-/// skips reach the recording thread depends on the pool size.
+/// [`IlpLayerSolver::solve_with_stats`]). Diagnostic, not logical: a layer
+/// served from the cache runs no race, so how many skips a trace shows
+/// depends on the cache setting and, behind a shared cache, on its
+/// history.
 pub(crate) fn leg_skipped(
     reason: &str,
     ops: usize,

@@ -175,13 +175,12 @@ pub enum SolverKind {
     },
     /// Deterministic portfolio racing: run every listed backend on the
     /// layer and adopt the first strictly-improving result *in listed
-    /// order*. Non-ILP backends race concurrently under `mfhls-par` (the
-    /// ordered reduction keeps the outcome byte-identical at any thread
-    /// count); ILP backends run last, sequentially, warm-bounded by the
-    /// best objective found so far (`cutoff`), so the exact search only
-    /// pays for layers the cheap backends left slack on. The adopted
-    /// solution's counters absorb the losers' work, and the race itself is
-    /// tallied in `portfolio_races` / `wins_*`.
+    /// order*. Non-ILP backends run first, in listed order, on the calling
+    /// thread; ILP backends run last, warm-bounded by the best objective
+    /// found so far (`cutoff`), so the exact search only pays for layers
+    /// the cheap backends left slack on. The adopted solution's counters
+    /// absorb the losers' work, and the race itself is tallied in
+    /// `portfolio_races` / `wins_*`.
     ///
     /// Backends must be leaf strategies (`heuristic`, `sdc`, `ilp`) —
     /// nesting `portfolio` or `hybrid` is a configuration error. ILP legs
@@ -194,9 +193,8 @@ pub enum SolverKind {
     /// it affords fewer pivots than rows (see
     /// [`IlpLayerSolver::pivot_work`](crate::ilp_model::IlpLayerSolver)).
     /// Both gates depend only on the problem, never the clock, so a race
-    /// is byte-identical across machines and thread counts. A skipped leg
-    /// adds no counters; it shows in traces as an `ilp_leg_skipped`
-    /// diagnostic.
+    /// is byte-identical across machines. A skipped leg adds no counters;
+    /// it shows in traces as an `ilp_leg_skipped` diagnostic.
     Portfolio {
         /// The backends to race, in adoption-priority order.
         backends: Vec<SolverKind>,
@@ -220,14 +218,15 @@ pub const PORTFOLIO_ILP_OP_LIMIT: usize = 25;
 /// the hang for nondeterminism; a work budget is both time-proportional
 /// and machine-independent, so the race stays fast *and* byte-identical
 /// everywhere. A model of `m` rows and `n` columns gets
-/// `10⁹ / (m·(n+m))` pivots, and a leg whose model would get fewer than
-/// `m` is skipped before it is built. That skips the 10-op layers of
-/// cases 2 and 3 (~1 200–1 600 rows, ~320–540 pivots) and the
-/// 5 300–6 300-row layers of case 1 (22–31 pivots): none of them ever
-/// produced an adopted solution. It admits the small layers of a few
-/// hundred rows, which get thousands of pivots; every adopted leg
-/// measured on the paper cases and `bench/corpus/` affords at least 22
-/// pivots per row.
+/// `10⁹ / (m·(n+m))` pivots — the budget stays denominated in dense
+/// cells, an upper bound on what a sparse pivot touches — and a leg
+/// whose model would get fewer than `m` is skipped before it is built.
+/// That skips the 10-op layers of cases 2 and 3 (~1 200–1 600 rows,
+/// ~320–540 pivots) and the 5 300–6 300-row layers of case 1 (22–31
+/// pivots): none of them ever produced an adopted solution. It admits
+/// the small layers of a few hundred rows, which get thousands of
+/// pivots; every adopted leg measured on the paper cases and
+/// `bench/corpus/` affords at least 22 pivots per row.
 pub const PORTFOLIO_ILP_PIVOT_WORK: u64 = 1_000_000_000;
 
 impl Default for SolverKind {
@@ -314,32 +313,25 @@ fn solve_portfolio(
             "portfolio backends must be leaf strategies (heuristic|sdc|ilp), got {bad:?}"
         )));
     }
-    // Race the cheap (non-ILP) backends concurrently. `par_map` returns
-    // results in input order, so adoption below is independent of thread
-    // count and interleaving.
-    let cheap: Vec<(usize, &SolverKind)> = backends
-        .iter()
-        .enumerate()
-        .filter(|(_, b)| !matches!(b, SolverKind::Ilp { .. }))
-        .collect();
-    let raced: Vec<Result<LayerSolution, CoreError>> =
-        mfhls_par::par_map(&cheap, |(_, b)| b.solve(problem));
-
     let mut best: Option<(usize, LayerSolution)> = None;
     let mut losers = SolverStats {
         portfolio_races: 1,
         ..SolverStats::default()
     };
     let mut first_err: Option<CoreError> = None;
-    for ((idx, _), result) in cheap.iter().zip(raced) {
-        match result {
+    // The cheap (non-ILP) backends run first, in listed order.
+    for (idx, backend) in backends.iter().enumerate() {
+        if matches!(backend, SolverKind::Ilp { .. }) {
+            continue;
+        }
+        match backend.solve(problem) {
             Ok(sol) => match &best {
                 Some((_, b)) if sol.objective >= b.objective => losers.merge(&sol.stats),
                 _ => {
                     if let Some((_, prev)) = best.take() {
                         losers.merge(&prev.stats);
                     }
-                    best = Some((*idx, sol));
+                    best = Some((idx, sol));
                 }
             },
             Err(e) => {

@@ -5,7 +5,7 @@ use crate::cache::{CanonicalLayerKey, HitClass, LayerKey, RunCache, SharedLayerC
 use crate::problem::path_key;
 use crate::{
     layer_assay, Assay, CoreError, ExecTime, HybridSchedule, LayerProblem, LayerSchedule,
-    LayerSolver, Layering, OpId, SolverKind, TransportConfig, TransportTimes, Weights,
+    LayerSolver, Layering, SolverKind, TransportConfig, TransportTimes, Weights,
 };
 use mfhls_chip::{CostModel, DeviceConfig};
 use mfhls_obs as obs;
@@ -222,9 +222,10 @@ pub struct IterationStats {
     /// Layer sub-problems this iteration served from the memo cache (all
     /// hit classes: exact, canonical, and store fills).
     ///
-    /// Diagnostics only: speculation pre-solves layers in parallel, so the
-    /// hit/miss split may vary with the thread count even though the
-    /// schedule never does.
+    /// With the per-run cache the hit/miss split is a function of the run
+    /// alone, identical at any thread count. Behind a shared cache it also
+    /// depends on what earlier runs left there, so traces class cache
+    /// outcomes as diagnostics.
     pub cache_hits: u64,
     /// The subset of `cache_hits` served through the canonical
     /// (content-addressed) index and translated by position.
@@ -236,10 +237,11 @@ pub struct IterationStats {
     pub cache_misses: u64,
     /// Exact-solver work counters summed over this iteration's layers.
     ///
-    /// Unlike the cache split, these are *deterministic*: the counters live
-    /// inside each cached [`crate::LayerSolution`], so a cache hit replays
-    /// the original solve's counters and the sums are identical at any
-    /// thread count. All zero under the pure heuristic solver.
+    /// Unlike the cache split, these never depend on the cache's history:
+    /// the counters live inside each cached [`crate::LayerSolution`], so a
+    /// cache hit replays the original solve's counters and the sums are
+    /// identical with the cache on, off or shared. All zero under the pure
+    /// heuristic solver.
     pub solver: crate::SolverStats,
 }
 
@@ -360,9 +362,6 @@ impl Synthesizer {
 
         for iter in 0..self.config.max_iterations.max(1) {
             let _iter_span = obs::span(obs::Level::Debug, "iteration", &[("iter", iter.into())]);
-            if let (Some(cache), Some(prev)) = (cache.as_mut(), prev.as_ref()) {
-                self.speculate(assay, &layering, &transport, prev, seed_bindable, cache);
-            }
             let pass = self.synthesize_once(
                 assay,
                 &layering,
@@ -495,86 +494,6 @@ impl Synthesizer {
         }
     }
 
-    /// Pre-solves next-pass layer sub-problems in parallel to warm `cache`.
-    ///
-    /// Layers inside a pass are sequentially dependent (each inherits the
-    /// previous layer's device pool and paths), so they cannot be solved
-    /// concurrently *exactly*. Instead, each layer's sub-problem is
-    /// *predicted* from the inputs recorded while solving `prev` — same
-    /// structure, current (refined) transport — and solved speculatively on
-    /// the pool. Near the re-synthesis fixpoint the predictions match the
-    /// real sub-problems and the sequential walk in
-    /// [`Synthesizer::synthesize_once`] becomes pure cache hits. The walk
-    /// remains the single source of truth: a wrong prediction is simply an
-    /// unused cache entry, so schedules are bitwise identical at any thread
-    /// count.
-    fn speculate(
-        &self,
-        assay: &Assay,
-        layering: &Layering,
-        transport: &TransportTimes,
-        prev: &Pass,
-        seed_bindable: &[bool],
-        cache: &mut RunCache,
-    ) {
-        if mfhls_par::max_threads() <= 1 {
-            return;
-        }
-        let solver_fp = format!("{:?}", self.config.solver);
-        let jobs: Vec<(usize, LayerProblem<'_>, LayerKey, CanonicalLayerKey)> = layering
-            .layers()
-            .iter()
-            .enumerate()
-            .filter_map(|(li, layer_ops)| {
-                // Layer 0's next-pass inputs are fully known (the previous
-                // schedule's device pool, no accumulated paths); later
-                // layers are predicted from the recorded inputs.
-                let (devices, existing_paths, cross_inputs) = if li == 0 {
-                    (prev.schedule.devices.clone(), BTreeSet::new(), Vec::new())
-                } else {
-                    let rec = prev.recorded.get(li)?;
-                    (
-                        rec.devices.clone(),
-                        rec.existing_paths.clone(),
-                        rec.cross_inputs.clone(),
-                    )
-                };
-                let problem = LayerProblem {
-                    assay,
-                    ops: layer_ops.clone(),
-                    bindable: bindable_mask(devices.len(), seed_bindable),
-                    devices,
-                    max_devices: self.config.max_devices,
-                    transport,
-                    weights: self.config.weights,
-                    costs: &self.config.costs,
-                    existing_paths,
-                    cross_inputs,
-                    component_oriented: self.config.component_oriented,
-                };
-                let key = LayerKey::of(&problem, li);
-                let canonical = CanonicalLayerKey::of(&problem, &solver_fp);
-                if cache.contains(&key, Some(&canonical)) {
-                    return None;
-                }
-                Some((li, problem, key, canonical))
-            })
-            .collect();
-        obs::diagnostic(
-            obs::Level::Debug,
-            "speculative_warm",
-            &[("jobs", jobs.len().into())],
-        );
-        let solved = mfhls_par::par_map(&jobs, |(_, problem, _, _)| {
-            self.config.solver.solve(problem).ok()
-        });
-        for ((_, _, key, canonical), sol) in jobs.into_iter().zip(solved) {
-            if let Some(sol) = sol {
-                cache.warm(key, Some(&canonical), sol);
-            }
-        }
-    }
-
     /// One full pass over all layers.
     ///
     /// Re-synthesis semantics (§3.2): the first pass grows the device pool
@@ -601,7 +520,6 @@ impl Synthesizer {
         let mut paths: BTreeSet<(usize, usize)> = BTreeSet::new();
         let mut layer_schedules: Vec<LayerSchedule> = Vec::new();
         let mut device_of: Vec<Option<usize>> = vec![None; assay.len()];
-        let mut recorded: Vec<RecordedLayer> = Vec::with_capacity(layering.num_layers());
         let mut solver_stats = crate::SolverStats::default();
         let solver_fp = format!("{:?}", self.config.solver);
 
@@ -635,20 +553,15 @@ impl Synthesizer {
                 cross_inputs,
                 component_oriented: self.config.component_oriented,
             };
-            recorded.push(RecordedLayer {
-                devices: problem.devices.clone(),
-                existing_paths: problem.existing_paths.clone(),
-                cross_inputs: problem.cross_inputs.clone(),
-            });
             let sol = match cache.as_deref_mut() {
                 Some(cache) => {
                     let key = LayerKey::of(&problem, li);
                     let canonical = CanonicalLayerKey::of(&problem, &solver_fp);
                     match cache.lookup(&key, Some(&canonical)) {
                         Some((sol, class)) => {
-                            // Diagnostic, not logical: how speculation warmed
-                            // the cache depends on the pool size, and the
-                            // hit class on what other requests ran first.
+                            // Diagnostic, not logical: with a shared cache
+                            // the hit class depends on what other requests
+                            // ran first.
                             let name = match class {
                                 HitClass::Exact => "cache_hit",
                                 HitClass::Canonical => "cache_canonical_hit",
@@ -708,7 +621,6 @@ impl Synthesizer {
         let schedule = prune_unused(assay, schedule, seed_devices.len())?;
         Ok(Pass {
             schedule,
-            recorded,
             solver: solver_stats,
         })
     }
@@ -725,20 +637,9 @@ fn bindable_mask(num_devices: usize, seed_bindable: &[bool]) -> Vec<bool> {
 /// One synthesis pass.
 struct Pass {
     schedule: HybridSchedule,
-    /// The structural inputs each layer's sub-problem was actually solved
-    /// with, in layer order — the basis for the next pass's speculative
-    /// pre-solving (see [`Synthesizer::speculate`]).
-    recorded: Vec<RecordedLayer>,
     /// Exact-solver counters summed over the pass's layer solutions
     /// (cached solutions contribute the counters of their original solve).
     solver: crate::SolverStats,
-}
-
-/// The per-layer-varying inputs of one solved layer sub-problem.
-struct RecordedLayer {
-    devices: Vec<DeviceConfig>,
-    existing_paths: BTreeSet<(usize, usize)>,
-    cross_inputs: Vec<(OpId, usize)>,
 }
 
 /// Drops devices no operation uses (stale leftovers from a previous

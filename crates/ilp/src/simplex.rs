@@ -241,6 +241,9 @@ pub struct BoundedSimplex {
     xb: Vec<f64>,
     /// Lifetime pivot counter (monotonic, survives `cold_reset`).
     pivots: u64,
+    /// Scratch for [`BoundedSimplex::pivot`]: the nonzero `(column,
+    /// value)` pairs of the scaled pivot row, reused across pivots.
+    pivot_row: Vec<(usize, f64)>,
 }
 
 impl BoundedSimplex {
@@ -308,6 +311,7 @@ impl BoundedSimplex {
             at_upper: vec![false; total],
             xb: vec![0.0; m],
             pivots: 0,
+            pivot_row: Vec::new(),
         };
         sx.cold_reset();
         Ok(sx)
@@ -542,7 +546,11 @@ impl BoundedSimplex {
                 }
             }
 
+            #[cfg(test)]
+            let before = self.clone();
             let progress = self.pivot(r, q, target, leaves_up);
+            #[cfg(test)]
+            tests::assert_matches_dense(before, (r, q, target, leaves_up), self, progress);
             spent += 1;
             if progress.abs() < 1e-12 {
                 stalled += 1;
@@ -592,40 +600,44 @@ impl BoundedSimplex {
         self.xb[r] = vq + dq_step;
 
         // Eliminate column q: scale the pivot row, clear it elsewhere,
-        // keeping `B⁻¹b` and the reduced-cost row in lockstep.
+        // keeping `B⁻¹b` and the reduced-cost row in lockstep. Only the
+        // pivot row's nonzeros can change a cell, so they are gathered
+        // once and every other row touches just those columns: each cell
+        // gets the multiply-subtract a dense sweep skipping zeros would
+        // give it, in the same order, so the tableau is bit-identical.
         let inv = 1.0 / alpha;
-        for v in &mut self.tab[row_off..row_off + total] {
-            *v *= inv;
+        let mut nz = std::mem::take(&mut self.pivot_row);
+        nz.clear();
+        for (k, v) in self.tab[row_off..row_off + total].iter_mut().enumerate() {
+            *v = if k == q { 1.0 } else { *v * inv };
+            if *v != 0.0 {
+                nz.push((k, *v));
+            }
         }
-        self.tab[row_off + q] = 1.0;
         self.binv_b[r] *= inv;
         for i in 0..self.m {
             if i == r {
                 continue;
             }
-            let f = self.tab[i * total + q];
+            let off = i * total;
+            let f = self.tab[off + q];
             if f != 0.0 {
-                let off = i * total;
-                for k in 0..total {
-                    let v = self.tab[row_off + k];
-                    if v != 0.0 {
-                        self.tab[off + k] -= f * v;
-                    }
+                let row = &mut self.tab[off..off + total];
+                for &(k, v) in &nz {
+                    row[k] -= f * v;
                 }
-                self.tab[off + q] = 0.0;
+                row[q] = 0.0;
                 self.binv_b[i] -= f * self.binv_b[r];
             }
         }
         let f = self.d[q];
         if f != 0.0 {
-            for k in 0..total {
-                let v = self.tab[row_off + k];
-                if v != 0.0 {
-                    self.d[k] -= f * v;
-                }
+            for &(k, v) in &nz {
+                self.d[k] -= f * v;
             }
             self.d[q] = 0.0;
         }
+        self.pivot_row = nz;
 
         self.pivots += 1;
         progress
@@ -659,8 +671,112 @@ impl BoundedSimplex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     type RawRows = Vec<(Vec<(usize, f64)>, Sense, f64)>;
+
+    /// Pivots cross-checked by [`assert_matches_dense`].
+    static CROSS_CHECKED: AtomicU64 = AtomicU64::new(0);
+
+    impl BoundedSimplex {
+        /// The dense elimination [`BoundedSimplex::pivot`] replaced, kept
+        /// as its reference: every other row with a nonzero in column `q`
+        /// sweeps all `total` columns, skipping the pivot row's zeros.
+        fn pivot_dense(&mut self, r: usize, q: usize, target: f64, leaves_up: bool) -> f64 {
+            let total = self.total;
+            let row_off = r * total;
+            let alpha = self.tab[row_off + q];
+            let vq = if self.at_upper[q] {
+                self.ub[q]
+            } else {
+                self.lb[q]
+            };
+            let dq_step = (self.xb[r] - target) / alpha;
+            let progress = self.d[q] * dq_step;
+            for i in 0..self.m {
+                if i != r {
+                    let a = self.tab[i * total + q];
+                    if a != 0.0 {
+                        self.xb[i] -= a * dq_step;
+                    }
+                }
+            }
+            let bvar = self.basis[r];
+            self.row_of[bvar] = usize::MAX;
+            self.at_upper[bvar] = leaves_up;
+            self.basis[r] = q;
+            self.row_of[q] = r;
+            self.xb[r] = vq + dq_step;
+
+            let inv = 1.0 / alpha;
+            for v in &mut self.tab[row_off..row_off + total] {
+                *v *= inv;
+            }
+            self.tab[row_off + q] = 1.0;
+            self.binv_b[r] *= inv;
+            for i in 0..self.m {
+                if i == r {
+                    continue;
+                }
+                let f = self.tab[i * total + q];
+                if f != 0.0 {
+                    let off = i * total;
+                    for k in 0..total {
+                        let v = self.tab[row_off + k];
+                        if v != 0.0 {
+                            self.tab[off + k] -= f * v;
+                        }
+                    }
+                    self.tab[off + q] = 0.0;
+                    self.binv_b[i] -= f * self.binv_b[r];
+                }
+            }
+            let f = self.d[q];
+            if f != 0.0 {
+                for k in 0..total {
+                    let v = self.tab[row_off + k];
+                    if v != 0.0 {
+                        self.d[k] -= f * v;
+                    }
+                }
+                self.d[q] = 0.0;
+            }
+            self.pivots += 1;
+            progress
+        }
+    }
+
+    /// Run after every pivot in this crate's tests: from the same state,
+    /// the dense reference must leave `tab`, `d`, `binv_b` and `xb`
+    /// bit-for-bit where the sparse pivot left them, with the same basis
+    /// and the same reported progress.
+    pub(super) fn assert_matches_dense(
+        mut reference: BoundedSimplex,
+        (r, q, target, leaves_up): (usize, usize, f64, bool),
+        sparse: &BoundedSimplex,
+        progress: f64,
+    ) {
+        let expected = reference.pivot_dense(r, q, target, leaves_up);
+        assert_eq!(progress.to_bits(), expected.to_bits(), "pivot ({r}, {q})");
+        for (what, got, want) in [
+            ("tab", &sparse.tab, &reference.tab),
+            ("d", &sparse.d, &reference.d),
+            ("binv_b", &sparse.binv_b, &reference.binv_b),
+            ("xb", &sparse.xb, &reference.xb),
+        ] {
+            if let Some(k) = (0..want.len()).find(|&k| got[k].to_bits() != want[k].to_bits()) {
+                panic!(
+                    "pivot ({r}, {q}): {what}[{k}] is {} sparse, {} dense",
+                    got[k], want[k]
+                );
+            }
+        }
+        assert_eq!(sparse.basis, reference.basis);
+        assert_eq!(sparse.row_of, reference.row_of);
+        assert_eq!(sparse.at_upper, reference.at_upper);
+        assert_eq!(sparse.pivots, reference.pivots);
+        CROSS_CHECKED.fetch_add(1, Ordering::Relaxed);
+    }
 
     fn lp(ncols: usize, rows: RawRows, objective: Vec<f64>, bounds: Vec<(f64, f64)>) -> LpProblem {
         LpProblem {
@@ -891,6 +1007,134 @@ mod tests {
         assert_eq!(sx.solve(1_000), SimplexOutcome::Optimal);
         let (_, obj) = sx.extract();
         assert!((obj + 5.0).abs() < 1e-6, "relaxed obj={obj}");
+    }
+
+    #[test]
+    fn sparse_pivots_match_the_dense_reference_on_random_lps() {
+        // Sparse rows with fractional coefficients around a random feasible
+        // point, solved cold and then re-solved warm after bound
+        // tightenings, as branch-and-bound does. `assert_matches_dense`
+        // checks every pivot.
+        use mfhls_graph::rng::SplitMix64;
+        let coeff =
+            |rng: &mut SplitMix64| rng.gen_range_i64(-6, 7) as f64 / rng.gen_range_i64(1, 8) as f64;
+        let mut rng = SplitMix64::seed_from_u64(0x5EED_0017);
+        let checked_before = CROSS_CHECKED.load(Ordering::Relaxed);
+        let mut pivots = 0;
+        for _ in 0..200 {
+            let n = rng.gen_index(2, 20);
+            let m = rng.gen_index(1, 14);
+            let bounds: Vec<(f64, f64)> = (0..n)
+                .map(|_| {
+                    let lo = rng.gen_range_i64(-4, 3) as f64;
+                    (lo, lo + rng.gen_range_i64(1, 6) as f64)
+                })
+                .collect();
+            let x0: Vec<f64> = bounds
+                .iter()
+                .map(|&(lo, hi)| rng.gen_range_f64(lo, hi))
+                .collect();
+            let rows: RawRows = (0..m)
+                .map(|_| {
+                    let cols: Vec<usize> = (0..n).filter(|_| rng.gen_index(0, 3) == 0).collect();
+                    let coeffs: Vec<(usize, f64)> =
+                        cols.into_iter().map(|j| (j, coeff(&mut rng))).collect();
+                    let at_x0: f64 = coeffs.iter().map(|&(j, c)| c * x0[j]).sum();
+                    match rng.gen_index(0, 3) {
+                        0 => (coeffs, Sense::Le, at_x0.ceil()),
+                        1 => (coeffs, Sense::Ge, at_x0.floor()),
+                        _ => (coeffs, Sense::Eq, at_x0),
+                    }
+                })
+                .collect();
+            let objective: Vec<f64> = (0..n).map(|_| coeff(&mut rng)).collect();
+            let p = lp(n, rows, objective, bounds.clone());
+            let mut sx = BoundedSimplex::new(&p).expect("valid problem");
+            sx.solve(500);
+            let (mut lb, mut ub): (Vec<f64>, Vec<f64>) = bounds.into_iter().unzip();
+            for _ in 0..4 {
+                let j = rng.gen_index(0, n);
+                let mid = ((lb[j] + ub[j]) / 2.0).floor();
+                if rng.gen_index(0, 2) == 0 {
+                    ub[j] = mid.max(lb[j]);
+                } else {
+                    lb[j] = (mid + 1.0).min(ub[j]);
+                }
+                sx.set_bounds(&lb, &ub);
+                sx.solve(500);
+            }
+            pivots += sx.pivots();
+        }
+        assert!(pivots >= 500, "only {pivots} pivots exercised");
+        assert!(CROSS_CHECKED.load(Ordering::Relaxed) - checked_before >= pivots);
+    }
+
+    /// The layer models of one pass over `assay`, as LP text: each layer
+    /// posed over the devices and paths the heuristic left after the
+    /// layers before it, the way the synthesis loop poses them.
+    fn layer_models(assay: &mfhls_core::Assay) -> Vec<String> {
+        use mfhls_core::{LayerSolver, TransportConfig, TransportTimes};
+        let config = mfhls_core::SynthConfig::default();
+        let layering = mfhls_core::layer_assay(assay, config.indeterminate_threshold)
+            .expect("the assay layers");
+        let transport = TransportTimes::initial(assay, &TransportConfig::default());
+        let mut devices = Vec::new();
+        let mut paths = std::collections::BTreeSet::new();
+        let mut device_of = vec![None; assay.len()];
+        let mut models = Vec::new();
+        for (li, ops) in layering.layers().iter().enumerate() {
+            let cross_inputs = assay
+                .dependencies()
+                .filter(|&(p, c)| layering.layer_of(c) == li && layering.layer_of(p) < li)
+                .map(|(p, c)| (c, device_of[p.index()].expect("parent placed earlier")))
+                .collect();
+            let problem = mfhls_core::LayerProblem {
+                assay,
+                ops: ops.clone(),
+                bindable: vec![true; devices.len()],
+                devices: devices.clone(),
+                max_devices: config.max_devices,
+                transport: &transport,
+                weights: config.weights,
+                costs: &config.costs,
+                existing_paths: paths.clone(),
+                cross_inputs,
+                component_oriented: true,
+            };
+            models.push(mfhls_core::ilp_model::export_lp(&problem));
+            let sol = config.solver.solve(&problem).expect("the heuristic solves");
+            for slot in &sol.slots {
+                device_of[slot.op.index()] = Some(slot.device);
+            }
+            devices = sol.devices;
+            paths.extend(sol.new_paths);
+        }
+        models
+    }
+
+    #[test]
+    fn sparse_pivots_match_the_dense_reference_on_gen_small_layer_models() {
+        // The corpus assays whose exact legs the portfolio admits, their
+        // layer models searched by branch-and-bound under a pivot cap; the
+        // scaled pivot rows there hold about a sixth of the columns.
+        use mfhls_bench::gen::{generate, Profile};
+        let checked_before = CROSS_CHECKED.load(Ordering::Relaxed);
+        let mut pivots = 0;
+        for seed in [1, 2] {
+            for text in layer_models(&generate(Profile::Small, seed)) {
+                let model = crate::write::tests::read_lp(&text);
+                let config = crate::SolverConfig {
+                    max_pivots: Some(300),
+                    ..crate::SolverConfig::default()
+                };
+                let mut search =
+                    crate::BranchAndBound::new(&model, &config).expect("the model is well formed");
+                let _ = search.run();
+                pivots += search.stats().pivots;
+            }
+        }
+        assert!(pivots >= 600, "only {pivots} pivots exercised");
+        assert!(CROSS_CHECKED.load(Ordering::Relaxed) - checked_before >= pivots);
     }
 
     /// Random LPs: compare against brute-force over a fine grid is too weak;

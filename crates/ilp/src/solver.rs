@@ -184,8 +184,8 @@ impl MilpSolution {
 /// ```
 pub fn solve(model: &Model, config: &SolverConfig) -> Result<MilpSolution, IlpError> {
     let solution = BranchAndBound::new(model, config)?.run()?;
-    // Diagnostic, not logical: at two or more threads these solves happen
-    // on speculative pool workers and never reach the recording thread.
+    // Diagnostic, not logical: under a `time_limit` the search stops on
+    // the wall clock, so these counters need not repeat between runs.
     mfhls_obs::diagnostic(
         mfhls_obs::Level::Debug,
         "ilp_solve",

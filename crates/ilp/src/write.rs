@@ -120,9 +120,106 @@ pub fn to_lp_format(model: &Model) -> String {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::Model;
+    use crate::{LinExpr, Model, VarId};
+
+    /// Reads back what [`to_lp_format`] writes. Tests use it to bring in
+    /// models built by crates that link this crate's library build, whose
+    /// `Model` is a distinct type from this test build's.
+    pub(crate) fn read_lp(text: &str) -> Model {
+        let (mut objective, mut rows, mut vars) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut binaries, mut generals) = (Vec::new(), Vec::new());
+        let mut section = "";
+        for line in text.lines() {
+            let tokens: Vec<&str> = line.split_whitespace().collect();
+            match (section, tokens.as_slice()) {
+                (_, ["Minimize" | "Bounds" | "Binaries" | "Generals" | "End"]) => {
+                    section = tokens[0]
+                }
+                (_, ["Subject", "To"]) => section = "Subject",
+                ("Minimize", [_, rest @ ..]) => objective = rest.to_vec(),
+                ("Subject", [_, rest @ .., sense, rhs]) => rows.push((rest.to_vec(), *sense, *rhs)),
+                ("Bounds", [lb, "<=", name, "<=", ub]) => vars.push((*name, *lb, *ub)),
+                ("Binaries", [name]) => binaries.push(var_index(name)),
+                ("Generals", [name]) => generals.push(var_index(name)),
+                _ => panic!("unexpected LP line in {section}: {line}"),
+            }
+        }
+        let mut m = Model::minimize();
+        for (i, (name, lb, ub)) in vars.into_iter().enumerate() {
+            assert_eq!(var_index(name), i, "bounds are listed in variable order");
+            let label = &name[name.find('_').expect("v<index>_<label>") + 1..];
+            let (lb, ub) = (number(lb), number(ub));
+            let v = if binaries.contains(&i) {
+                m.binary(label)
+            } else if generals.contains(&i) {
+                m.integer(label, lb, ub)
+            } else {
+                m.continuous(label, lb, ub)
+            };
+            m.set_bounds(v, lb, ub);
+        }
+        for (terms, sense, rhs) in rows {
+            let sense = match sense {
+                "<=" => Sense::Le,
+                ">=" => Sense::Ge,
+                "=" => Sense::Eq,
+                other => panic!("unknown sense {other}"),
+            };
+            m.add_con(read_terms(&terms).0, sense, number(rhs));
+        }
+        let (mut expr, used) = read_terms(&objective);
+        if let [.., sign, k] = &objective[used..] {
+            expr.add_constant(if *sign == "-" { -number(k) } else { number(k) });
+        }
+        m.set_objective(expr);
+        m
+    }
+
+    fn var_index(name: &str) -> usize {
+        let end = name.find('_').expect("names are v<index>_<label>");
+        name[1..end].parse().expect("numeric variable index")
+    }
+
+    fn number(token: &str) -> f64 {
+        token.parse().expect("numeric token")
+    }
+
+    /// Parses `[+|-] [magnitude] name` terms off the front of `tokens`;
+    /// returns them and the number of tokens they used.
+    fn read_terms(tokens: &[&str]) -> (LinExpr, usize) {
+        let mut expr = LinExpr::new();
+        let mut used = 0;
+        loop {
+            let mut at = used;
+            let sign = match tokens.get(at) {
+                Some(&"-") => {
+                    at += 1;
+                    -1.0
+                }
+                Some(&"+") => {
+                    at += 1;
+                    1.0
+                }
+                _ => 1.0,
+            };
+            let magnitude = match tokens.get(at).and_then(|t| t.parse::<f64>().ok()) {
+                Some(v) => {
+                    at += 1;
+                    v
+                }
+                None => 1.0,
+            };
+            match tokens.get(at) {
+                Some(name) if name.starts_with('v') && name.contains('_') => {
+                    expr.add_term(VarId(var_index(name)), sign * magnitude);
+                    used = at + 1;
+                }
+                _ => return (expr, used),
+            }
+        }
+    }
 
     fn sample() -> Model {
         let mut m = Model::minimize();
@@ -149,6 +246,14 @@ mod tests {
         ] {
             assert!(text.contains(section), "missing {section}\n{text}");
         }
+    }
+
+    #[test]
+    fn read_lp_reads_back_what_it_wrote() {
+        let text = to_lp_format(&sample());
+        assert_eq!(to_lp_format(&read_lp(&text)), text);
+        let text = to_lp_format(&Model::minimize());
+        assert_eq!(to_lp_format(&read_lp(&text)), text);
     }
 
     #[test]

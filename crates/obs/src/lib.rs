@@ -13,15 +13,16 @@
 //!
 //! * **Thread-local recording.** [`start_capture`] installs a recorder on
 //!   the *calling* thread only. Pool workers spawned by `mfhls-par` never
-//!   have one, so anything they emit is dropped — which is exactly what
-//!   determinism needs, because speculative work on workers varies with
-//!   the pool size. Sequential driver code (the synthesis loop, the layer
-//!   walk, the fault-run engine) records; racy helpers stay silent.
+//!   have one, so anything they emit is dropped. Synthesis runs entirely
+//!   on the calling thread, so a whole synthesis trace is identical at any
+//!   pool size; the fan-outs that remain (simulation trials, the serve
+//!   pool) keep their per-item work silent.
 //! * **Logical vs. diagnostic.** Records are classed [`Class::Logical`]
 //!   (pinned by determinism tests: same at 1 or N threads, cache on or
 //!   off) or [`Class::Diagnostic`] (best-effort insight such as cache
-//!   hit/miss splits, which legitimately depend on how speculation warmed
-//!   the cache). [`Trace::logical_fingerprint`] sees only the former.
+//!   hit/miss splits, which differ with the cache off and, behind a cache
+//!   shared across requests, with what earlier requests left in it).
+//!   [`Trace::logical_fingerprint`] sees only the former.
 //! * **Zero cost when disabled.** Every emit checks a thread-local
 //!   `Cell<bool>` first and takes field slices by reference, so a
 //!   disabled call allocates nothing (pinned by `tests/zero_alloc.rs`).
@@ -113,8 +114,8 @@ pub enum Class {
     /// Pinned by the determinism suite: identical at any thread count and
     /// with the layer cache on or off.
     Logical,
-    /// Best-effort insight that may legitimately vary with the pool size
-    /// (e.g. cache hit/miss splits after speculative warming).
+    /// Best-effort insight that may legitimately vary with the cache
+    /// setting or a shared cache's history (e.g. cache hit/miss splits).
     Diagnostic,
 }
 

@@ -12,8 +12,8 @@
 //! > `items.iter().map(f).collect()` at *every* thread count,
 //!
 //! which is what lets `mfhls-sim`'s seeded Monte-Carlo trials and
-//! `mfhls-core`'s synthesis keep their byte-for-byte reproducibility
-//! guarantees while saturating the machine.
+//! `mfhls-svc`'s per-window request pool keep their byte-for-byte
+//! reproducibility guarantees while saturating the machine.
 //!
 //! # Sizing
 //!
@@ -99,18 +99,6 @@ pub fn max_threads() -> usize {
         return n;
     }
     std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// Whether the calling thread is a pool worker executing a parallel item.
-///
-/// Observability code uses this to distinguish the sequential driver
-/// thread (whose records are thread-count-invariant) from speculative
-/// worker execution. Note the converse does not hold on the *caller*
-/// thread: with one thread, parallel items run inline there — callers
-/// whose per-item records must stay deterministic mute recording
-/// explicitly instead of relying on this check.
-pub fn in_worker() -> bool {
-    IN_POOL.with(Cell::get)
 }
 
 /// Installs a process-wide default thread count (`None` clears it). The

@@ -1274,9 +1274,8 @@ mod tests {
         assert!(first.window_hits > 0);
         // A loop over a disjoint assay counts exactly what the same loop
         // counts on a fresh service, whatever the first loop racked up.
-        // That need not be zero hits: with more than one pool thread, the
-        // run's speculative pre-solve warms the cache for its own later
-        // re-synthesis passes.
+        // That need not be zero hits: a run can meet one of its own layer
+        // problems again in a later re-synthesis pass.
         let (_, second) = run(&service, &req("fresh", 7));
         let (_, alone) = run(&SynthesisService::new(config), &req("fresh", 7));
         let window = |s: &ServiceSummary| {

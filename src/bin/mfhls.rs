@@ -111,9 +111,10 @@ fn print_usage() {
          like portfolio:heuristic+sdc+ilp (default: heuristic).\n  \
          --format F    (synth|simulate|faultsim) text (default) or json — one\n                \
          mfhls-api/v1 object on stdout.\n  \
-         --threads N   worker-pool size for parallel trials / candidate search\n                \
-         (default: MFHLS_THREADS env var, then the CPU count).\n                \
-         Output is bitwise-identical at any thread count.\n  \
+         --threads N   worker-pool size for simulation trials and gen --check\n                \
+         (default: MFHLS_THREADS env var, then the CPU count);\n                \
+         synthesis itself is sequential. Output is\n                \
+         bitwise-identical at any thread count.\n  \
          --trace FILE  (synth|simulate|faultsim) capture a deterministic\n                \
          execution trace; --trace-format jsonl|chrome picks the\n                \
          encoding (default jsonl, validated by 'mfhls trace-check').\n  \

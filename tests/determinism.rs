@@ -1,15 +1,19 @@
 //! Thread-count invariance: the determinism contract of `mfhls-par`.
 //!
-//! Every parallel site in the workspace (synthesis candidate search and
-//! speculative layer pre-solving, simulation trials, survivability
+//! Synthesis runs sequentially on the calling thread, and every parallel
+//! site that remains in the workspace (simulation trials, survivability
 //! studies) must produce **bitwise-identical** results at any thread
 //! count. These tests pin that contract by running the same work pinned
 //! to 1 and 4 workers and comparing full result structures, and check
 //! that the layer-solution memo cache is a pure accelerator (cache on ≡
-//! cache off). The `mfhls-obs` logical record stream is held to the same
-//! standard: identical fingerprints at any thread count and cache setting.
+//! cache off). The `mfhls-obs` trace is held to the same standard: a
+//! synthesis trace is identical at any thread count, diagnostics
+//! included, and its logical records are identical with the cache on or
+//! off.
 
+use mfhls::bench::gen::{self, Profile};
 use mfhls::core::recovery::RetryPolicy;
+use mfhls::core::{SolverKind, SynthesisResult};
 use mfhls::par::with_threads;
 use mfhls::sim::{run_with_recovery, trials, DurationModel, FaultModel, SimConfig};
 use mfhls::{SynthConfig, Synthesizer};
@@ -23,31 +27,95 @@ fn cases() -> Vec<mfhls::Assay> {
     ]
 }
 
+/// The heuristic default and the spec-default race of
+/// `--solver portfolio:heuristic+sdc+ilp`.
+fn solvers() -> [SolverKind; 2] {
+    [
+        SolverKind::default(),
+        SolverKind::Portfolio {
+            backends: vec![
+                SolverKind::Heuristic {
+                    improvement_passes: 2,
+                },
+                SolverKind::Sdc {
+                    improvement_passes: 2,
+                },
+                SolverKind::Ilp { max_nodes: 20_000 },
+            ],
+        },
+    ]
+}
+
+fn synthesize(assay: &mfhls::Assay, solver: &SolverKind, cache: bool) -> SynthesisResult {
+    Synthesizer::new(
+        SynthConfig::builder()
+            .solver(solver.clone())
+            .layer_cache(cache)
+            .build()
+            .expect("valid config"),
+    )
+    .run(assay)
+    .expect("benchmark assay must synthesize")
+}
+
 #[test]
 fn synthesis_is_thread_count_invariant() {
-    for assay in cases() {
-        let run = || {
-            Synthesizer::new(SynthConfig::default())
-                .run(&assay)
-                .expect("benchmark assay must synthesize")
-        };
-        let seq = with_threads(1, run);
-        let par = with_threads(4, run);
-        assert_eq!(
-            seq.schedule,
-            par.schedule,
-            "schedule differs between 1 and 4 threads for '{}'",
-            assay.name()
-        );
-        // Iteration metrics must match too, except the cache hit/miss
-        // split, which is documented as thread-dependent diagnostics
-        // (speculation warms the cache from a worker pool).
-        assert_eq!(seq.iterations.len(), par.iterations.len());
-        for (s, p) in seq.iterations.iter().zip(&par.iterations) {
-            assert_eq!(s.exec_time, p.exec_time);
-            assert_eq!(s.device_count, p.device_count);
-            assert_eq!(s.path_count, p.path_count);
-            assert_eq!(s.objective, p.objective);
+    // Cases 1-2 plus `gen-small-1`, where the portfolio's exact leg is
+    // admitted and wins.
+    let mut assays = cases();
+    assays.push(gen::generate(Profile::Small, 1));
+    for solver in solvers() {
+        for assay in &assays {
+            let run = || synthesize(assay, &solver, true);
+            let seq = with_threads(1, run);
+            let par = with_threads(4, run);
+            assert_eq!(
+                seq.schedule,
+                par.schedule,
+                "schedule differs between 1 and 4 threads for '{}' under {solver:?}",
+                assay.name()
+            );
+            // Every iteration metric matches, the cache hit/miss split
+            // included: nothing in a synthesis run depends on the pool.
+            assert_eq!(
+                seq.iterations,
+                par.iterations,
+                "iteration stats differ between 1 and 4 threads for '{}' under {solver:?}",
+                assay.name()
+            );
+        }
+    }
+}
+
+/// The (hits, misses) of one synthesis run's own layer cache, summed over
+/// its re-synthesis passes.
+fn cache_split(result: &SynthesisResult) -> (u64, u64) {
+    result.iterations.iter().fold((0, 0), |(h, m), it| {
+        (h + it.cache_hits, m + it.cache_misses)
+    })
+}
+
+#[test]
+fn layer_cache_hits_layers_that_repeat_within_a_run() {
+    // The corpus assays on which a later re-synthesis pass poses a layer
+    // problem an earlier pass already solved, so the in-run cache serves
+    // it. Pinned at both pool sizes: the split is a function of the run.
+    let [heuristic, portfolio] = solvers();
+    let pins = [
+        (2, &heuristic, (1, 2)),
+        (1, &portfolio, (3, 6)),
+        (2, &portfolio, (1, 2)),
+    ];
+    for (seed, solver, expected) in pins {
+        let assay = gen::generate(Profile::Small, seed);
+        for threads in [1, 4] {
+            let result = with_threads(threads, || synthesize(&assay, solver, true));
+            assert_eq!(
+                cache_split(&result),
+                expected,
+                "(hits, misses) of '{}' under {solver:?} at {threads} threads",
+                assay.name()
+            );
         }
     }
 }
@@ -57,10 +125,9 @@ fn ilp_solver_is_thread_count_invariant() {
     // The exact §4 path must honour the same contract as the heuristic:
     // identical schedules AND identical solver work counters at any thread
     // count. The counters live inside cached layer solutions, so cache hits
-    // (however speculation warmed the cache) replay the original solve's
-    // numbers. Hand-built two-layer assay: small enough for debug-mode
-    // exact solves, with an indeterminate op so re-synthesis and
-    // speculative pre-solving actually run.
+    // replay the original solve's numbers. Hand-built two-layer assay:
+    // small enough for debug-mode exact solves, with an indeterminate op
+    // so re-synthesis actually runs.
     use mfhls::chip::{Accessory, Capacity, ContainerKind};
     use mfhls::{Duration, Operation};
     let mut assay = mfhls::Assay::new("ilp-determinism");
@@ -133,16 +200,7 @@ fn ilp_solver_is_thread_count_invariant() {
 #[test]
 fn layer_cache_is_a_pure_accelerator() {
     for assay in cases() {
-        let run = |cache: bool| {
-            Synthesizer::new(
-                SynthConfig::builder()
-                    .layer_cache(cache)
-                    .build()
-                    .expect("valid config"),
-            )
-            .run(&assay)
-            .expect("benchmark assay must synthesize")
-        };
+        let run = |cache: bool| synthesize(&assay, &SolverKind::default(), cache);
         let cold = run(false);
         let warm = run(true);
         assert_eq!(
@@ -159,20 +217,13 @@ fn layer_cache_is_a_pure_accelerator() {
 fn logical_trace_is_thread_count_and_cache_invariant() {
     // The observability layer's determinism contract: the *logical* record
     // stream (spans, layer/iteration events — everything except diagnostics
-    // like cache hit/miss splits and speculative ILP solves) is identical
-    // at any thread count and with the layer cache on or off.
+    // like cache hit/miss records) is identical at any thread count and
+    // with the layer cache on or off.
     let assay = mfhls::assays::gene_expression(10);
     let traced = |threads: usize, cache: bool| {
         with_threads(threads, || {
             mfhls::obs::start_capture(mfhls::obs::CaptureConfig::default());
-            let result = Synthesizer::new(
-                SynthConfig::builder()
-                    .layer_cache(cache)
-                    .build()
-                    .expect("valid config"),
-            )
-            .run(&assay)
-            .expect("benchmark assay must synthesize");
+            let result = synthesize(&assay, &SolverKind::default(), cache);
             let trace = mfhls::obs::finish_capture().expect("capture was active");
             (result.schedule, trace)
         })
@@ -201,6 +252,33 @@ fn logical_trace_is_thread_count_and_cache_invariant() {
     // With capture active the full JSONL export round-trips the validator.
     let n = mfhls::obs::validate_jsonl(&trace_1.to_jsonl()).expect("exported trace validates");
     assert_eq!(n, trace_1.len());
+}
+
+#[test]
+fn whole_synthesis_trace_is_thread_count_invariant() {
+    // Synthesis runs on the calling thread, so its whole trace — the
+    // diagnostic cache hit/miss records included — is identical at any
+    // pool size, under the heuristic and the portfolio alike.
+    for solver in solvers() {
+        for assay in cases() {
+            let traced = |threads: usize| {
+                with_threads(threads, || {
+                    mfhls::obs::start_capture(mfhls::obs::CaptureConfig::default());
+                    synthesize(&assay, &solver, true);
+                    mfhls::obs::finish_capture()
+                        .expect("capture was active")
+                        .to_jsonl()
+                })
+            };
+            let (one, four) = (traced(1), traced(4));
+            let tag = format!("'{}' under {solver:?}", assay.name());
+            assert!(
+                one.contains("\"class\":\"diagnostic\""),
+                "{tag}: the trace must carry diagnostics"
+            );
+            assert_eq!(one, four, "{tag}: trace differs between 1 and 4 threads");
+        }
+    }
 }
 
 #[test]
