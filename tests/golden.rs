@@ -15,6 +15,10 @@ struct Golden {
     conv_exec: &'static str,
     conv_devices: usize,
     conv_paths: usize,
+    /// Per-iteration `(heuristic_rounds, rebind_adoptions)` of the default
+    /// synthesis: the heuristic's search path, which reaches response
+    /// bytes, store records and `layer_solved` events.
+    ours_rebinding: &'static [(u64, u64)],
 }
 
 const GOLDEN: &[Golden] = &[
@@ -26,6 +30,7 @@ const GOLDEN: &[Golden] = &[
         conv_exec: "119m",
         conv_devices: 13,
         conv_paths: 12,
+        ours_rebinding: &[(1, 0), (1, 0), (1, 0)],
     },
     Golden {
         case: 2,
@@ -35,6 +40,7 @@ const GOLDEN: &[Golden] = &[
         conv_exec: "145m+I1",
         conv_devices: 25,
         conv_paths: 37,
+        ours_rebinding: &[(3, 5), (3, 3), (2, 0)],
     },
     Golden {
         case: 3,
@@ -44,6 +50,7 @@ const GOLDEN: &[Golden] = &[
         conv_exec: "332m+I1+I2",
         conv_devices: 25,
         conv_paths: 37,
+        ours_rebinding: &[(5, 15), (5, 14), (5, 6)],
     },
 ];
 
@@ -73,6 +80,16 @@ fn benchmark_metrics_are_pinned() {
             ours.schedule.path_count(),
             golden.ours_paths,
             "case {} ours paths",
+            golden.case
+        );
+        let rebinding: Vec<(u64, u64)> = ours
+            .iterations
+            .iter()
+            .map(|it| (it.solver.heuristic_rounds, it.solver.rebind_adoptions))
+            .collect();
+        assert_eq!(
+            rebinding, golden.ours_rebinding,
+            "case {} ours per-iteration (heuristic_rounds, rebind_adoptions)",
             golden.case
         );
         assert_eq!(
