@@ -16,10 +16,26 @@
 /// assert!(s.contains(3));
 /// assert_eq!(s.iter().collect::<Vec<_>>(), vec![3, 64]);
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash)]
+#[derive(PartialEq, Eq, Hash)]
 pub struct BitSet {
     words: Vec<u64>,
     len: usize,
+}
+
+impl Clone for BitSet {
+    fn clone(&self) -> Self {
+        BitSet {
+            words: self.words.clone(),
+            len: self.len,
+        }
+    }
+
+    /// Copies `source` into `self`'s word buffer, reallocating only when
+    /// `source` needs more words than the buffer holds.
+    fn clone_from(&mut self, source: &Self) {
+        self.words.clone_from(&source.words);
+        self.len = source.len;
+    }
 }
 
 impl BitSet {
