@@ -20,8 +20,8 @@
 //! byte-for-byte (CI's `serve-bench-smoke` and `delta-cache-smoke` jobs
 //! do exactly that). `--mix dup,neardup,err,oversized` sets the workload
 //! composition as whole percentages summing to 100; the near-duplicate
-//! arm mixes re-labelled, op-renamed, and op-permuted variants so the
-//! delta cache *and* the canonical layer index both see traffic.
+//! arm mixes re-labelled and op-renamed variants, which the delta cache
+//! replays whole, with op-permuted ones, which no cache tier matches.
 
 use std::collections::VecDeque;
 use std::io::{self, BufRead, Read, Write};
@@ -252,8 +252,8 @@ fn base_pool() -> Vec<String> {
 /// identical — the delta cache's case). `rotate` shifts the
 /// *declaration order* of the independent fan operations while keeping
 /// names, durations, and edges: the graph is unchanged but operations
-/// get different ids, so exact layer keys differ while the canonical
-/// (structure-hashed) keys still match — the canonical index's case.
+/// get different ids, so neither the exact layer keys nor the
+/// whole-request shape match the original.
 fn dsl_chain(ops: usize, fan: usize, prefix: &str, rotate: usize) -> String {
     let mut s = String::from("assay \"load\"\n");
     let op_line = |k: usize| {
@@ -292,8 +292,7 @@ fn dsl_chain(ops: usize, fan: usize, prefix: &str, rotate: usize) -> String {
 ///   excluded from the structural shape: still a whole-request replay);
 /// * *op-permuted* — a pool DSL chain with its independent fan ops
 ///   declared in rotated order (different op ids defeat the exact layer
-///   keys and the whole-request shape; the canonical layer index must
-///   recognize the structure).
+///   keys and the whole-request shape, so it is solved afresh).
 fn neardup_line(k: usize, pool: &[String], rng: &mut SplitMix64) -> String {
     match rng.gen_index(0, 3) {
         0 => {
@@ -445,7 +444,6 @@ struct RunOutcome {
     solved: u64,
     rejected: u64,
     exact_hits: u64,
-    canonical_hits: u64,
     store_hits: u64,
     misses: u64,
     delta_hits: u64,
@@ -453,15 +451,14 @@ struct RunOutcome {
     hist: Log2Histogram,
 }
 
-/// Extracts the cache-counter quintuple from a loop summary (the window
-/// counters classify canonical and store hits; exact is the remainder).
-fn counters(summary: &mfhls_svc::ServiceSummary) -> (u64, u64, u64, u64, u64) {
+/// Extracts the cache-counter quadruple from a loop summary (the window
+/// counters classify store hits; exact is the remainder).
+fn counters(summary: &mfhls_svc::ServiceSummary) -> (u64, u64, u64, u64) {
     let exact = summary
         .window_hits
-        .saturating_sub(summary.window_canonical_hits + summary.window_store_hits);
+        .saturating_sub(summary.window_store_hits);
     (
         exact,
-        summary.window_canonical_hits,
         summary.window_store_hits,
         summary.window_misses,
         summary.delta_hits,
@@ -497,13 +494,12 @@ fn run_stdin(config: ServiceConfig, windows: &[Window]) -> io::Result<RunOutcome
                 hist: s.hist.clone(),
             }
         });
-    let (exact_hits, canonical_hits, store_hits, misses, delta_hits) = counters(&summary);
+    let (exact_hits, store_hits, misses, delta_hits) = counters(&summary);
     Ok(RunOutcome {
         wall,
         solved: summary.solved,
         rejected: summary.rejected,
         exact_hits,
-        canonical_hits,
         store_hits,
         misses,
         delta_hits,
@@ -568,13 +564,12 @@ fn run_tcp(config: ServiceConfig, windows: &[Window]) -> io::Result<RunOutcome> 
         writer.join().expect("client writer panicked")?;
         let summary = server.join().expect("server panicked")?;
         let wall = start.elapsed();
-        let (exact_hits, canonical_hits, store_hits, misses, delta_hits) = counters(&summary);
+        let (exact_hits, store_hits, misses, delta_hits) = counters(&summary);
         Ok(RunOutcome {
             wall,
             solved: summary.solved,
             rejected: summary.rejected,
             exact_hits,
-            canonical_hits,
             store_hits,
             misses,
             delta_hits,
@@ -659,7 +654,6 @@ fn run(args: &Args) -> io::Result<()> {
         rejected: o.rejected,
         responses_total: o.hist.count(),
         cache_exact_hits: o.exact_hits,
-        cache_canonical_hits: o.canonical_hits,
         cache_store_hits: o.store_hits,
         cache_misses: o.misses,
         delta_hits: o.delta_hits,
@@ -694,10 +688,9 @@ fn run(args: &Args) -> io::Result<()> {
         args.out
     );
     eprintln!(
-        "serve_load: pipelined cache: {} exact, {} canonical, {} store, {} miss; \
+        "serve_load: pipelined cache: {} exact, {} store, {} miss; \
          {} delta replays; reuse rate {:.3}",
         pipelined.exact_hits,
-        pipelined.canonical_hits,
         pipelined.store_hits,
         pipelined.misses,
         pipelined.delta_hits,

@@ -149,8 +149,9 @@ impl SynthesisReport {
 
 /// Schema tag for serve-plane load reports (`BENCH_serve.json`),
 /// bumped on breaking changes. `v2` added the workload `mix` object and
-/// the per-run cache counters (`cache_exact_hits`, `cache_canonical_hits`,
-/// `cache_store_hits`, `cache_misses`, `delta_hits`, `reuse_rate`).
+/// the per-run cache counters (`cache_exact_hits`, `cache_store_hits`,
+/// `cache_misses`, `delta_hits`, `reuse_rate`). Points before 0.16.0 also
+/// carry the hit count of a since-removed canonical layer index.
 pub const SERVE_SCHEMA: &str = "mfhls-bench-serve/v2";
 
 /// The workload composition driven through the serve plane, as whole
@@ -224,8 +225,6 @@ pub struct ServeRun {
     pub responses_total: u64,
     /// Layer-cache demand hits served by the exact in-memory index.
     pub cache_exact_hits: u64,
-    /// Layer-cache demand hits served by the canonical (structural) index.
-    pub cache_canonical_hits: u64,
     /// Layer-cache demand lookups filled by store read-through.
     pub cache_store_hits: u64,
     /// Layer-cache demand lookups that missed everywhere.
@@ -242,10 +241,7 @@ impl ServeRun {
     /// a fraction of layer lookups + replays. 0.0 when nothing was
     /// looked up.
     pub fn reuse_rate(&self) -> f64 {
-        let reused = self.cache_exact_hits
-            + self.cache_canonical_hits
-            + self.cache_store_hits
-            + self.delta_hits;
+        let reused = self.cache_exact_hits + self.cache_store_hits + self.delta_hits;
         let total = reused + self.cache_misses;
         if total == 0 {
             0.0
@@ -310,11 +306,6 @@ impl ServeReport {
             let _ = writeln!(out, "      \"rejected\": {},", r.rejected);
             let _ = writeln!(out, "      \"responses_total\": {},", r.responses_total);
             let _ = writeln!(out, "      \"cache_exact_hits\": {},", r.cache_exact_hits);
-            let _ = writeln!(
-                out,
-                "      \"cache_canonical_hits\": {},",
-                r.cache_canonical_hits
-            );
             let _ = writeln!(out, "      \"cache_store_hits\": {},", r.cache_store_hits);
             let _ = writeln!(out, "      \"cache_misses\": {},", r.cache_misses);
             let _ = writeln!(out, "      \"delta_hits\": {},", r.delta_hits);
@@ -480,7 +471,6 @@ mod tests {
                 rejected: 300,
                 responses_total: 2000,
                 cache_exact_hits: 900,
-                cache_canonical_hits: 200,
                 cache_store_hits: 50,
                 cache_misses: 350,
                 delta_hits: 600,
@@ -492,10 +482,10 @@ mod tests {
         assert!(json.contains("\"speedup_vs_drain\": 2.400000"));
         assert!(json.contains("\"name\": \"pipelined_s4\""));
         assert!(json.contains("\"neardup\": 25"));
-        assert!(json.contains("\"cache_canonical_hits\": 200"));
+        assert!(json.contains("\"cache_store_hits\": 50"));
         assert!(json.contains("\"delta_hits\": 600"));
-        // (900 + 200 + 50 + 600) / (900 + 200 + 50 + 600 + 350) = 0.833333
-        assert!(json.contains("\"reuse_rate\": 0.833333"));
+        // (900 + 50 + 600) / (900 + 50 + 600 + 350) = 0.815789
+        assert!(json.contains("\"reuse_rate\": 0.815789"));
         assert!(json.contains("\"p99\":"));
         assert!(json.contains("\"count\": 4"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
@@ -516,7 +506,6 @@ mod tests {
             rejected: 0,
             responses_total: 0,
             cache_exact_hits: 0,
-            cache_canonical_hits: 0,
             cache_store_hits: 0,
             cache_misses: 0,
             delta_hits: 0,

@@ -43,36 +43,21 @@
 //! are exposed via [`SharedLayerCache::stats`] and surfaced as `mfhls-obs`
 //! counters by the service.
 //!
-//! # Canonical (content-addressed) index
+//! Lookups consult the in-memory map first, then the [`CacheBacking`]
+//! (store read-through). The three outcomes are counted separately
+//! ([`CacheCounters`]): exact hits, store fills, and misses.
 //!
-//! The exact index above shares nothing between *different* requests: the
-//! [`CacheContext`] fingerprints the whole assay, so a lightly edited or
-//! renumbered assay misses on every layer even when most of its layer
-//! sub-problems are identical to cached ones. The canonical index fixes
-//! that. Every lookup may carry a [`CanonicalLayerKey`] — a self-contained
-//! encoding of the layer sub-problem (per-op requirements, durations and
-//! transport estimates; internal dependencies; the inherited device pool,
-//! bindability and paths; cross-layer parent placements; the
-//! solver-relevant configuration scalars) that is independent of the
-//! surrounding assay, the layer index, and the absolute op IDs:
+//! # Canonical layer signatures
 //!
-//! * `canon` bytes are produced by Weisfeiler–Leman colour refinement over
-//!   the layer's op/device graph followed by a canonical reordering, so
-//!   any op/device ID permutation of the same structure yields the same
-//!   bytes — the cross-request content address.
-//! * `positional` bytes encode the sub-problem in the exact order the
-//!   solver sees it. They are the **exactness gate**: a canonical match is
-//!   served only when the stored entry's positional bytes equal the
-//!   incoming ones. The built-in solvers are *positionally pure* (they
-//!   read op IDs only through positions, order comparisons and output
-//!   slots), so under that gate the stored solution translated through the
-//!   positional op correspondence is bitwise what the solver would have
-//!   produced — reordered isomorphs address the same bucket but re-solve.
-//!
-//! Lookups consult the exact index first, then the canonical index, then
-//! the [`CacheBacking`] (exact, then canonical). The four outcomes are
-//! counted separately ([`CacheCounters`]): exact hits, canonical hits,
-//! store (read-through) fills, and misses.
+//! [`CanonicalLayerKey`] is a self-contained encoding of one layer
+//! sub-problem that is independent of the surrounding assay, the layer
+//! index and the absolute op IDs: Weisfeiler–Leman colour refinement over
+//! the layer's op/device graph, then a canonical reordering, so any
+//! op/device ID permutation of the same structure yields the same bytes.
+//! No cache is keyed on it: progressive re-synthesis poses every layer
+//! again with the same op IDs, so the exact key already catches every
+//! repeat (DESIGN §14). The generator's oracle P compares these bytes
+//! across op permutations of an assay.
 //!
 //! All built-in solvers are deterministic functions of the
 //! [`LayerProblem`](crate::LayerProblem), so replaying a cached solution is
@@ -86,10 +71,10 @@ use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
 /// Version of what the built-in solvers return for a given problem,
-/// folded into every key a solution is stored under — the
-/// [`CacheContext`] and the [`CanonicalLayerKey`] header (`clk<epoch>`).
-/// Persisted stores outlive the binary that wrote them, and neither key
-/// otherwise says which solver produced an entry, so without it a new
+/// folded into the [`CacheContext`] every stored solution is scoped by
+/// (and into the [`CanonicalLayerKey`] header, `clk<epoch>`). Persisted
+/// stores outlive the binary that wrote them, and the key does not
+/// otherwise say which solver produced an entry, so without it a new
 /// build would replay an old build's solutions and counters.
 ///
 /// **Bump it whenever a solver's solution or its counters change for the
@@ -119,31 +104,6 @@ pub trait CacheBacking: Send + Sync + std::fmt::Debug {
     /// infallible from the caller's perspective (failures are the
     /// implementation's to swallow and report out-of-band).
     fn persist(&self, context: &CacheContext, key: &LayerKey, solution: &LayerSolution);
-
-    /// Returns a persisted solution whose [`CanonicalLayerKey`] matches
-    /// `canonical` — same `canon` bytes *and* same `positional` bytes —
-    /// together with the op list the stored solution's slots refer to (the
-    /// caller translates them to its own ops by position). The default
-    /// implementation (and any v1-era backing) has no canonical index and
-    /// always misses.
-    fn fetch_canonical(&self, canonical: &CanonicalLayerKey) -> Option<(Vec<OpId>, LayerSolution)> {
-        let _ = canonical;
-        None
-    }
-
-    /// Like [`CacheBacking::persist`], but with the canonical key so the
-    /// backing can index the entry for [`CacheBacking::fetch_canonical`].
-    /// The default drops the canonical key and delegates to `persist`.
-    fn persist_canonical(
-        &self,
-        context: &CacheContext,
-        key: &LayerKey,
-        canonical: &CanonicalLayerKey,
-        solution: &LayerSolution,
-    ) {
-        let _ = canonical;
-        self.persist(context, key, solution);
-    }
 }
 
 /// The structural identity of one per-layer sub-problem; see the module
@@ -277,24 +237,17 @@ impl Sig {
     }
 }
 
-/// The content-addressed identity of one layer sub-problem, independent of
-/// the surrounding assay, the layer index, and the absolute op/device IDs.
-/// See the module docs for the `canon`/`positional` split and the
-/// exactness gate.
+/// The permutation-invariant signature of one layer sub-problem,
+/// independent of the surrounding assay, the layer index, and the
+/// absolute op/device IDs. See the module docs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CanonicalLayerKey {
-    /// Permutation-invariant content address (WL-canonicalised encoding).
-    canon: Arc<[u8]>,
-    /// Identity-order encoding — equal iff the solver sees bitwise the
-    /// same sub-problem modulo a positional op relabeling.
-    positional: Arc<[u8]>,
-    /// The sub-problem's ops in problem order; cached slots translate to
-    /// these by position.
-    ops: Vec<OpId>,
+    /// WL-canonicalised encoding.
+    canon: Vec<u8>,
 }
 
 impl CanonicalLayerKey {
-    /// Extracts the canonical key of `problem`. `solver_fingerprint`
+    /// Extracts the canonical signature of `problem`. `solver_fingerprint`
     /// pins the solver kind and its parameters (e.g.
     /// `format!("{:?}", config.solver)`) — the only solver-relevant input
     /// the [`LayerProblem`] itself does not carry besides the
@@ -312,8 +265,8 @@ impl CanonicalLayerKey {
         // synthesis loop) maps past the end and simply never matches.
         let at = |o: &OpId| pos.get(o).copied().unwrap_or(n);
 
-        // Scalar header shared by both encodings: every solver-relevant
-        // input that is not per-op or per-device.
+        // Scalar header: every solver-relevant input that is not per-op or
+        // per-device.
         let mut header = String::new();
         let _ = write!(
             header,
@@ -363,32 +316,8 @@ impl CanonicalLayerKey {
             .collect();
         let paths: Vec<(usize, usize)> = problem.existing_paths.iter().copied().collect();
 
-        // --- positional bytes: everything in the order the solver sees it.
-        let mut positional = header.clone();
-        for a in &attrs {
-            positional.push_str(a);
-            positional.push(';');
-        }
-        positional.push('|');
-        for d in &dattrs {
-            positional.push_str(d);
-            positional.push(';');
-        }
-        positional.push('|');
-        for &(p, c) in &deps {
-            let _ = write!(positional, "e{p}>{c};");
-        }
-        positional.push('|');
-        for &(c, d) in &cross {
-            let _ = write!(positional, "x{c}@{d};");
-        }
-        positional.push('|');
-        for &(a, b) in &paths {
-            let _ = write!(positional, "p{a}-{b};");
-        }
-
-        // --- canon bytes: WL colour refinement over the op/device graph,
-        // then a canonical reordering by final colour.
+        // WL colour refinement over the op/device graph, then a canonical
+        // reordering by final colour.
         let mut osig: Vec<u64> = attrs.iter().map(|a| fnv1a64(a.as_bytes())).collect();
         let mut dsig: Vec<u64> = dattrs.iter().map(|a| fnv1a64(a.as_bytes())).collect();
         let mut op_parents: Vec<Vec<usize>> = vec![Vec::new(); n];
@@ -453,8 +382,8 @@ impl CanonicalLayerKey {
         // tie-break. WL-equivalent nodes are indistinguishable by every
         // encoded attribute and relation, so the tie-break choice cannot
         // change the emitted bytes for automorphic twins; genuinely
-        // distinct-but-WL-equal nodes at worst cost a canonical miss,
-        // never a wrong hit (the positional gate still applies).
+        // distinct-but-WL-equal nodes at worst give two renumberings of
+        // one layer different bytes, never two different layers the same.
         let mut oorder: Vec<usize> = (0..n).collect();
         oorder.sort_by_key(|&i| (osig[i], i));
         let mut orank = vec![0usize; n];
@@ -513,36 +442,13 @@ impl CanonicalLayerKey {
         }
 
         CanonicalLayerKey {
-            canon: canon.into_bytes().into(),
-            positional: positional.into_bytes().into(),
-            ops: problem.ops.clone(),
+            canon: canon.into_bytes(),
         }
     }
 
-    /// The permutation-invariant content address.
+    /// The permutation-invariant encoding.
     pub fn canon_bytes(&self) -> &[u8] {
         &self.canon
-    }
-
-    /// The identity-order encoding (the exactness gate).
-    pub fn positional_bytes(&self) -> &[u8] {
-        &self.positional
-    }
-
-    /// The sub-problem's ops in problem order.
-    pub fn ops(&self) -> &[OpId] {
-        &self.ops
-    }
-
-    /// Reassembles a key from raw parts previously obtained through the
-    /// accessors — the persistence path (`mfhls-store/v2` records carry
-    /// all three fields verbatim).
-    pub fn from_raw(canon: Vec<u8>, positional: Vec<u8>, ops: Vec<OpId>) -> CanonicalLayerKey {
-        CanonicalLayerKey {
-            canon: canon.into(),
-            positional: positional.into(),
-            ops,
-        }
     }
 }
 
@@ -557,8 +463,9 @@ impl CanonicalLayerKey {
 /// through a permutation maps its colour unchanged.
 ///
 /// Used by [`crate::layer_assay`] to break eviction-cost ties structurally
-/// instead of by raw op id (which would make layer membership — and with it
-/// every [`CanonicalLayerKey`] — depend on insertion order).
+/// instead of by raw op id, which would make layer membership depend on
+/// insertion order. Oracle P checks the result: renumbering an assay's ops
+/// must leave the multiset of its layers' [`CanonicalLayerKey`]s unchanged.
 pub fn structural_op_colours(assay: &crate::Assay) -> Vec<u64> {
     let n = assay.len();
     let mut sig: Vec<u64> = assay
@@ -603,39 +510,11 @@ fn distinct_colours(osig: &[u64], dsig: &[u64]) -> usize {
     all.len()
 }
 
-/// Rewrites `solution`'s slots from `stored_ops` to `incoming_ops` by
-/// position. Sound only under the positional gate: both op lists are
-/// ascending and the positionally pure solvers are equivariant under
-/// order-preserving relabelings, so the translated solution is bitwise
-/// what a direct solve of the incoming problem would produce. Devices,
-/// paths, objective and solver stats are position-based and carry over
-/// unchanged.
-fn translate_solution(
-    stored_ops: &[OpId],
-    incoming_ops: &[OpId],
-    solution: &LayerSolution,
-) -> LayerSolution {
-    let map: HashMap<OpId, OpId> = stored_ops
-        .iter()
-        .zip(incoming_ops.iter())
-        .map(|(&s, &i)| (s, i))
-        .collect();
-    let mut out = solution.clone();
-    for slot in &mut out.slots {
-        if let Some(&mapped) = map.get(&slot.op) {
-            slot.op = mapped;
-        }
-    }
-    out
-}
-
 /// How a cache lookup was satisfied; see [`CacheCounters`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HitClass {
     /// Found under the exact `(context, key)` pair.
     Exact,
-    /// Found through the canonical index and translated by position.
-    Canonical,
     /// Filled by reading through to the [`CacheBacking`].
     Store,
 }
@@ -648,8 +527,6 @@ pub enum HitClass {
 pub struct CacheCounters {
     /// Demand lookups satisfied by the exact index.
     pub exact_hits: u64,
-    /// Demand lookups satisfied by the canonical index (translated).
-    pub canonical_hits: u64,
     /// Demand lookups filled by the persistent backing.
     pub store_hits: u64,
     /// Demand lookups nothing could satisfy.
@@ -657,15 +534,14 @@ pub struct CacheCounters {
 }
 
 impl CacheCounters {
-    /// Total satisfied lookups across all three hit classes.
+    /// Total satisfied lookups across both hit classes.
     pub fn hits(&self) -> u64 {
-        self.exact_hits + self.canonical_hits + self.store_hits
+        self.exact_hits + self.store_hits
     }
 
     /// Adds `other`'s counts into `self`.
     pub fn absorb(&mut self, other: &CacheCounters) {
         self.exact_hits += other.exact_hits;
-        self.canonical_hits += other.canonical_hits;
         self.store_hits += other.store_hits;
         self.misses += other.misses;
     }
@@ -673,7 +549,6 @@ impl CacheCounters {
     fn count(&mut self, class: HitClass) {
         match class {
             HitClass::Exact => self.exact_hits += 1,
-            HitClass::Canonical => self.canonical_hits += 1,
             HitClass::Store => self.store_hits += 1,
         }
     }
@@ -684,18 +559,7 @@ impl CacheCounters {
 #[derive(Debug, Default)]
 pub struct LayerCache {
     map: HashMap<LayerKey, LayerSolution>,
-    /// Canonical index: canon bytes -> stored positional variants. Within
-    /// one run this pays off for structurally repeated layers (e.g. DSL
-    /// `repeat` blocks) that the exact index keeps apart by layer index.
-    canon: HashMap<Arc<[u8]>, Vec<LocalCanonEntry>>,
     counters: CacheCounters,
-}
-
-#[derive(Debug)]
-struct LocalCanonEntry {
-    positional: Arc<[u8]>,
-    ops: Vec<OpId>,
-    solution: LayerSolution,
 }
 
 impl LayerCache {
@@ -704,35 +568,11 @@ impl LayerCache {
         LayerCache::default()
     }
 
-    /// Looks up a solution, counting the outcome. The exact index is
-    /// consulted first; on a miss the canonical index is, under the
-    /// positional exactness gate (see the module docs).
-    pub fn lookup(
-        &mut self,
-        key: &LayerKey,
-        canonical: Option<&CanonicalLayerKey>,
-    ) -> Option<(LayerSolution, HitClass)> {
+    /// Looks up a solution, counting the outcome.
+    pub fn lookup(&mut self, key: &LayerKey) -> Option<(LayerSolution, HitClass)> {
         if let Some(sol) = self.map.get(key) {
             self.counters.exact_hits += 1;
             return Some((sol.clone(), HitClass::Exact));
-        }
-        if let Some(ck) = canonical {
-            let found = self
-                .canon
-                .get(ck.canon_bytes())
-                .and_then(|bucket| {
-                    bucket
-                        .iter()
-                        .find(|e| e.positional.as_ref() == ck.positional_bytes())
-                })
-                .map(|e| translate_solution(&e.ops, ck.ops(), &e.solution));
-            if let Some(sol) = found {
-                self.counters.canonical_hits += 1;
-                // Promote under the exact key so the next revisit of this
-                // layer is an exact hit.
-                self.map.insert(key.clone(), sol.clone());
-                return Some((sol, HitClass::Canonical));
-            }
         }
         self.counters.misses += 1;
         None
@@ -740,29 +580,11 @@ impl LayerCache {
 
     /// Stores a solution (counted as part of the preceding
     /// [`LayerCache::lookup`] miss).
-    pub fn insert(
-        &mut self,
-        key: LayerKey,
-        canonical: Option<&CanonicalLayerKey>,
-        solution: LayerSolution,
-    ) {
-        if let Some(ck) = canonical {
-            let bucket = self.canon.entry(ck.canon.clone()).or_default();
-            if !bucket
-                .iter()
-                .any(|e| e.positional.as_ref() == ck.positional_bytes())
-            {
-                bucket.push(LocalCanonEntry {
-                    positional: ck.positional.clone(),
-                    ops: ck.ops.clone(),
-                    solution: solution.clone(),
-                });
-            }
-        }
+    pub fn insert(&mut self, key: LayerKey, solution: LayerSolution) {
         self.map.insert(key, solution);
     }
 
-    /// Demand lookups that found a solution (any hit class) since the last
+    /// Demand lookups that found a solution since the last
     /// [`LayerCache::take_counters`] call.
     pub fn hits(&self) -> u64 {
         self.counters.hits()
@@ -774,7 +596,7 @@ impl LayerCache {
         self.counters.misses
     }
 
-    /// Number of cached layer solutions (exact entries).
+    /// Number of cached layer solutions.
     pub fn len(&self) -> usize {
         self.map.len()
     }
@@ -863,8 +685,6 @@ impl CacheContext {
 pub struct CacheStats {
     /// Demand lookups satisfied by the exact in-memory index.
     pub hits: u64,
-    /// Demand lookups satisfied by the canonical in-memory index.
-    pub canonical_hits: u64,
     /// Demand lookups filled by reading through to the backing store.
     /// Split from `hits` deliberately: a fill did disk work, so folding it
     /// into the in-memory hit count (as earlier releases did) overstates
@@ -872,8 +692,8 @@ pub struct CacheStats {
     pub store_hits: u64,
     /// Demand lookups that missed everywhere.
     pub misses: u64,
-    /// Entries stored: solved layers, promoted canonical and store hits,
-    /// and records warm-loaded from a store.
+    /// Entries stored: solved layers, promoted store hits, and records
+    /// warm-loaded from a store.
     pub insertions: u64,
     /// Entries dropped to keep the cache within its capacity.
     pub evictions: u64,
@@ -887,7 +707,7 @@ impl CacheStats {
     /// Satisfied lookups (any hit class) over all lookups, or 0.0 before
     /// the first lookup.
     pub fn hit_rate(&self) -> f64 {
-        let hits = self.hits + self.canonical_hits + self.store_hits;
+        let hits = self.hits + self.store_hits;
         let total = hits + self.misses;
         if total == 0 {
             0.0
@@ -904,28 +724,9 @@ struct SharedKey {
     key: LayerKey,
 }
 
-/// One cached solution plus the canonical bytes needed to keep the
-/// canonical index in sync on eviction.
-#[derive(Debug)]
-struct StoredEntry {
-    solution: LayerSolution,
-    canon: Option<Arc<[u8]>>,
-}
-
-/// A canonical-index pointer back into the exact map. The stored ops for
-/// translation live on `shared.key` (its op list), so nothing is
-/// duplicated beyond the positional bytes.
-#[derive(Debug)]
-struct SharedCanonEntry {
-    positional: Arc<[u8]>,
-    shared: SharedKey,
-}
-
 #[derive(Debug, Default)]
 struct SharedState {
-    map: HashMap<SharedKey, StoredEntry>,
-    /// Canonical index: canon bytes -> stored positional variants.
-    canon: HashMap<Arc<[u8]>, Vec<SharedCanonEntry>>,
+    map: HashMap<SharedKey, LayerSolution>,
     /// Insertion stamps, oldest first — the FIFO eviction order.
     order: BTreeMap<u64, SharedKey>,
     next_stamp: u64,
@@ -978,12 +779,7 @@ impl SharedLayerCache {
         lock_or_recover(&self.state)
     }
 
-    fn lookup(
-        &self,
-        context: &CacheContext,
-        key: &LayerKey,
-        canonical: Option<&CanonicalLayerKey>,
-    ) -> Option<(LayerSolution, HitClass)> {
+    fn lookup(&self, context: &CacheContext, key: &LayerKey) -> Option<(LayerSolution, HitClass)> {
         {
             let mut st = self.locked();
             // Borrow-free probe: build the composite key only on the stack.
@@ -991,37 +787,10 @@ impl SharedLayerCache {
                 context: context.clone(),
                 key: key.clone(),
             };
-            if let Some(e) = st.map.get(&probe) {
-                let sol = e.solution.clone();
+            if let Some(sol) = st.map.get(&probe).cloned() {
                 st.counters.count(HitClass::Exact);
                 st.window.count(HitClass::Exact);
                 return Some((sol, HitClass::Exact));
-            }
-            // Canonical index, under the positional exactness gate.
-            if let Some(ck) = canonical {
-                let found = st
-                    .canon
-                    .get(ck.canon_bytes())
-                    .and_then(|bucket| {
-                        bucket.iter().find(|e| {
-                            e.positional.as_ref() == ck.positional_bytes()
-                                && st.map.contains_key(&e.shared)
-                        })
-                    })
-                    .and_then(|e| {
-                        st.map
-                            .get(&e.shared)
-                            .map(|s| translate_solution(&e.shared.key.ops, ck.ops(), &s.solution))
-                    });
-                if let Some(sol) = found {
-                    st.counters.count(HitClass::Canonical);
-                    st.window.count(HitClass::Canonical);
-                    drop(st);
-                    // Promote under the incoming exact key so the next
-                    // identical request skips the bucket scan.
-                    self.insert_into_map(context, key.clone(), canonical, sol.clone());
-                    return Some((sol, HitClass::Canonical));
-                }
             }
         }
         // Read-through: consult the backing outside the lock. A persisted
@@ -1031,21 +800,11 @@ impl SharedLayerCache {
         // lookups.
         if let Some(backing) = self.backing() {
             if let Some(sol) = backing.fetch(context, key) {
-                self.insert_into_map(context, key.clone(), canonical, sol.clone());
+                self.insert_into_map(context, key.clone(), sol.clone());
                 let mut st = self.locked();
                 st.counters.count(HitClass::Store);
                 st.window.count(HitClass::Store);
                 return Some((sol, HitClass::Store));
-            }
-            if let Some(ck) = canonical {
-                if let Some((stored_ops, sol)) = backing.fetch_canonical(ck) {
-                    let sol = translate_solution(&stored_ops, ck.ops(), &sol);
-                    self.insert_into_map(context, key.clone(), canonical, sol.clone());
-                    let mut st = self.locked();
-                    st.counters.count(HitClass::Store);
-                    st.window.count(HitClass::Store);
-                    return Some((sol, HitClass::Store));
-                }
             }
         }
         let mut st = self.locked();
@@ -1054,26 +813,17 @@ impl SharedLayerCache {
         None
     }
 
-    fn insert(
-        &self,
-        context: &CacheContext,
-        key: LayerKey,
-        canonical: Option<&CanonicalLayerKey>,
-        solution: LayerSolution,
-    ) {
+    fn insert(&self, context: &CacheContext, key: LayerKey, solution: LayerSolution) {
         // Write-behind: persist freshly inserted solutions, outside the
         // lock. The backing dedups entries it already holds, so promoting
         // a read-through result back into the map never re-persists it.
         match self.backing() {
             None => {
-                self.insert_into_map(context, key, canonical, solution);
+                self.insert_into_map(context, key, solution);
             }
             Some(backing) => {
-                if self.insert_into_map(context, key.clone(), canonical, solution.clone()) {
-                    match canonical {
-                        Some(ck) => backing.persist_canonical(context, &key, ck, &solution),
-                        None => backing.persist(context, &key, &solution),
-                    }
+                if self.insert_into_map(context, key.clone(), solution.clone()) {
+                    backing.persist(context, &key, &solution);
                 }
             }
         }
@@ -1085,7 +835,6 @@ impl SharedLayerCache {
         &self,
         context: &CacheContext,
         key: LayerKey,
-        canonical: Option<&CanonicalLayerKey>,
         solution: LayerSolution,
     ) -> bool {
         let shared = SharedKey {
@@ -1098,20 +847,7 @@ impl SharedLayerCache {
         }
         let stamp = st.next_stamp;
         st.next_stamp += 1;
-        if let Some(ck) = canonical {
-            let entry = SharedCanonEntry {
-                positional: ck.positional.clone(),
-                shared: shared.clone(),
-            };
-            st.canon.entry(ck.canon.clone()).or_default().push(entry);
-        }
-        st.map.insert(
-            shared.clone(),
-            StoredEntry {
-                solution,
-                canon: canonical.map(|ck| ck.canon.clone()),
-            },
-        );
+        st.map.insert(shared.clone(), solution);
         st.order.insert(stamp, shared);
         st.insertions += 1;
         while st.map.len() > self.capacity {
@@ -1119,18 +855,7 @@ impl SharedLayerCache {
                 break;
             };
             if let Some(victim) = st.order.remove(&oldest) {
-                if let Some(entry) = st.map.remove(&victim) {
-                    // Keep the canonical index in sync: drop the pointer
-                    // that referenced the evicted entry.
-                    if let Some(cb) = entry.canon {
-                        if let Some(bucket) = st.canon.get_mut(&cb) {
-                            bucket.retain(|e| e.shared != victim);
-                            if bucket.is_empty() {
-                                st.canon.remove(&cb);
-                            }
-                        }
-                    }
-                }
+                st.map.remove(&victim);
                 st.evictions += 1;
             }
         }
@@ -1139,17 +864,9 @@ impl SharedLayerCache {
 
     /// Inserts an entry loaded from a persistent store without notifying
     /// the backing (bulk warm-load path; also safe before
-    /// [`SharedLayerCache::set_backing`] is called at all). `canonical` is
-    /// `None` for records persisted before the canonical index existed
-    /// (`mfhls-store/v1`) — those warm the exact index only.
-    pub fn warm_load(
-        &self,
-        context: &CacheContext,
-        key: LayerKey,
-        canonical: Option<&CanonicalLayerKey>,
-        solution: LayerSolution,
-    ) {
-        self.insert_into_map(context, key, canonical, solution);
+    /// [`SharedLayerCache::set_backing`] is called at all).
+    pub fn warm_load(&self, context: &CacheContext, key: LayerKey, solution: LayerSolution) {
+        self.insert_into_map(context, key, solution);
     }
 
     /// Returns the classified demand counters accumulated since the
@@ -1169,7 +886,6 @@ impl SharedLayerCache {
         let st = self.locked();
         CacheStats {
             hits: st.counters.exact_hits,
-            canonical_hits: st.counters.canonical_hits,
             store_hits: st.counters.store_hits,
             misses: st.counters.misses,
             insertions: st.insertions,
@@ -1193,7 +909,6 @@ impl SharedLayerCache {
     pub fn clear(&self) {
         let mut st = self.locked();
         st.map.clear();
-        st.canon.clear();
         st.order.clear();
     }
 }
@@ -1238,18 +953,14 @@ impl RunCache {
     }
 
     /// Looks up a solution, counting the classified outcome.
-    pub fn lookup(
-        &mut self,
-        key: &LayerKey,
-        canonical: Option<&CanonicalLayerKey>,
-    ) -> Option<(LayerSolution, HitClass)> {
+    pub fn lookup(&mut self, key: &LayerKey) -> Option<(LayerSolution, HitClass)> {
         match self {
-            RunCache::Local(c) => c.lookup(key, canonical),
+            RunCache::Local(c) => c.lookup(key),
             RunCache::Shared {
                 cache,
                 context,
                 counters,
-            } => match cache.lookup(context, key, canonical) {
+            } => match cache.lookup(context, key) {
                 Some((sol, class)) => {
                     counters.count(class);
                     Some((sol, class))
@@ -1263,17 +974,10 @@ impl RunCache {
     }
 
     /// Stores a demand-solved solution.
-    pub fn insert(
-        &mut self,
-        key: LayerKey,
-        canonical: Option<&CanonicalLayerKey>,
-        solution: LayerSolution,
-    ) {
+    pub fn insert(&mut self, key: LayerKey, solution: LayerSolution) {
         match self {
-            RunCache::Local(c) => c.insert(key, canonical, solution),
-            RunCache::Shared { cache, context, .. } => {
-                cache.insert(context, key, canonical, solution)
-            }
+            RunCache::Local(c) => c.insert(key, solution),
+            RunCache::Shared { cache, context, .. } => cache.insert(context, key, solution),
         }
     }
 
@@ -1369,13 +1073,10 @@ mod tests {
         let p = problem(&a, &t, &costs);
         let key = LayerKey::of(&p, 0);
         let mut cache = LayerCache::new();
-        assert!(cache.lookup(&key, None).is_none());
+        assert!(cache.lookup(&key).is_none());
         let sol = crate::solver::SolverKind::default().solve(&p).unwrap();
-        cache.insert(key.clone(), None, sol.clone());
-        assert_eq!(
-            cache.lookup(&key, None),
-            Some((sol.clone(), HitClass::Exact))
-        );
+        cache.insert(key.clone(), sol.clone());
+        assert_eq!(cache.lookup(&key), Some((sol.clone(), HitClass::Exact)));
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
         assert_eq!(
             cache.take_counters(),
@@ -1417,12 +1118,9 @@ mod tests {
         let shared = Arc::new(SharedLayerCache::new(2));
         let mut run_a = RunCache::shared(shared.clone(), &a, &config);
         let key0 = LayerKey::of(&p, 0);
-        assert!(run_a.lookup(&key0, None).is_none());
-        run_a.insert(key0.clone(), None, sol.clone());
-        assert_eq!(
-            run_a.lookup(&key0, None),
-            Some((sol.clone(), HitClass::Exact))
-        );
+        assert!(run_a.lookup(&key0).is_none());
+        run_a.insert(key0.clone(), sol.clone());
+        assert_eq!(run_a.lookup(&key0), Some((sol.clone(), HitClass::Exact)));
         assert_eq!(
             run_a.take_counters(),
             CacheCounters {
@@ -1436,7 +1134,7 @@ mod tests {
         let mut b = assay();
         b.add_op(Operation::new("z").with_duration(Duration::fixed(9)));
         let mut run_b = RunCache::shared(shared.clone(), &b, &config);
-        assert!(run_b.lookup(&key0, None).is_none());
+        assert!(run_b.lookup(&key0).is_none());
         assert_eq!(
             run_b.take_counters(),
             CacheCounters {
@@ -1446,8 +1144,8 @@ mod tests {
         );
 
         // FIFO eviction keeps the bound: capacity 2, three inserts.
-        run_a.insert(LayerKey::of(&p, 1), None, sol.clone());
-        run_a.insert(LayerKey::of(&p, 2), None, sol.clone());
+        run_a.insert(LayerKey::of(&p, 1), sol.clone());
+        run_a.insert(LayerKey::of(&p, 2), sol.clone());
         let stats = shared.stats();
         assert_eq!(stats.entries, 2);
         assert_eq!(stats.capacity, 2);
@@ -1455,9 +1153,9 @@ mod tests {
         assert_eq!(stats.insertions, 3);
         assert!(stats.hit_rate() > 0.0);
         // The oldest entry (key0) was the victim; the newest survives.
-        assert!(run_a.lookup(&key0, None).is_none());
+        assert!(run_a.lookup(&key0).is_none());
         assert_eq!(
-            run_a.lookup(&LayerKey::of(&p, 2), None),
+            run_a.lookup(&LayerKey::of(&p, 2)),
             Some((sol.clone(), HitClass::Exact))
         );
         assert_eq!(
@@ -1473,10 +1171,8 @@ mod tests {
         assert!(shared.is_empty());
     }
 
-    /// Two single-layer problems whose ops carry the same attributes in
-    /// swapped positions: isomorphic (same canon bytes) but positionally
-    /// different (the exactness gate must refuse to serve one for the
-    /// other).
+    /// A two-op single-layer assay; swapping `d0` and `d1` poses the same
+    /// layer under renumbered ops.
     fn two_op_assay(d0: u64, d1: u64) -> Assay {
         let mut a = Assay::new("t");
         a.add_op(Operation::new("p").with_duration(Duration::fixed(d0)));
@@ -1495,94 +1191,16 @@ mod tests {
         let ka = CanonicalLayerKey::of(&problem(&a, &ta, &costs), "h");
         let kb = CanonicalLayerKey::of(&problem(&b, &tb, &costs), "h");
         assert_eq!(ka.canon_bytes(), kb.canon_bytes(), "isomorphic layers");
-        assert_ne!(
-            ka.positional_bytes(),
-            kb.positional_bytes(),
-            "the exactness gate distinguishes the orderings"
-        );
         // A structurally different layer gets a different canon address.
         let c = two_op_assay(5, 4);
         let tc = TransportTimes::initial(&c, &t_cfg);
         let kc = CanonicalLayerKey::of(&problem(&c, &tc, &costs), "h");
         assert_ne!(ka.canon_bytes(), kc.canon_bytes());
-        // The solver fingerprint scopes the address.
+        // The solver fingerprint and the epoch header gate the address.
         let ka_ilp = CanonicalLayerKey::of(&problem(&a, &ta, &costs), "ilp");
         assert_ne!(ka.canon_bytes(), ka_ilp.canon_bytes());
-    }
-
-    #[test]
-    fn canonical_hit_translates_ops_by_position() {
-        let t_cfg = TransportConfig::default();
-        let costs = CostModel::default();
-        let a = two_op_assay(5, 3);
-        let ta = TransportTimes::initial(&a, &t_cfg);
-        let pa = problem(&a, &ta, &costs);
-        let ck_a = CanonicalLayerKey::of(&pa, "h");
-        let sol_a = crate::solver::SolverKind::default().solve(&pa).unwrap();
-
-        // A three-op assay whose *second and third* ops form the same
-        // layer: same content at shifted op IDs, different CacheContext.
-        let mut b = Assay::new("u");
-        b.add_op(Operation::new("r").with_duration(Duration::fixed(9)));
-        b.add_op(Operation::new("p").with_duration(Duration::fixed(5)));
-        b.add_op(Operation::new("q").with_duration(Duration::fixed(3)));
-        let tb = TransportTimes::initial(&b, &t_cfg);
-        let mut pb = problem(&b, &tb, &costs);
-        pb.ops = vec![OpId(1), OpId(2)];
-        let ck_b = CanonicalLayerKey::of(&pb, "h");
-        assert_eq!(ck_a.canon_bytes(), ck_b.canon_bytes());
-        assert_eq!(ck_a.positional_bytes(), ck_b.positional_bytes());
-
-        let config = SynthConfig::default();
-        let shared = Arc::new(SharedLayerCache::new(16));
-        let mut run_a = RunCache::shared(shared.clone(), &a, &config);
-        run_a.insert(LayerKey::of(&pa, 0), Some(&ck_a), sol_a.clone());
-
-        // The other context misses exactly but hits canonically; slots are
-        // translated to b's op IDs and match a direct solve bit-for-bit.
-        let mut run_b = RunCache::shared(shared.clone(), &b, &config);
-        let key_b = LayerKey::of(&pb, 0);
-        let (sol_b, class) = run_b.lookup(&key_b, Some(&ck_b)).expect("canonical hit");
-        assert_eq!(class, HitClass::Canonical);
-        let direct = crate::solver::SolverKind::default().solve(&pb).unwrap();
-        assert_eq!(sol_b, direct);
-        assert_eq!(
-            run_b.take_counters(),
-            CacheCounters {
-                canonical_hits: 1,
-                ..CacheCounters::default()
-            }
-        );
-        assert_eq!(shared.stats().canonical_hits, 1);
-
-        // A *reordered* isomorph shares the canon address but fails the
-        // positional gate: safe miss, never a translated serve.
-        let c = two_op_assay(3, 5);
-        let tc = TransportTimes::initial(&c, &t_cfg);
-        let pc = problem(&c, &tc, &costs);
-        let ck_c = CanonicalLayerKey::of(&pc, "h");
-        assert_eq!(ck_c.canon_bytes(), ck_a.canon_bytes());
-        let mut run_c = RunCache::shared(shared, &c, &config);
-        assert!(run_c.lookup(&LayerKey::of(&pc, 0), Some(&ck_c)).is_none());
-    }
-
-    #[test]
-    fn local_cache_canonical_hits_across_layers() {
-        let t_cfg = TransportConfig::default();
-        let costs = CostModel::default();
-        let a = two_op_assay(5, 3);
-        let ta = TransportTimes::initial(&a, &t_cfg);
-        let p = problem(&a, &ta, &costs);
-        let ck = CanonicalLayerKey::of(&p, "h");
-        let sol = crate::solver::SolverKind::default().solve(&p).unwrap();
-        let mut cache = LayerCache::new();
-        cache.insert(LayerKey::of(&p, 0), Some(&ck), sol.clone());
-        // Same sub-problem posed as a different layer: exact key differs,
-        // canonical index serves it.
-        let (got, class) = cache
-            .lookup(&LayerKey::of(&p, 3), Some(&ck))
-            .expect("canonical hit across layer indices");
-        assert_eq!(class, HitClass::Canonical);
-        assert_eq!(got, sol);
+        assert!(ka
+            .canon_bytes()
+            .starts_with(format!("clk{SOLVER_EPOCH}|s:h|").as_bytes()));
     }
 }

@@ -242,8 +242,8 @@ pub fn layer_assay(assay: &Assay, threshold: usize) -> Result<Layering, CoreErro
             }
             // Cost of evicting each indeterminate op. Ties on (storage,
             // moved-count) break on the relabeling-invariant WL colour so
-            // that layer membership — and every canonical cache key built
-            // from it — survives renumbering the assay's operations.
+            // that layer membership — and every layer's canonical
+            // signature — survives renumbering the assay's operations.
             let colours = colours.get_or_insert_with(|| crate::cache::structural_op_colours(assay));
             let mut best: Option<(u64, usize, u64, usize, Vec<usize>)> = None;
             for &oj in &inds_now {

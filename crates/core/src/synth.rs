@@ -1,7 +1,7 @@
 //! The synthesis driver: layering, per-layer solving with device
 //! inheritance, transport refinement, and progressive re-synthesis (§3.2).
 
-use crate::cache::{CanonicalLayerKey, HitClass, LayerKey, RunCache, SharedLayerCache};
+use crate::cache::{HitClass, LayerKey, RunCache, SharedLayerCache};
 use crate::problem::path_key;
 use crate::{
     layer_assay, Assay, CoreError, ExecTime, HybridSchedule, LayerProblem, LayerSchedule,
@@ -219,16 +219,17 @@ pub struct IterationStats {
     pub path_count: usize,
     /// Weighted objective of the full assay.
     pub objective: u64,
-    /// Layer sub-problems this iteration served from the memo cache (all
-    /// hit classes: exact, canonical, and store fills).
+    /// Layer sub-problems this iteration served from the memo cache (both
+    /// hit classes: exact hits and store fills).
     ///
     /// With the per-run cache the hit/miss split is a function of the run
     /// alone, identical at any thread count. Behind a shared cache it also
     /// depends on what earlier runs left there, so traces class cache
     /// outcomes as diagnostics.
     pub cache_hits: u64,
-    /// The subset of `cache_hits` served through the canonical
-    /// (content-addressed) index and translated by position.
+    /// Always 0: the canonical layer index whose hits it counted was
+    /// removed in 0.16.0. It stays only because the benchmark reads it for
+    /// its `core.cache.canonical_hits` metric.
     pub cache_canonical_hits: u64,
     /// The subset of `cache_hits` filled by reading through to a
     /// persistent store.
@@ -379,7 +380,6 @@ impl Synthesizer {
             if let Some(cache) = cache.as_mut() {
                 let counters = cache.take_counters();
                 stats.cache_hits = counters.hits();
-                stats.cache_canonical_hits = counters.canonical_hits;
                 stats.cache_store_hits = counters.store_hits;
                 stats.cache_misses = counters.misses;
             }
@@ -521,7 +521,6 @@ impl Synthesizer {
         let mut layer_schedules: Vec<LayerSchedule> = Vec::new();
         let mut device_of: Vec<Option<usize>> = vec![None; assay.len()];
         let mut solver_stats = crate::SolverStats::default();
-        let solver_fp = format!("{:?}", self.config.solver);
 
         for (li, layer_ops) in layering.layers().iter().enumerate() {
             // Seed devices carry their quarantine mask through every pass;
@@ -556,15 +555,13 @@ impl Synthesizer {
             let sol = match cache.as_deref_mut() {
                 Some(cache) => {
                     let key = LayerKey::of(&problem, li);
-                    let canonical = CanonicalLayerKey::of(&problem, &solver_fp);
-                    match cache.lookup(&key, Some(&canonical)) {
+                    match cache.lookup(&key) {
                         Some((sol, class)) => {
                             // Diagnostic, not logical: with a shared cache
                             // the hit class depends on what other requests
                             // ran first.
                             let name = match class {
                                 HitClass::Exact => "cache_hit",
-                                HitClass::Canonical => "cache_canonical_hit",
                                 HitClass::Store => "cache_store_hit",
                             };
                             obs::diagnostic(obs::Level::Debug, name, &[("layer", li.into())]);
@@ -577,7 +574,7 @@ impl Synthesizer {
                                 &[("layer", li.into())],
                             );
                             let sol = self.config.solver.solve(&problem)?;
-                            cache.insert(key, Some(&canonical), sol.clone());
+                            cache.insert(key, sol.clone());
                             sol
                         }
                     }

@@ -8,7 +8,7 @@
 //! | magic  "MFHLSTO2"    |  8 bytes — names the format version
 //! +----------------------+  ("MFHLSTO1" segments are read too)
 //! | record               |  repeated until EOF
-//! |   kind      u8       |  1 = solution record, 2 = canonical solution
+//! |   kind      u8       |  1–4, see below; this build writes 3
 //! |   len       u32 LE   |  payload length in bytes
 //! |   checksum  u64 LE   |  FNV-1a 64 over kind ‖ len ‖ payload
 //! |   payload   [u8;len] |
@@ -25,18 +25,21 @@
 //!
 //! # Solution record payloads
 //!
-//! Kind 1 (`mfhls-store/v1`): a context string (the [`CacheContext`]
+//! Every kind carries a context string (the [`CacheContext`]
 //! canonical encoding), the [`LayerKeyParts`], and the [`LayerSolution`] —
 //! everything needed to re-populate a `SharedLayerCache` entry in a later
-//! process.
+//! process. Kinds 1 and 2 end with the eleven pre-0.11 solver counters;
+//! kinds 3 and 4 count-prefix them ([`KIND_SOLUTION_V3`]).
 //!
-//! Kind 2 (`mfhls-store/v2`): the same three fields plus the
-//! content-addressed [`CanonicalLayerKey`](mfhls_core::CanonicalLayerKey)
-//! bytes (`canon` and `positional`, length-prefixed, between the key and
-//! the solution), so a later process can also serve *canonical* lookups
-//! from disk. A v1 reader skips kind-2 records as an unknown-but-
-//! checksummed kind (forward compatible); this reader accepts both magics
-//! and both kinds (backward compatible).
+//! Kinds 2 and 4 are *read, never written*. Releases 0.9.0–0.15.0 wrote
+//! them with two length-prefixed byte strings between the key and the
+//! solution: the `canon` and `positional` bytes of a canonical layer
+//! index that has since been removed. The reader skips both strings and
+//! keeps the rest, so directories those releases wrote still open warm
+//! and answer exact lookups. Unknown-but-checksummed kinds are skipped,
+//! which is how a reader survives a newer writer's record types.
+//!
+//! [`CacheContext`]: mfhls_core::CacheContext
 
 use crate::codec::{ByteReader, ByteWriter, DecodeError};
 use mfhls_chip::{Accessory, AccessorySet, Capacity, ContainerKind, DeviceConfig};
@@ -49,23 +52,23 @@ pub const SEGMENT_MAGIC: &[u8; 8] = b"MFHLSTO1";
 /// Magic bytes of a v2 segment file; what new segments are created with.
 pub const SEGMENT_MAGIC_V2: &[u8; 8] = b"MFHLSTO2";
 
-/// Record kind tag of a v1 solution record (no canonical key, fixed
-/// 11-field solver stats).
+/// Record kind tag of a v1 solution record (fixed 11-field solver stats).
 pub const KIND_SOLUTION: u8 = 1;
 
-/// Record kind tag of a v2 solution record carrying the canonical key
-/// (fixed 11-field solver stats).
+/// Record kind tag of a v2 solution record that also carries the bytes of
+/// the retired canonical layer index (fixed 11-field solver stats). Read,
+/// never written.
 pub const KIND_CANONICAL_SOLUTION: u8 = 2;
 
 /// Kind 1 layout with *count-prefixed* solver stats: the stats block
 /// starts with its field count, so adding counters (as 0.11's SDC and
 /// portfolio backends did) never needs another record kind — old readers
 /// skip the unknown kind, this reader zero-fills missing fields and
-/// ignores extras.
+/// ignores extras. The only kind this build writes.
 pub const KIND_SOLUTION_V3: u8 = 3;
 
 /// Kind 2 layout with count-prefixed solver stats (see
-/// [`KIND_SOLUTION_V3`]).
+/// [`KIND_SOLUTION_V3`]). Read, never written.
 pub const KIND_CANONICAL_SOLUTION_V3: u8 = 4;
 
 /// Bytes of framing ahead of every payload: kind + len + checksum.
@@ -88,16 +91,6 @@ pub fn fnv1a64(chunks: &[&[u8]]) -> u64 {
     h
 }
 
-/// The content-addressed key bytes a v2 record carries; the op list for
-/// canonical translation lives on the accompanying [`LayerKeyParts`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CanonicalParts {
-    /// Permutation-invariant content address.
-    pub canon: Vec<u8>,
-    /// Identity-order encoding (the exactness gate).
-    pub positional: Vec<u8>,
-}
-
 /// One persisted cache entry.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolutionRecord {
@@ -107,9 +100,6 @@ pub struct SolutionRecord {
     pub key: LayerKeyParts,
     /// The solved layer.
     pub solution: LayerSolution,
-    /// The canonical key bytes — `Some` for v2 (kind 2) records, `None`
-    /// for records persisted by a v1 writer.
-    pub canonical: Option<CanonicalParts>,
 }
 
 /// Frames `payload` as one on-disk record (kind + len + checksum + bytes).
@@ -134,35 +124,43 @@ enum StatsLayout {
     Counted,
 }
 
-/// Encodes one record ready to append: framing plus payload. Records with
-/// a canonical key frame as kind 4, the rest as kind 3 (both carrying the
-/// extensible count-prefixed stats block).
+/// Encodes one record ready to append, as kind 3: framing plus payload.
 pub fn encode_record(record: &SolutionRecord) -> Vec<u8> {
+    encode_record_as(record, KIND_SOLUTION_V3, [&[], &[]])
+}
+
+/// Encodes `record` as any readable kind, the way earlier releases framed
+/// it: kinds 1 and 2 with the fixed eleven-counter stats block (later
+/// counters are dropped), kinds 2 and 4 with `canonical` (the retired
+/// index's `canon` and `positional` bytes) between the key and the
+/// solution. Like [`empty_segment_v1`], it exists so compatibility tests
+/// and tooling can fabricate directories that 0.9.0–0.15.0 wrote.
+pub fn encode_record_as(record: &SolutionRecord, kind: u8, canonical: [&[u8]; 2]) -> Vec<u8> {
+    let layout = stats_layout(kind).unwrap_or(StatsLayout::Counted);
     let mut w = ByteWriter::new();
     w.str(&record.context);
     encode_key(&mut w, &record.key);
-    match &record.canonical {
-        None => {
-            encode_solution(&mut w, &record.solution);
-            frame_record(KIND_SOLUTION_V3, &w.finish())
-        }
-        Some(c) => {
-            w.bytes(&c.canon);
-            w.bytes(&c.positional);
-            encode_solution(&mut w, &record.solution);
-            frame_record(KIND_CANONICAL_SOLUTION_V3, &w.finish())
+    if carries_canonical_bytes(kind) {
+        for bytes in canonical {
+            w.bytes(bytes);
         }
     }
+    encode_solution(&mut w, &record.solution, layout);
+    frame_record(kind, &w.finish())
 }
 
-/// Decodes a kind-1 (fixed stats) or kind-3 (counted stats)
-/// solution-record payload (the checksum has already been verified by the
-/// scanner).
+/// Decodes a solution-record payload of any kind 1–4 (the checksum has
+/// already been verified by the scanner). The canonical bytes of kinds 2
+/// and 4 are read past and dropped.
 pub fn decode_record(payload: &[u8], kind: u8) -> Result<SolutionRecord, DecodeError> {
     let layout = stats_layout(kind)?;
     let mut r = ByteReader::new(payload);
     let context = r.str()?.to_owned();
     let key = decode_key(&mut r)?;
+    if carries_canonical_bytes(kind) {
+        r.bytes()?;
+        r.bytes()?;
+    }
     let solution = decode_solution(&mut r, layout)?;
     if !r.is_exhausted() {
         return Err(DecodeError);
@@ -171,29 +169,11 @@ pub fn decode_record(payload: &[u8], kind: u8) -> Result<SolutionRecord, DecodeE
         context,
         key,
         solution,
-        canonical: None,
     })
 }
 
-/// Decodes a kind-2 (fixed stats) or kind-4 (counted stats)
-/// canonical-solution payload.
-pub fn decode_canonical_record(payload: &[u8], kind: u8) -> Result<SolutionRecord, DecodeError> {
-    let layout = stats_layout(kind)?;
-    let mut r = ByteReader::new(payload);
-    let context = r.str()?.to_owned();
-    let key = decode_key(&mut r)?;
-    let canon = r.bytes()?.to_vec();
-    let positional = r.bytes()?.to_vec();
-    let solution = decode_solution(&mut r, layout)?;
-    if !r.is_exhausted() {
-        return Err(DecodeError);
-    }
-    Ok(SolutionRecord {
-        context,
-        key,
-        solution,
-        canonical: Some(CanonicalParts { canon, positional }),
-    })
+fn carries_canonical_bytes(kind: u8) -> bool {
+    matches!(kind, KIND_CANONICAL_SOLUTION | KIND_CANONICAL_SOLUTION_V3)
 }
 
 fn stats_layout(kind: u8) -> Result<StatsLayout, DecodeError> {
@@ -257,7 +237,7 @@ fn decode_key(r: &mut ByteReader<'_>) -> Result<LayerKeyParts, DecodeError> {
     })
 }
 
-fn encode_solution(w: &mut ByteWriter, sol: &LayerSolution) {
+fn encode_solution(w: &mut ByteWriter, sol: &LayerSolution, layout: StatsLayout) {
     w.size(sol.slots.len());
     for s in &sol.slots {
         w.size(s.op.index());
@@ -280,7 +260,7 @@ fn encode_solution(w: &mut ByteWriter, sol: &LayerSolution) {
         w.size(b);
     }
     w.u64(sol.objective);
-    encode_stats(w, &sol.stats);
+    encode_stats(w, &sol.stats, layout);
 }
 
 fn decode_solution(
@@ -367,11 +347,17 @@ fn stats_from_fields(vals: [u64; STATS_FIELDS]) -> SolverStats {
     }
 }
 
-fn encode_stats(w: &mut ByteWriter, st: &SolverStats) {
+fn encode_stats(w: &mut ByteWriter, st: &SolverStats, layout: StatsLayout) {
     let fields = stats_fields(st);
-    w.size(fields.len());
-    for v in fields {
-        w.u64(v);
+    let count = match layout {
+        StatsLayout::Fixed11 => 11,
+        StatsLayout::Counted => {
+            w.size(fields.len());
+            fields.len()
+        }
+    };
+    for v in &fields[..count] {
+        w.u64(*v);
     }
 }
 
@@ -512,16 +498,8 @@ pub fn scan_segment(bytes: &[u8]) -> Result<SegmentScan, crate::error::CorruptKi
         if expected != checksum {
             scan.quarantined
                 .push((pos as u64, CorruptKind::ChecksumMismatch));
-        } else if matches!(
-            kind,
-            KIND_SOLUTION | KIND_CANONICAL_SOLUTION | KIND_SOLUTION_V3 | KIND_CANONICAL_SOLUTION_V3
-        ) {
-            let decoded = if kind == KIND_SOLUTION || kind == KIND_SOLUTION_V3 {
-                decode_record(payload, kind)
-            } else {
-                decode_canonical_record(payload, kind)
-            };
-            match decoded {
+        } else if stats_layout(kind).is_ok() {
+            match decode_record(payload, kind) {
                 Ok(rec) => scan.records.push(rec),
                 Err(_) => scan.quarantined.push((pos as u64, CorruptKind::BadPayload)),
             }
@@ -583,18 +561,15 @@ mod tests {
                     ..SolverStats::default()
                 },
             },
-            canonical: None,
         }
     }
 
-    fn sample_canonical_record(tag: u64) -> SolutionRecord {
-        SolutionRecord {
-            canonical: Some(CanonicalParts {
-                canon: format!("canon-{tag}").into_bytes(),
-                positional: format!("pos-{tag}").into_bytes(),
-            }),
-            ..sample_record(tag)
-        }
+    /// `rec` framed as kind 4, the way 0.11.0–0.15.0 persisted it with
+    /// the canonical index's bytes.
+    fn kind_4(rec: &SolutionRecord, tag: u64) -> Vec<u8> {
+        let canon = format!("canon-{tag}").into_bytes();
+        let positional = format!("pos-{tag}").into_bytes();
+        encode_record_as(rec, KIND_CANONICAL_SOLUTION_V3, [&canon, &positional])
     }
 
     #[test]
@@ -608,49 +583,13 @@ mod tests {
 
     #[test]
     fn canonical_record_round_trips_as_kind_4() {
-        let rec = sample_canonical_record(11);
-        let framed = encode_record(&rec);
+        // The canonical bytes are read past; everything else survives.
+        let rec = sample_record(11);
+        let framed = kind_4(&rec, 11);
         assert_eq!(framed[0], KIND_CANONICAL_SOLUTION_V3);
+        assert!(framed.len() > encode_record(&rec).len());
         let payload = &framed[RECORD_HEADER_LEN..];
-        assert_eq!(
-            decode_canonical_record(payload, KIND_CANONICAL_SOLUTION_V3),
-            Ok(rec)
-        );
-    }
-
-    /// Encodes `rec` exactly as a pre-0.11 writer did: kind 1, solver
-    /// stats as eleven bare u64s with no count prefix.
-    fn encode_legacy_record(rec: &SolutionRecord) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        w.str(&rec.context);
-        encode_key(&mut w, &rec.key);
-        let sol = &rec.solution;
-        w.size(sol.slots.len());
-        for s in &sol.slots {
-            w.size(s.op.index());
-            w.size(s.device);
-            w.u64(s.start);
-            w.u64(s.duration);
-            w.u64(s.transport);
-        }
-        w.size(sol.devices.len());
-        for d in &sol.devices {
-            encode_device(&mut w, d);
-        }
-        w.size(sol.new_devices.len());
-        for &d in &sol.new_devices {
-            w.size(d);
-        }
-        w.size(sol.new_paths.len());
-        for &(a, b) in &sol.new_paths {
-            w.size(a);
-            w.size(b);
-        }
-        w.u64(sol.objective);
-        for v in stats_fields(&sol.stats).into_iter().take(11) {
-            w.u64(v);
-        }
-        frame_record(KIND_SOLUTION, &w.finish())
+        assert_eq!(decode_record(payload, KIND_CANONICAL_SOLUTION_V3), Ok(rec));
     }
 
     #[test]
@@ -661,7 +600,7 @@ mod tests {
         rec.solution.stats.sdc_relaxations = 0;
         rec.solution.stats.portfolio_races = 0;
         rec.solution.stats.wins_sdc = 0;
-        let framed = encode_legacy_record(&rec);
+        let framed = encode_record_as(&rec, KIND_SOLUTION, [&[], &[]]);
         assert_eq!(framed[0], KIND_SOLUTION);
         let payload = &framed[RECORD_HEADER_LEN..];
         let decoded = decode_record(payload, KIND_SOLUTION).expect("legacy layout decodes");
@@ -671,22 +610,20 @@ mod tests {
 
     #[test]
     fn scanner_reads_both_magics_and_both_kinds() {
-        // A v1 segment containing a v1 record plus a (future, to a v1
-        // writer) kind-2 record scans fully under the v2 reader...
+        // A v1 segment containing a kind-3 record plus a (future, to a v1
+        // writer) kind-4 record scans fully under the v2 reader...
         let mut v1 = empty_segment_v1();
         v1.extend(encode_record(&sample_record(1)));
-        v1.extend(encode_record(&sample_canonical_record(2)));
+        v1.extend(kind_4(&sample_record(2), 2));
         let scan = scan_segment(&v1).expect("v1 magic accepted");
-        assert_eq!(scan.records.len(), 2);
-        assert_eq!(scan.records[0].canonical, None);
-        assert!(scan.records[1].canonical.is_some());
+        assert_eq!(scan.records, vec![sample_record(1), sample_record(2)]);
 
         // ...and a fresh v2 segment likewise.
         let mut v2 = empty_segment();
         assert_eq!(&v2[..8], SEGMENT_MAGIC_V2);
-        v2.extend(encode_record(&sample_canonical_record(3)));
+        v2.extend(kind_4(&sample_record(3), 3));
         let scan = scan_segment(&v2).expect("v2 magic accepted");
-        assert_eq!(scan.records.len(), 1);
+        assert_eq!(scan.records, vec![sample_record(3)]);
     }
 
     #[test]

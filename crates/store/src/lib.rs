@@ -18,10 +18,11 @@
 //!   hermetic tests ([`MemIo`]), and a seeded deterministic
 //!   fault-injecting decorator ([`FaultyIo`]) covering the five fault
 //!   classes of [`FaultKind`].
-//! * [`format`] — the `mfhls-store/v1` segment format: magic-headed
-//!   append-only segments of `kind ‖ len ‖ checksum ‖ payload` records,
-//!   with a scanner that quarantines corrupt records and detects torn
-//!   tails without ever panicking.
+//! * [`format`] — the `mfhls-store/v2` segment format (v1 segments and
+//!   every record kind since are still read): magic-headed append-only
+//!   segments of `kind ‖ len ‖ checksum ‖ payload` records, with a
+//!   scanner that quarantines corrupt records and detects torn tails
+//!   without ever panicking.
 //! * [`store`] — [`SolutionStore`]: open/scan/quarantine, bulk warm-load
 //!   into a `SharedLayerCache`, deduplicated appends with atomic segment
 //!   rotation, read-through fetch, and the degradation state machine,

@@ -24,13 +24,9 @@
 //!   quarantine that segment and keep loading the rest.
 
 use crate::error::{CorruptKind, StoreError, StoreOp};
-use crate::format::{
-    empty_segment, encode_record, scan_segment, CanonicalParts, SolutionRecord, SEGMENT_MAGIC_V2,
-};
+use crate::format::{empty_segment, encode_record, scan_segment, SolutionRecord, SEGMENT_MAGIC_V2};
 use crate::io::StoreIo;
-use mfhls_core::{
-    CacheBacking, CacheContext, CanonicalLayerKey, LayerKey, LayerSolution, OpId, SharedLayerCache,
-};
+use mfhls_core::{CacheBacking, CacheContext, LayerKey, LayerSolution, SharedLayerCache};
 use mfhls_obs as obs;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -92,20 +88,12 @@ struct Entry {
     context: CacheContext,
     key: LayerKey,
     solution: LayerSolution,
-    /// `Some` for entries persisted as kind-2 (v2) records; `None` for
-    /// entries a v1 writer persisted, which serve exact lookups only.
-    canonical: Option<CanonicalParts>,
 }
 
 #[derive(Debug, Default)]
 struct Inner {
     /// `(context canonical form, key) -> index into records`.
     index: HashMap<(String, LayerKey), usize>,
-    /// Content address (`canon` bytes) -> indices into records. A bucket
-    /// can hold several entries (distinct layers the canonical hash could
-    /// not separate); the `positional` bytes gate which one, if any, an
-    /// incoming lookup may reuse.
-    canon: HashMap<Vec<u8>, Vec<usize>>,
     /// Every live entry, in load-then-append order (warm-load replays
     /// this order, which is deterministic for a given disk image).
     records: Vec<Entry>,
@@ -296,14 +284,7 @@ impl SolutionStore {
     pub fn warm_into(&self, cache: &SharedLayerCache) -> u64 {
         let inner = self.locked();
         for e in &inner.records {
-            let ck = e.canonical.as_ref().map(|c| {
-                CanonicalLayerKey::from_raw(
-                    c.canon.clone(),
-                    c.positional.clone(),
-                    e.key.to_parts().ops,
-                )
-            });
-            cache.warm_load(&e.context, e.key.clone(), ck.as_ref(), e.solution.clone());
+            cache.warm_load(&e.context, e.key.clone(), e.solution.clone());
         }
         inner.records.len() as u64
     }
@@ -326,39 +307,6 @@ impl SolutionStore {
         }
     }
 
-    /// Returns a persisted solution whose canonical key matches
-    /// `canonical` — same content address *and* same positional (exactness
-    /// gate) bytes — with the op list its slots refer to. Only kind-2
-    /// entries participate; a directory written entirely by a v1 process
-    /// always misses here until its entries are re-persisted.
-    pub fn fetch_canonical(
-        &self,
-        canonical: &CanonicalLayerKey,
-    ) -> Option<(Vec<OpId>, LayerSolution)> {
-        let mut inner = self.locked();
-        let found = inner.canon.get(canonical.canon_bytes()).and_then(|bucket| {
-            bucket.iter().copied().find(|&at| {
-                inner.records[at]
-                    .canonical
-                    .as_ref()
-                    .is_some_and(|c| c.positional.as_slice() == canonical.positional_bytes())
-            })
-        });
-        match found {
-            Some(at) => {
-                inner.stats.hits += 1;
-                obs::diagnostic_counter("store_hit", 1);
-                let e = &inner.records[at];
-                Some((e.key.to_parts().ops, e.solution.clone()))
-            }
-            None => {
-                inner.stats.misses += 1;
-                obs::diagnostic_counter("store_miss", 1);
-                None
-            }
-        }
-    }
-
     /// Persists one solution. Deduplicates against everything already
     /// stored; rotates segments as they fill.
     ///
@@ -372,7 +320,6 @@ impl SolutionStore {
         &self,
         context: &CacheContext,
         key: &LayerKey,
-        canonical: Option<&CanonicalLayerKey>,
         solution: &LayerSolution,
     ) -> Result<(), StoreError> {
         let mut inner = self.locked();
@@ -380,25 +327,14 @@ impl SolutionStore {
             inner.stats.dropped += 1;
             return Err(StoreError::Degraded { cause });
         }
-        let parts = canonical.map(|c| CanonicalParts {
-            canon: c.canon_bytes().to_vec(),
-            positional: c.positional_bytes().to_vec(),
-        });
         let probe = (context.as_str().to_owned(), key.clone());
-        if let Some(&at) = inner.index.get(&probe) {
-            if parts.is_none() || inner.records[at].canonical.is_some() {
-                return Ok(());
-            }
-            // A v1-era entry being re-persisted with its canonical key:
-            // fall through and append it again as a kind-2 record, so the
-            // canonical index survives a reload (`index_record_parts`
-            // merges the duplicate instead of double-counting it).
+        if inner.index.contains_key(&probe) {
+            return Ok(());
         }
         let framed = encode_record(&SolutionRecord {
             context: context.as_str().to_owned(),
             key: key.to_parts(),
             solution: solution.clone(),
-            canonical: parts.clone(),
         });
         if inner.active_len + framed.len() as u64 > self.config.max_segment_bytes
             && inner.active_len > SEGMENT_MAGIC_V2.len() as u64
@@ -434,13 +370,7 @@ impl SolutionStore {
             None => {
                 inner.active_len += framed.len() as u64;
                 inner.stats.appended += 1;
-                index_record_parts(
-                    &mut inner,
-                    context.clone(),
-                    key.clone(),
-                    solution.clone(),
-                    parts,
-                );
+                index_record_parts(&mut inner, context.clone(), key.clone(), solution.clone());
                 inner.stats.entries = inner.index.len();
                 obs::diagnostic_counter("store_appended", 1);
                 Ok(())
@@ -543,7 +473,7 @@ fn rotate(inner: &mut Inner, io: &dyn StoreIo, dir: &Path, seq: u64) -> bool {
 fn index_record(inner: &mut Inner, rec: SolutionRecord) {
     let context = CacheContext::from_canonical(&rec.context);
     let key = LayerKey::from_parts(rec.key);
-    index_record_parts(inner, context, key, rec.solution, rec.canonical);
+    index_record_parts(inner, context, key, rec.solution);
 }
 
 fn index_record_parts(
@@ -551,33 +481,20 @@ fn index_record_parts(
     context: CacheContext,
     key: LayerKey,
     solution: LayerSolution,
-    canonical: Option<CanonicalParts>,
 ) {
     let probe = (context.as_str().to_owned(), key.clone());
-    if let Some(&at) = inner.index.get(&probe) {
-        // Duplicate (e.g. the same key persisted by two past processes):
-        // all solvers are deterministic, so the payloads are identical —
-        // keep the first. One exception: a kind-2 duplicate of a v1-era
-        // entry upgrades it in place, adopting the canonical key.
-        if inner.records[at].canonical.is_none() {
-            if let Some(c) = canonical {
-                inner.canon.entry(c.canon.clone()).or_default().push(at);
-                inner.records[at].canonical = Some(c);
-            }
-        }
+    // A duplicate (e.g. the same key persisted by two past processes)
+    // keeps the first: all solvers are deterministic, so the payloads are
+    // identical.
+    if inner.index.contains_key(&probe) {
         return;
     }
-    let at = inner.records.len();
-    if let Some(c) = &canonical {
-        inner.canon.entry(c.canon.clone()).or_default().push(at);
-    }
+    inner.index.insert(probe, inner.records.len());
     inner.records.push(Entry {
         context,
         key,
         solution,
-        canonical,
     });
-    inner.index.insert(probe, at);
 }
 
 impl CacheBacking for SolutionStore {
@@ -588,20 +505,6 @@ impl CacheBacking for SolutionStore {
     fn persist(&self, context: &CacheContext, key: &LayerKey, solution: &LayerSolution) {
         // Write-behind is fire-and-forget by contract: a failure has
         // already flipped the store to degraded and been counted.
-        let _ = self.append(context, key, None, solution);
-    }
-
-    fn fetch_canonical(&self, canonical: &CanonicalLayerKey) -> Option<(Vec<OpId>, LayerSolution)> {
-        SolutionStore::fetch_canonical(self, canonical)
-    }
-
-    fn persist_canonical(
-        &self,
-        context: &CacheContext,
-        key: &LayerKey,
-        canonical: &CanonicalLayerKey,
-        solution: &LayerSolution,
-    ) {
-        let _ = self.append(context, key, Some(canonical), solution);
+        let _ = self.append(context, key, solution);
     }
 }

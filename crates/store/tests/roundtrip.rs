@@ -1,12 +1,13 @@
-//! Property tests of the `mfhls-store/v2` record format (and its v1
-//! compatibility) plus the store's crash-replay behaviour, driven by the
-//! workspace's vendored [`SplitMix64`] — no external property-testing
-//! dependency.
+//! Property tests of the `mfhls-store/v2` record format (and its
+//! compatibility with every record kind earlier releases wrote) plus the
+//! store's crash-replay behaviour, driven by the workspace's vendored
+//! [`SplitMix64`] — no external property-testing dependency.
 //!
 //! The load-bearing properties:
 //!
-//! * **Round-trip**: any encodable [`SolutionRecord`] decodes back to an
-//!   equal value through the full segment scanner.
+//! * **Round-trip**: any encodable [`SolutionRecord`], framed as any of
+//!   the readable kinds 1–4, decodes back to an equal value through the
+//!   full segment scanner.
 //! * **Torn-tail totality**: truncating a segment at *every* byte offset
 //!   inside its final record yields the clean prefix of records, a torn
 //!   tail at the final record's start, and never an error or a wrong
@@ -20,12 +21,13 @@
 //!   appends afterwards.
 
 use mfhls_chip::{Accessory, AccessorySet, ContainerKind, DeviceConfig};
-use mfhls_core::{CacheContext, CanonicalLayerKey, LayerKey, LayerKeyParts, OpId};
+use mfhls_core::{CacheContext, LayerKey, LayerKeyParts, OpId};
 use mfhls_core::{LayerSolution, ScheduledOp, SolverStats};
 use mfhls_graph::rng::SplitMix64;
 use mfhls_store::format::{
-    empty_segment_v1, encode_record, scan_segment, CanonicalParts, SolutionRecord, SEGMENT_MAGIC,
-    SEGMENT_MAGIC_V2,
+    empty_segment, empty_segment_v1, encode_record, encode_record_as, scan_segment, SolutionRecord,
+    KIND_CANONICAL_SOLUTION, KIND_CANONICAL_SOLUTION_V3, KIND_SOLUTION, KIND_SOLUTION_V3,
+    SEGMENT_MAGIC, SEGMENT_MAGIC_V2,
 };
 use mfhls_store::{MemIo, SolutionStore, StoreConfig};
 use std::collections::BTreeSet;
@@ -117,28 +119,67 @@ fn rng_solution(rng: &mut SplitMix64) -> LayerSolution {
 }
 
 fn rng_record(rng: &mut SplitMix64) -> SolutionRecord {
-    // Half the corpus carries a canonical key, so every property below
-    // (round-trip, torn tails, bit flips) covers both record kinds.
-    let canonical = rng.gen_bool(0.5).then(|| CanonicalParts {
-        canon: (0..8 + below(rng, 24))
-            .map(|_| rng.next_u64() as u8)
-            .collect(),
-        positional: (0..8 + below(rng, 24))
-            .map(|_| rng.next_u64() as u8)
-            .collect(),
-    });
     SolutionRecord {
         context: format!("cfg:prop-{}|", below(rng, 1 << 20)),
         key: rng_key(rng),
         solution: rng_solution(rng),
-        canonical,
     }
 }
 
-fn segment_of(records: &[SolutionRecord]) -> Vec<u8> {
+fn rng_bytes(rng: &mut SplitMix64) -> Vec<u8> {
+    (0..8 + below(rng, 24))
+        .map(|_| rng.next_u64() as u8)
+        .collect()
+}
+
+const KINDS: [u8; 4] = [
+    KIND_SOLUTION,
+    KIND_CANONICAL_SOLUTION,
+    KIND_SOLUTION_V3,
+    KIND_CANONICAL_SOLUTION_V3,
+];
+
+/// `record` framed as `kind`, the way the release that wrote that kind
+/// persisted it: kinds 2 and 4 carry the retired canonical index's
+/// `canon` and `positional` bytes, which the reader skips. Kinds 1 and 2
+/// hold only the eleven pre-0.11 solver counters, so the later ones are
+/// zeroed in `record` first.
+fn frame_as(record: &mut SolutionRecord, kind: u8, rng: &mut SplitMix64) -> Vec<u8> {
+    if kind == KIND_SOLUTION || kind == KIND_CANONICAL_SOLUTION {
+        record.solution.stats = SolverStats {
+            sdc_solves: 0,
+            sdc_constraints: 0,
+            sdc_retracts: 0,
+            sdc_relaxations: 0,
+            portfolio_races: 0,
+            wins_heuristic: 0,
+            wins_sdc: 0,
+            wins_ilp: 0,
+            ..record.solution.stats
+        };
+    }
+    let (canon, positional) = (rng_bytes(rng), rng_bytes(rng));
+    encode_record_as(record, kind, [&canon, &positional])
+}
+
+/// A random record and its frame, in a random readable kind, so every
+/// property below (round-trip, torn tails, bit flips) covers the bytes
+/// this build reads past as well as the kind it writes.
+fn rng_framed(rng: &mut SplitMix64) -> (SolutionRecord, Vec<u8>) {
+    let mut record = rng_record(rng);
+    let kind = KINDS[below(rng, KINDS.len())];
+    let framed = frame_as(&mut record, kind, rng);
+    (record, framed)
+}
+
+fn rng_corpus(rng: &mut SplitMix64, n: usize) -> (Vec<SolutionRecord>, Vec<Vec<u8>>) {
+    (0..n).map(|_| rng_framed(rng)).unzip()
+}
+
+fn segment_of(frames: &[Vec<u8>]) -> Vec<u8> {
     let mut seg = SEGMENT_MAGIC.to_vec();
-    for r in records {
-        seg.extend_from_slice(&encode_record(r));
+    for f in frames {
+        seg.extend_from_slice(f);
     }
     seg
 }
@@ -147,9 +188,8 @@ fn segment_of(records: &[SolutionRecord]) -> Vec<u8> {
 fn random_records_round_trip_through_the_segment_scanner() {
     let mut rng = SplitMix64::seed_from_u64(0x5eed_0001);
     for _ in 0..64 {
-        let record = rng_record(&mut rng);
-        let scan = scan_segment(&segment_of(std::slice::from_ref(&record)))
-            .expect("well-formed segment scans");
+        let (record, framed) = rng_framed(&mut rng);
+        let scan = scan_segment(&segment_of(&[framed])).expect("well-formed segment scans");
         assert_eq!(scan.records, vec![record]);
         assert!(scan.quarantined.is_empty());
         assert_eq!(scan.torn_tail_at, None);
@@ -159,8 +199,8 @@ fn random_records_round_trip_through_the_segment_scanner() {
 #[test]
 fn multi_record_segments_scan_in_order() {
     let mut rng = SplitMix64::seed_from_u64(0x5eed_0002);
-    let records: Vec<SolutionRecord> = (0..32).map(|_| rng_record(&mut rng)).collect();
-    let seg = segment_of(&records);
+    let (records, frames) = rng_corpus(&mut rng, 32);
+    let seg = segment_of(&frames);
     let scan = scan_segment(&seg).expect("well-formed segment scans");
     assert_eq!(scan.records, records);
     assert!(scan.quarantined.is_empty());
@@ -170,9 +210,9 @@ fn multi_record_segments_scan_in_order() {
 #[test]
 fn truncation_at_every_byte_offset_of_the_final_record_is_a_torn_tail() {
     let mut rng = SplitMix64::seed_from_u64(0x5eed_0003);
-    let records: Vec<SolutionRecord> = (0..3).map(|_| rng_record(&mut rng)).collect();
-    let seg = segment_of(&records);
-    let boundary = segment_of(&records[..2]).len();
+    let (records, frames) = rng_corpus(&mut rng, 3);
+    let seg = segment_of(&frames);
+    let boundary = segment_of(&frames[..2]).len();
     for cut in boundary..seg.len() {
         let scan = scan_segment(&seg[..cut])
             .unwrap_or_else(|e| panic!("truncation at {cut} must scan, got {e:?}"));
@@ -190,22 +230,25 @@ fn truncation_at_every_byte_offset_of_the_final_record_is_a_torn_tail() {
 #[test]
 fn any_single_bit_flip_in_a_record_is_never_served_as_valid() {
     let mut rng = SplitMix64::seed_from_u64(0x5eed_0004);
-    let record = rng_record(&mut rng);
-    let seg = segment_of(std::slice::from_ref(&record));
-    for at in SEGMENT_MAGIC.len()..seg.len() {
-        for bit in 0..8 {
-            let mut bad = seg.clone();
-            bad[at] ^= 1 << bit;
-            let scan = scan_segment(&bad)
-                .unwrap_or_else(|e| panic!("flip at {at}.{bit}: header intact, got {e:?}"));
-            assert!(
-                scan.records.is_empty(),
-                "flip at byte {at} bit {bit} produced a record"
-            );
-            assert!(
-                !scan.quarantined.is_empty() || scan.torn_tail_at.is_some(),
-                "flip at byte {at} bit {bit} went unnoticed"
-            );
+    for kind in KINDS {
+        let mut record = rng_record(&mut rng);
+        let seg = segment_of(&[frame_as(&mut record, kind, &mut rng)]);
+        for at in SEGMENT_MAGIC.len()..seg.len() {
+            for bit in 0..8 {
+                let mut bad = seg.clone();
+                bad[at] ^= 1 << bit;
+                let scan = scan_segment(&bad).unwrap_or_else(|e| {
+                    panic!("kind {kind} flip at {at}.{bit}: header intact, got {e:?}")
+                });
+                assert!(
+                    scan.records.is_empty(),
+                    "kind {kind}: flip at byte {at} bit {bit} produced a record"
+                );
+                assert!(
+                    !scan.quarantined.is_empty() || scan.torn_tail_at.is_some(),
+                    "kind {kind}: flip at byte {at} bit {bit} went unnoticed"
+                );
+            }
         }
     }
 }
@@ -229,9 +272,7 @@ fn crash_truncated_store_reloads_the_clean_prefix_and_keeps_working() {
     let io = Arc::new(MemIo::new());
     let store = SolutionStore::open(dir, StoreConfig::default(), io.clone());
     for (key, sol) in &entries {
-        store
-            .append(&ctx, key, None, sol)
-            .expect("MemIo append succeeds");
+        store.append(&ctx, key, sol).expect("MemIo append succeeds");
     }
     let full = io.contents(&seg_path).expect("segment exists");
     drop(store);
@@ -265,7 +306,7 @@ fn crash_truncated_store_reloads_the_clean_prefix_and_keeps_working() {
         // cleanly and survive yet another reopen.
         let (key, sol) = &entries[entries.len() - 1];
         reopened
-            .append(&ctx, key, None, sol)
+            .append(&ctx, key, sol)
             .expect("append after tail repair");
         let third = SolutionStore::open(dir, StoreConfig::default(), io);
         assert_eq!(third.fetch(&ctx, key).as_ref(), Some(sol), "cut at {cut}");
@@ -273,57 +314,79 @@ fn crash_truncated_store_reloads_the_clean_prefix_and_keeps_working() {
 }
 
 #[test]
-fn a_v1_directory_round_trips_and_upgrades_to_canonical_service() {
-    let dir = Path::new("/mem/upgrade");
-    let seg_path = dir.join("segment-00001.mfs");
+fn a_directory_mixing_every_record_kind_opens_warm_and_appends_kind_3() {
+    let dir = Path::new("/mem/mixed");
     let mut rng = SplitMix64::seed_from_u64(0x5eed_0006);
 
-    // Fabricate a directory exactly as a v1 writer left it: v1 magic,
-    // kind-1 records only.
-    let mut v1_records = Vec::new();
-    let mut seg = empty_segment_v1();
-    for _ in 0..4 {
-        let mut rec = rng_record(&mut rng);
-        rec.canonical = None;
-        seg.extend_from_slice(&encode_record(&rec));
-        v1_records.push(rec);
-    }
+    // Fabricate a directory as releases up to 0.15.0 left it: a v1 segment
+    // of kinds 1 and 2 (0.9.0–0.10.0), then a v2 segment of kinds 3 and 4
+    // (0.11.0–0.15.0).
+    let mut records = Vec::new();
     let io = Arc::new(MemIo::new());
-    io.set_contents(&seg_path, seg);
+    for (seq, mut seg, kinds) in [
+        (
+            1,
+            empty_segment_v1(),
+            [KIND_SOLUTION, KIND_CANONICAL_SOLUTION],
+        ),
+        (
+            2,
+            empty_segment(),
+            [KIND_SOLUTION_V3, KIND_CANONICAL_SOLUTION_V3],
+        ),
+    ] {
+        for kind in kinds.into_iter().cycle().take(4) {
+            let mut rec = rng_record(&mut rng);
+            seg.extend_from_slice(&frame_as(&mut rec, kind, &mut rng));
+            records.push(rec);
+        }
+        io.set_contents(&dir.join(format!("segment-{seq:05}.mfs")), seg);
+    }
 
     let store = SolutionStore::open(dir, StoreConfig::default(), io.clone());
     let stats = store.stats();
     assert!(!stats.degraded, "{stats:?}");
-    assert_eq!(stats.loaded, v1_records.len() as u64);
-    assert_eq!(stats.quarantined, 0);
+    assert_eq!(stats.loaded, records.len() as u64);
+    assert_eq!(stats.quarantined + stats.quarantined_segments, 0);
+    assert_eq!(stats.entries, records.len());
 
-    // Exact fetches work straight off the v1 image...
-    let rec = &v1_records[0];
-    let key = LayerKey::from_parts(rec.key.clone());
-    let rec_ctx = CacheContext::from_canonical(&rec.context);
-    assert_eq!(store.fetch(&rec_ctx, &key), Some(rec.solution.clone()));
+    // Every record answers an exact fetch...
+    for rec in &records {
+        let key = LayerKey::from_parts(rec.key.clone());
+        let ctx = CacheContext::from_canonical(&rec.context);
+        assert_eq!(store.fetch(&ctx, &key), Some(rec.solution.clone()));
+    }
+    // ...and is offered to a warm-loading cache.
+    let cache = mfhls_core::SharedLayerCache::new(64);
+    assert_eq!(store.warm_into(&cache), records.len() as u64);
+    assert_eq!(cache.len(), records.len());
 
-    // ...but canonical lookups miss until the entry is re-persisted with
-    // its canonical key, which upgrades it in place via a kind-2 append.
-    let ck = CanonicalLayerKey::from_raw(
-        b"canon-upgrade".to_vec(),
-        b"pos-upgrade".to_vec(),
-        rec.key.ops.clone(),
-    );
-    assert_eq!(store.fetch_canonical(&ck), None);
+    // A re-persisted entry is a no-op; a new one lands as kind 3 in the
+    // active (latest) segment and survives a reload.
+    let old = &records[1];
+    let old_key = LayerKey::from_parts(old.key.clone());
+    let old_ctx = CacheContext::from_canonical(&old.context);
     store
-        .append(&rec_ctx, &key, Some(&ck), &rec.solution)
-        .expect("upgrade append");
-    let (ops, sol) = store.fetch_canonical(&ck).expect("canonical hit");
-    assert_eq!(ops, rec.key.ops);
-    assert_eq!(sol, rec.solution);
-
-    // The upgrade survives a reload without double-counting the entry.
+        .append(&old_ctx, &old_key, &old.solution)
+        .expect("dedup append");
+    assert_eq!(store.stats().appended, 0);
+    let fresh = rng_record(&mut rng);
+    let fresh_key = LayerKey::from_parts(fresh.key.clone());
+    let fresh_ctx = CacheContext::from_canonical(&fresh.context);
+    let active = dir.join("segment-00002.mfs");
+    let before = io.contents(&active).expect("active segment").len();
+    store
+        .append(&fresh_ctx, &fresh_key, &fresh.solution)
+        .expect("fresh append");
+    let after = io.contents(&active).expect("active segment");
+    assert_eq!(after[before], KIND_SOLUTION_V3);
+    assert_eq!(&after[before..], &encode_record(&fresh)[..]);
     let reopened = SolutionStore::open(dir, StoreConfig::default(), io.clone());
-    let (ops, sol) = reopened.fetch_canonical(&ck).expect("hit after reload");
-    assert_eq!(ops, rec.key.ops);
-    assert_eq!(sol, rec.solution);
-    assert_eq!(reopened.stats().entries, v1_records.len());
+    assert_eq!(reopened.stats().entries, records.len() + 1);
+    assert_eq!(
+        reopened.fetch(&fresh_ctx, &fresh_key),
+        Some(fresh.solution.clone())
+    );
 
     // A fresh directory starts life with the v2 magic.
     let fresh_dir = Path::new("/mem/fresh");

@@ -734,21 +734,15 @@ pub fn response_ok(
 /// The nondeterministic `diagnostics` payload: wall-clock runtime and the
 /// per-run layer-cache split (which may vary with the thread count and,
 /// for the shared cache, with cross-request interleaving). `cache_hits`
-/// is the total; `cache_canonical_hits` (renumbered layers served via the
-/// canonical index) and `cache_store_hits` (read-through fills from a
-/// persistent store) are its classified subsets, the remainder being
-/// exact in-memory hits. `delta_hit` marks a response replayed whole from
+/// is the total; `cache_store_hits` (read-through fills from a persistent
+/// store) is its classified subset, the remainder being exact in-memory
+/// hits. `delta_hit` marks a response replayed whole from
 /// the service's delta cache — its other counters then describe the run
 /// that originally produced the result. `solver` is echoed back as the
 /// fully-resolved structured spec ([`crate::spec::spec_json`]) so clients
 /// see exactly which strategy — defaults filled in — served the request.
 pub fn diagnostics_json(result: &SynthesisResult, delta_hit: bool, solver: &SolverKind) -> Json {
     let hits: u64 = result.iterations.iter().map(|it| it.cache_hits).sum();
-    let canonical: u64 = result
-        .iterations
-        .iter()
-        .map(|it| it.cache_canonical_hits)
-        .sum();
     let store: u64 = result.iterations.iter().map(|it| it.cache_store_hits).sum();
     let misses: u64 = result.iterations.iter().map(|it| it.cache_misses).sum();
     obj(vec![
@@ -757,7 +751,6 @@ pub fn diagnostics_json(result: &SynthesisResult, delta_hit: bool, solver: &Solv
             Json::Int(result.runtime.as_micros().min(i64::MAX as u128) as i64),
         ),
         ("cache_hits", Json::Int(hits as i64)),
-        ("cache_canonical_hits", Json::Int(canonical as i64)),
         ("cache_store_hits", Json::Int(store as i64)),
         ("cache_misses", Json::Int(misses as i64)),
         ("delta_hit", Json::Bool(delta_hit)),
@@ -1114,7 +1107,7 @@ mod tests {
         )
         .to_string();
         assert!(with.contains("runtime_us"), "{with}");
-        assert!(with.contains("cache_canonical_hits"), "{with}");
+        assert!(!with.contains("canonical"), "{with}");
         assert!(with.contains("cache_store_hits"), "{with}");
         assert!(with.contains("\"delta_hit\":false"), "{with}");
         assert!(

@@ -66,8 +66,6 @@ pub(crate) struct WindowStats {
     /// Shared-cache hits (any class) drained from the per-window
     /// counters.
     pub window_hits: u64,
-    /// Of `window_hits`, those the canonical index served.
-    pub window_canonical_hits: u64,
     /// Of `window_hits`, those filled by store read-through.
     pub window_store_hits: u64,
     /// Shared-cache misses drained from the per-window counters.
@@ -96,7 +94,6 @@ impl WindowStats {
         self.rejected += other.rejected;
         self.cancelled += other.cancelled;
         self.window_hits += other.window_hits;
-        self.window_canonical_hits += other.window_canonical_hits;
         self.window_store_hits += other.window_store_hits;
         self.window_misses += other.window_misses;
         self.delta_hits += other.delta_hits;
@@ -115,7 +112,6 @@ pub(crate) fn merge_shards(into: &mut Vec<ShardStats>, from: &[ShardStats]) {
     for (a, b) in into.iter_mut().zip(from) {
         a.requests += b.requests;
         a.exact_hits += b.exact_hits;
-        a.canonical_hits += b.canonical_hits;
         a.store_hits += b.store_hits;
         a.delta_hits += b.delta_hits;
         a.misses += b.misses;

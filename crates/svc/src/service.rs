@@ -138,9 +138,6 @@ pub struct ShardStats {
     pub requests: u64,
     /// Exact-key layer-cache hits observed by this shard's requests.
     pub exact_hits: u64,
-    /// Layer-cache hits served through the canonical (renumbering-
-    /// invariant) index.
-    pub canonical_hits: u64,
     /// Layer-cache fills read through from the persistent store. These
     /// were previously folded into the plain hit count, hiding how much
     /// traffic the disk actually absorbed.
@@ -155,7 +152,7 @@ pub struct ShardStats {
 impl ShardStats {
     /// Total layer-cache hits of any class.
     pub fn hits(&self) -> u64 {
-        self.exact_hits + self.canonical_hits + self.store_hits
+        self.exact_hits + self.store_hits
     }
 }
 
@@ -180,8 +177,6 @@ pub struct ServiceSummary {
     /// windows (the per-window counters are drained at every flush, so
     /// TCP-mode connections don't inherit each other's rates).
     pub window_hits: u64,
-    /// Of `window_hits`, how many the canonical index served.
-    pub window_canonical_hits: u64,
     /// Of `window_hits`, how many were read-through fills from the
     /// persistent store (previously misreported as plain hits).
     pub window_store_hits: u64,
@@ -210,7 +205,6 @@ impl ServiceSummary {
         self.shutdown |= other.shutdown;
         self.cache = other.cache;
         self.window_hits += other.window_hits;
-        self.window_canonical_hits += other.window_canonical_hits;
         self.window_store_hits += other.window_store_hits;
         self.window_misses += other.window_misses;
         self.delta_hits += other.delta_hits;
@@ -239,7 +233,6 @@ impl ServiceSummary {
         self.rejected += w.rejected;
         self.cancelled += w.cancelled;
         self.window_hits += w.window_hits;
-        self.window_canonical_hits += w.window_canonical_hits;
         self.window_store_hits += w.window_store_hits;
         self.window_misses += w.window_misses;
         self.delta_hits += w.delta_hits;
@@ -265,23 +258,19 @@ impl std::fmt::Display for ServiceSummary {
             self.cache.capacity,
             self.window_hit_rate() * 100.0
         )?;
-        if self.window_canonical_hits > 0 || self.window_store_hits > 0 {
-            write!(
-                f,
-                " ({} canonical, {} store)",
-                self.window_canonical_hits, self.window_store_hits
-            )?;
+        if self.window_store_hits > 0 {
+            write!(f, " ({} store)", self.window_store_hits)?;
         }
         if self.delta_hits > 0 {
             write!(f, "; {} delta replays", self.delta_hits)?;
         }
         if self.shards.len() > 1 {
-            write!(f, "; shards [req/exact/canon/store/delta]")?;
+            write!(f, "; shards [req/exact/store/delta]")?;
             for s in &self.shards {
                 write!(
                     f,
-                    " {}/{}/{}/{}/{}",
-                    s.requests, s.exact_hits, s.canonical_hits, s.store_hits, s.delta_hits
+                    " {}/{}/{}/{}",
+                    s.requests, s.exact_hits, s.store_hits, s.delta_hits
                 )?;
             }
         }
@@ -320,7 +309,6 @@ struct SolvedOne {
     line: Json,
     outcome: Outcome,
     cache_hits: u64,
-    cache_canonical_hits: u64,
     cache_store_hits: u64,
     cache_misses: u64,
     delta_hit: bool,
@@ -811,11 +799,8 @@ impl SynthesisService {
             }
             let per_shard = &mut stats.shards[p.shard % shards];
             per_shard.requests += 1;
-            per_shard.canonical_hits += solved.cache_canonical_hits;
             per_shard.store_hits += solved.cache_store_hits;
-            per_shard.exact_hits += solved
-                .cache_hits
-                .saturating_sub(solved.cache_canonical_hits + solved.cache_store_hits);
+            per_shard.exact_hits += solved.cache_hits.saturating_sub(solved.cache_store_hits);
             per_shard.misses += solved.cache_misses;
             if solved.delta_hit {
                 per_shard.delta_hits += 1;
@@ -833,12 +818,10 @@ impl SynthesisService {
         let window = self.cache.take_window_counters();
         obs::diagnostic_counter("svc.cache_hits", window.hits() as i64);
         obs::diagnostic_counter("svc.cache_exact_hits", window.exact_hits as i64);
-        obs::diagnostic_counter("svc.cache_canonical_hits", window.canonical_hits as i64);
         obs::diagnostic_counter("svc.cache_store_hits", window.store_hits as i64);
         obs::diagnostic_counter("svc.cache_misses", window.misses as i64);
         obs::diagnostic_counter("svc.delta_hits", stats.delta_hits as i64);
         stats.window_hits = window.hits();
-        stats.window_canonical_hits = window.canonical_hits;
         stats.window_store_hits = window.store_hits;
         stats.window_misses = window.misses;
         // The store moves while solve_one runs muted, so its counters are
@@ -927,7 +910,6 @@ impl SynthesisService {
             line: response_error(Some(&p.id), kind, message),
             outcome: Outcome::Rejected(kind),
             cache_hits: 0,
-            cache_canonical_hits: 0,
             cache_store_hits: 0,
             cache_misses: 0,
             delta_hit: false,
@@ -971,7 +953,6 @@ impl SynthesisService {
                     ),
                     outcome: Outcome::Solved,
                     cache_hits: 0,
-                    cache_canonical_hits: 0,
                     cache_store_hits: 0,
                     cache_misses: 0,
                     delta_hit: true,
@@ -1000,11 +981,6 @@ impl SynthesisService {
                     delta.insert(shape, &result);
                 }
                 let cache_hits = result.iterations.iter().map(|it| it.cache_hits).sum();
-                let cache_canonical_hits = result
-                    .iterations
-                    .iter()
-                    .map(|it| it.cache_canonical_hits)
-                    .sum();
                 let cache_store_hits = result.iterations.iter().map(|it| it.cache_store_hits).sum();
                 let cache_misses = result.iterations.iter().map(|it| it.cache_misses).sum();
                 SolvedOne {
@@ -1019,7 +995,6 @@ impl SynthesisService {
                     ),
                     outcome: Outcome::Solved,
                     cache_hits,
-                    cache_canonical_hits,
                     cache_store_hits,
                     cache_misses,
                     delta_hit: false,
@@ -1278,14 +1253,7 @@ mod tests {
         // problems again in a later re-synthesis pass.
         let (_, second) = run(&service, &req("fresh", 7));
         let (_, alone) = run(&SynthesisService::new(config), &req("fresh", 7));
-        let window = |s: &ServiceSummary| {
-            (
-                s.window_hits,
-                s.window_canonical_hits,
-                s.window_store_hits,
-                s.window_misses,
-            )
-        };
+        let window = |s: &ServiceSummary| (s.window_hits, s.window_store_hits, s.window_misses);
         assert_eq!(window(&second), window(&alone), "{second:?}");
         assert!(second.window_misses > 0, "{second:?}");
         // Lifetime stats still accumulate for capacity accounting.
@@ -1398,14 +1366,12 @@ mod tests {
             solved: 4,
             batches: 1,
             window_hits: 5,
-            window_canonical_hits: 2,
             window_store_hits: 1,
             delta_hits: 3,
             shards: vec![
                 ShardStats {
                     requests: 3,
                     exact_hits: 2,
-                    canonical_hits: 1,
                     store_hits: 1,
                     delta_hits: 2,
                     misses: 1,
@@ -1413,7 +1379,6 @@ mod tests {
                 ShardStats {
                     requests: 1,
                     exact_hits: 0,
-                    canonical_hits: 1,
                     store_hits: 0,
                     delta_hits: 1,
                     misses: 2,
@@ -1422,12 +1387,12 @@ mod tests {
             accept_retries: 2,
             ..ServiceSummary::default()
         };
-        assert_eq!(summary.shards[0].hits(), 4);
+        assert_eq!(summary.shards[0].hits(), 3);
         let line = summary.to_string();
-        assert!(line.contains("(2 canonical, 1 store)"), "{line}");
+        assert!(line.contains("(1 store)"), "{line}");
         assert!(line.contains("3 delta replays"), "{line}");
         assert!(
-            line.contains("shards [req/exact/canon/store/delta] 3/2/1/1/2 1/0/1/0/1"),
+            line.contains("shards [req/exact/store/delta] 3/2/1/2 1/0/0/1"),
             "{line}"
         );
         assert!(line.contains("2 accept retries"), "{line}");
@@ -1453,7 +1418,7 @@ mod tests {
         assert!(!quiet.contains("shards"), "{quiet}");
         assert!(!quiet.contains("retries"), "{quiet}");
         assert!(!quiet.contains("delta"), "{quiet}");
-        assert!(!quiet.contains("canonical"), "{quiet}");
+        assert!(!quiet.contains("store"), "{quiet}");
     }
 
     #[test]

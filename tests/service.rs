@@ -417,6 +417,56 @@ fn response_stream_is_byte_identical_across_shard_worker_pipeline_matrix() {
 }
 
 #[test]
+fn tcp_and_stdin_serve_the_same_bytes() {
+    // `serve_listener` runs each connection through the same loop `serve`
+    // runs over stdin, so one connection's response bytes must equal a
+    // stdin run over the same window stream, shutdown included.
+    use std::io::{Read, Write};
+    let mut input = String::new();
+    for window in 0..2 {
+        for i in 0..4 {
+            let id = format!("w{window}r{i}");
+            input.push_str(&request(&id, window * 4 + i, 1 + i % 3, Vec::new()));
+            input.push('\n');
+        }
+        if window == 0 {
+            input.push_str("definitely not json\n");
+        }
+        input.push('\n');
+    }
+    input.push_str(&format!(
+        "{{\"version\":\"{VERSION}\",\"type\":\"shutdown\"}}\n"
+    ));
+    let (expected, stdin_summary) = serve(ServiceConfig::default(), &input);
+    assert!(stdin_summary.shutdown);
+
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().expect("bound address");
+    let service = SynthesisService::new(ServiceConfig::default());
+    let (got, summary) = std::thread::scope(|scope| {
+        let server = scope.spawn(|| service.serve_listener(&listener, true));
+        let mut conn = std::net::TcpStream::connect(addr).expect("connect");
+        let mut writer = conn.try_clone().expect("clone the client stream");
+        let bytes = input.as_bytes();
+        // Send from a second thread so responses are read while the
+        // stream is still being written.
+        scope.spawn(move || writer.write_all(bytes).expect("send the stream"));
+        let mut got = String::new();
+        conn.read_to_string(&mut got)
+            .expect("read until the server closes");
+        let summary = server
+            .join()
+            .expect("server thread")
+            .expect("serve_listener");
+        (got, summary)
+    });
+    assert_eq!(got, expected);
+    assert!(summary.shutdown);
+    assert_eq!(summary.solved, stdin_summary.solved);
+    assert_eq!(summary.solved, 8);
+}
+
+#[test]
 fn oversized_assay_is_rejected_at_admission() {
     let input = format!(
         "{}\n\n",

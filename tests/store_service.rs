@@ -217,6 +217,59 @@ fn sigkill_mid_write_restart_is_byte_identical_and_warm() {
 }
 
 #[test]
+fn each_layer_miss_reads_through_the_store_once() {
+    // A cold store answers nothing, so every layer miss costs exactly one
+    // store fetch: the store's miss count is the service's.
+    let input = workload();
+    let io = Arc::new(MemIo::new());
+    let store = Arc::new(SolutionStore::open(DIR, StoreConfig::default(), io));
+    let service = SynthesisService::with_store(ServiceConfig::default(), store.clone());
+    let (_, summary) = serve(&service, &input);
+    let stats = store.stats();
+    assert!(summary.window_misses > 0, "{summary:?}");
+    assert_eq!(stats.hits, 0, "{stats}");
+    assert_eq!(
+        stats.misses, summary.window_misses,
+        "{stats} vs {summary:?}"
+    );
+}
+
+#[test]
+fn a_store_of_kind_4_records_opens_warm_and_serves_the_same_bytes() {
+    // 0.11.0–0.15.0 persisted every layer as kind 4, with the canonical
+    // index's bytes between key and solution. This build reads past them.
+    use mfhls::store::format::{
+        empty_segment, encode_record_as, scan_segment, KIND_CANONICAL_SOLUTION_V3,
+    };
+    let input = workload();
+    let expected = baseline(&input);
+    let scan = scan_segment(&seeded_image(&input)).expect("seeded image scans");
+    assert!(!scan.records.is_empty());
+    let mut image = empty_segment();
+    for rec in &scan.records {
+        let canon = format!("clk2|canon|{}", rec.key.layer);
+        let positional = format!("clk2|positional|{}", rec.key.layer);
+        image.extend_from_slice(&encode_record_as(
+            rec,
+            KIND_CANONICAL_SOLUTION_V3,
+            [canon.as_bytes(), positional.as_bytes()],
+        ));
+    }
+    let io = Arc::new(MemIo::new());
+    io.set_contents(&segment_path(), image);
+    let store = Arc::new(SolutionStore::open(DIR, StoreConfig::default(), io));
+    let stats = store.stats();
+    assert_eq!(stats.loaded, scan.records.len() as u64, "{stats}");
+    assert_eq!(stats.quarantined + stats.quarantined_segments, 0, "{stats}");
+    let service = SynthesisService::with_store(ServiceConfig::default(), store.clone());
+    let (out, summary) = serve(&service, &input);
+    assert_eq!(out, expected, "kind-4 records changed a response");
+    assert!(summary.window_hits > 0, "{summary:?}");
+    assert_eq!(summary.window_misses, 0, "{summary:?}");
+    assert_eq!(store.stats().appended, 0, "{}", store.stats());
+}
+
+#[test]
 fn an_evicting_cache_reads_back_through_the_store() {
     // A 2-entry cache cannot hold window 1's four layer solutions, so
     // window 2's replays miss the map and must be served by the store —
@@ -287,8 +340,6 @@ fn retagged_image(image: &[u8], epoch: u32) -> Vec<u8> {
     let scan = scan_segment(image).expect("seeded image scans");
     assert!(scan.quarantined.is_empty() && scan.torn_tail_at.is_none());
     let context_tag = format!("epoch{SOLVER_EPOCH}|");
-    let header = format!("clk{SOLVER_EPOCH}|");
-    let old_header = format!("clk{epoch}|");
     let mut out = empty_segment();
     for mut rec in scan.records {
         let bare = rec
@@ -301,11 +352,6 @@ fn retagged_image(image: &[u8], epoch: u32) -> Vec<u8> {
         } else {
             format!("epoch{epoch}|{bare}")
         };
-        let canonical = rec.canonical.as_mut().expect("the service persists kind-2");
-        for bytes in [&mut canonical.canon, &mut canonical.positional] {
-            assert!(bytes.starts_with(header.as_bytes()));
-            bytes.splice(..header.len(), old_header.bytes());
-        }
         rec.solution.stats.ilp_solves += 3;
         rec.solution.stats.pivots += 75;
         out.extend_from_slice(&encode_record(&rec));
