@@ -58,17 +58,18 @@ pub struct IlpLayerSolver {
     pub max_pivots: Option<u64>,
     /// Deterministic work budget in *tableau cells*: a simplex pivot
     /// updates at most rows × columns cells (it touches only the pivot
-    /// row's nonzeros in each row it changes, so that is an upper bound),
-    /// and dividing this by the model's dimensions yields a pivot budget
-    /// that scales with wall-clock across model sizes — a dense
-    /// paper-scale layer pays milliseconds per pivot where a small corpus
-    /// layer pays microseconds, which no flat pivot (let alone node)
-    /// budget can bound evenly. The dimensions are
-    /// counted before the model is built. When the budget affords fewer
-    /// pivots than the model has rows — less than one basis change per
-    /// row, so the root LP seldom even finishes — the solve is skipped
-    /// without allocating anything: it returns [`CoreError::Ilp`] with
-    /// zero counters and emits an `ilp_leg_skipped` diagnostic.
+    /// row's nonzero columns in the rows it changes, so that is an upper
+    /// bound), and dividing this by the model's dimensions yields a pivot
+    /// budget that scales with the work across model sizes — a
+    /// paper-scale layer's tableau holds hundreds of times the cells of a
+    /// small corpus layer's, which no flat pivot (let alone node) budget
+    /// can bound evenly. The budget counts cells, not time, so a faster
+    /// pivot leaves it and every gate derived from it unchanged. The
+    /// dimensions are counted before the model is built. When the budget
+    /// affords fewer pivots than the model has rows — less than one basis
+    /// change per row, so the root LP seldom even finishes — the solve is
+    /// skipped without allocating anything: it returns [`CoreError::Ilp`]
+    /// with zero counters and emits an `ilp_leg_skipped` diagnostic.
     /// Otherwise the budget becomes a pivot cap; the tighter of this and
     /// `max_pivots` wins. The portfolio racer keys its ILP legs on this.
     pub pivot_work: Option<u64>,

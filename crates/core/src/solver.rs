@@ -213,14 +213,15 @@ pub const PORTFOLIO_ILP_OP_LIMIT: usize = 25;
 /// [`IlpLayerSolver::pivot_work`](crate::ilp_model::IlpLayerSolver)) of
 /// each ILP leg raced inside a [`SolverKind::Portfolio`]. A node budget
 /// cannot bound a race's wall-clock — on the 120-op assay's densest
-/// layer a *single* root LP costs ~8 200 pivots at milliseconds each, so
-/// 20 000 nodes would run for hours — and a wall-clock limit would trade
-/// the hang for nondeterminism; a work budget is both time-proportional
-/// and machine-independent, so the race stays fast *and* byte-identical
-/// everywhere. A model of `m` rows and `n` columns gets
-/// `10⁹ / (m·(n+m))` pivots — the budget stays denominated in dense
-/// cells, an upper bound on what a sparse pivot touches — and a leg
-/// whose model would get fewer than `m` is skipped before it is built.
+/// layer a *single* root LP costs ~8 200 pivots over a tableau of tens
+/// of millions of cells, so 20 000 nodes would run for hours — and a
+/// wall-clock limit would trade the hang for nondeterminism; a work
+/// budget tracks the work and is machine-independent, so the race stays
+/// fast *and* byte-identical everywhere. A model of `m` rows and `n`
+/// columns gets `10⁹ / (m·(n+m))` pivots — the budget is denominated in
+/// dense cells, an upper bound on what a pivot touches, not in time, so
+/// a faster pivot moves no gate or cap — and a leg whose model would get
+/// fewer than `m` is skipped before it is built.
 /// That skips the 10-op layers of cases 2 and 3 (~1 200–1 600 rows,
 /// ~320–540 pivots) and the 5 300–6 300-row layers of case 1 (22–31
 /// pivots): none of them ever produced an adopted solution. It admits

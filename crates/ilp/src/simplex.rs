@@ -25,6 +25,9 @@
 //! * Degenerate cycling is avoided by switching the leaving-row rule from
 //!   max-violation to smallest-basis-index (dual Bland) after a run of
 //!   stalled pivots; a hard pivot cap backstops numerical livelock.
+//! * The dense tableau is stored column-major, so a pivot eliminates with
+//!   one contiguous sweep per nonzero column of the pivot row, and reads
+//!   the entering column and the columns of bound flips contiguously.
 //! * Tolerances: pivot candidates need magnitude `> PIVOT_EPS`; feasibility
 //!   and optimality use `OPT_EPS`.
 
@@ -215,7 +218,8 @@ pub struct BoundedSimplex {
     m: usize,
     /// Total columns: structural + one slack per row.
     total: usize,
-    /// Original canonical matrix, `m × n` row-major (structural part only).
+    /// Original canonical matrix, `m × n` column-major (structural part
+    /// only): cell `(i, j)` at `a0[j * m + i]`.
     a0: Vec<f64>,
     /// Original right-hand sides.
     b0: Vec<f64>,
@@ -225,7 +229,8 @@ pub struct BoundedSimplex {
     /// never change, structural bounds change per node.
     lb: Vec<f64>,
     ub: Vec<f64>,
-    /// Current tableau `B⁻¹[A | I]`, `m × total` row-major.
+    /// Current tableau `B⁻¹[A | I]`, `m × total` column-major: cell
+    /// `(i, j)` at `tab[j * m + i]`, so a column is one contiguous run.
     tab: Vec<f64>,
     /// `B⁻¹ b`, updated only by pivots.
     binv_b: Vec<f64>,
@@ -244,6 +249,10 @@ pub struct BoundedSimplex {
     /// Scratch for [`BoundedSimplex::pivot`]: the nonzero `(column,
     /// value)` pairs of the scaled pivot row, reused across pivots.
     pivot_row: Vec<(usize, f64)>,
+    /// Scratch for [`BoundedSimplex::pivot`], length `2m`: the entering
+    /// column before elimination with the pivot row's entry zeroed, once
+    /// with its zeros as `+0.0` and once as `−0.0`.
+    entering: Vec<f64>,
 }
 
 impl BoundedSimplex {
@@ -271,7 +280,7 @@ impl BoundedSimplex {
             let mut canon = row.clone();
             canon.canonicalize();
             for &(j, c) in &canon.coeffs {
-                a0[i * n + j] = c;
+                a0[j * m + i] = c;
             }
             b0[i] = canon.rhs;
             let s = n + i;
@@ -312,6 +321,7 @@ impl BoundedSimplex {
             xb: vec![0.0; m],
             pivots: 0,
             pivot_row: Vec::new(),
+            entering: vec![0.0; 2 * m],
         };
         sx.cold_reset();
         Ok(sx)
@@ -325,10 +335,9 @@ impl BoundedSimplex {
     pub fn cold_reset(&mut self) {
         let (n, m, total) = (self.n, self.m, self.total);
         self.tab.iter_mut().for_each(|v| *v = 0.0);
+        self.tab[..n * m].copy_from_slice(&self.a0);
         for i in 0..m {
-            let off = i * total;
-            self.tab[off..off + n].copy_from_slice(&self.a0[i * n..(i + 1) * n]);
-            self.tab[off + n + i] = 1.0;
+            self.tab[(n + i) * m + i] = 1.0;
             self.basis[i] = n + i;
         }
         self.binv_b.copy_from_slice(&self.b0);
@@ -370,10 +379,10 @@ impl BoundedSimplex {
             };
             debug_assert!(v.is_finite(), "nonbasic column {j} rests at {v}");
             if v != 0.0 {
-                for i in 0..self.m {
-                    let a = self.tab[i * self.total + j];
+                let col = &self.tab[j * self.m..(j + 1) * self.m];
+                for (x, &a) in self.xb.iter_mut().zip(col) {
                     if a != 0.0 {
-                        self.xb[i] -= a * v;
+                        *x -= a * v;
                     }
                 }
             }
@@ -473,13 +482,13 @@ impl BoundedSimplex {
             // at-lower needs `ᾱ > 0`, at-upper needs `ᾱ < 0`. The minimum of
             // `d_j / ᾱ` keeps every reduced cost on its dual-feasible side.
             let sgn = if leaves_up { 1.0 } else { -1.0 };
-            let row_off = r * self.total;
+            let m = self.m;
             let mut cands: Vec<(f64, usize)> = Vec::new();
             for j in 0..self.total {
                 if self.row_of[j] != usize::MAX || self.ub[j] - self.lb[j] <= COEFF_EPS {
                     continue;
                 }
-                let ab = sgn * self.tab[row_off + j];
+                let ab = sgn * self.tab[j * m + r];
                 let admissible = if self.at_upper[j] {
                     ab < -PIVOT_EPS
                 } else {
@@ -514,7 +523,7 @@ impl BoundedSimplex {
             let mut flips: Vec<usize> = Vec::new();
             for &(_, j) in &cands {
                 let width = self.ub[j] - self.lb[j];
-                let cap = self.tab[row_off + j].abs() * width;
+                let cap = self.tab[j * m + r].abs() * width;
                 if width.is_finite() && cap < resid - PIVOT_EPS {
                     flips.push(j);
                     resid -= cap;
@@ -537,10 +546,9 @@ impl BoundedSimplex {
                 self.at_upper[j] = !self.at_upper[j];
                 let delta = to - from;
                 if delta != 0.0 {
-                    for i in 0..self.m {
-                        let a = self.tab[i * self.total + j];
+                    for (x, &a) in self.xb.iter_mut().zip(&self.tab[j * m..(j + 1) * m]) {
                         if a != 0.0 {
-                            self.xb[i] -= a * delta;
+                            *x -= a * delta;
                         }
                     }
                 }
@@ -567,9 +575,8 @@ impl BoundedSimplex {
     /// (its violated bound). Returns the dual-objective progress `d_q · Δq`
     /// made by the step (used for stall detection).
     fn pivot(&mut self, r: usize, q: usize, target: f64, leaves_up: bool) -> f64 {
-        let total = self.total;
-        let row_off = r * total;
-        let alpha = self.tab[row_off + q];
+        let (m, total) = (self.m, self.total);
+        let alpha = self.tab[q * m + r];
         debug_assert!(alpha.abs() > PIVOT_EPS, "pivot too small: {alpha}");
 
         let vq = if self.at_upper[q] {
@@ -580,13 +587,25 @@ impl BoundedSimplex {
         let dq_step = (self.xb[r] - target) / alpha;
         let progress = self.d[q] * dq_step;
 
-        // Basic values move with the entering variable (pre-elimination tab).
-        for i in 0..self.m {
-            if i != r {
-                let a = self.tab[i * total + q];
-                if a != 0.0 {
-                    self.xb[i] -= a * dq_step;
-                }
+        // The entering column before elimination, pivot row excluded:
+        // a row is eliminated iff its entry `f` here is nonzero. `f_neg`
+        // is the same column with its zeros as −0.0 (see the sweep).
+        let mut entering = std::mem::take(&mut self.entering);
+        let (f, f_neg) = entering.split_at_mut(m);
+        f.copy_from_slice(&self.tab[q * m..(q + 1) * m]);
+        f[r] = 0.0;
+        for (x, n) in f.iter_mut().zip(f_neg.iter_mut()) {
+            if *x == 0.0 {
+                (*x, *n) = (0.0, -0.0);
+            } else {
+                *n = *x;
+            }
+        }
+
+        // Basic values move with the entering variable.
+        for (x, &a) in self.xb.iter_mut().zip(f.iter()) {
+            if a != 0.0 {
+                *x -= a * dq_step;
             }
         }
 
@@ -601,43 +620,51 @@ impl BoundedSimplex {
 
         // Eliminate column q: scale the pivot row, clear it elsewhere,
         // keeping `B⁻¹b` and the reduced-cost row in lockstep. Only the
-        // pivot row's nonzeros can change a cell, so they are gathered
-        // once and every other row touches just those columns: each cell
-        // gets the multiply-subtract a dense sweep skipping zeros would
-        // give it, in the same order, so the tableau is bit-identical.
+        // pivot row's nonzero columns and the rows with `f ≠ 0` can change
+        // a cell, so each such column `k` takes one contiguous sweep down
+        // its rows, which vectorizes. The sweep adds `f·(−v)`, which is
+        // `c − f·v` bit for bit. A row with `f = 0` must keep its cell, and
+        // `c + (−0.0)` is `c` for every `c`, signed zeros included, so its
+        // product must be −0.0: `+0.0·(−v)` when `v > 0`, `−0.0·(−v)` when
+        // `v < 0` (for finite `v`; a zero times an infinity would be NaN).
+        // Every other cell gets the single multiply-subtract a
+        // row-by-row sweep would give it, from the same operands, so the
+        // tableau is bit-identical.
         let inv = 1.0 / alpha;
         let mut nz = std::mem::take(&mut self.pivot_row);
         nz.clear();
-        for (k, v) in self.tab[row_off..row_off + total].iter_mut().enumerate() {
+        for k in 0..total {
+            let v = &mut self.tab[k * m + r];
             *v = if k == q { 1.0 } else { *v * inv };
-            if *v != 0.0 {
+            if k != q && *v != 0.0 {
                 nz.push((k, *v));
             }
         }
-        self.binv_b[r] *= inv;
-        for i in 0..self.m {
-            if i == r {
-                continue;
-            }
-            let off = i * total;
-            let f = self.tab[off + q];
-            if f != 0.0 {
-                let row = &mut self.tab[off..off + total];
-                for &(k, v) in &nz {
-                    row[k] -= f * v;
-                }
-                row[q] = 0.0;
-                self.binv_b[i] -= f * self.binv_b[r];
+        for &(k, v) in &nz {
+            debug_assert!(v.is_finite(), "pivot row cell {k} is {v}");
+            let zeros_as = if v > 0.0 { &*f } else { &*f_neg };
+            for (c, &fi) in self.tab[k * m..(k + 1) * m].iter_mut().zip(zeros_as) {
+                *c += fi * -v;
             }
         }
-        let f = self.d[q];
-        if f != 0.0 {
+        self.binv_b[r] *= inv;
+        let br = self.binv_b[r];
+        let col_q = &mut self.tab[q * m..(q + 1) * m];
+        for ((c, b), &fi) in col_q.iter_mut().zip(&mut self.binv_b).zip(f.iter()) {
+            if fi != 0.0 {
+                *c = 0.0;
+                *b -= fi * br;
+            }
+        }
+        let dq = self.d[q];
+        if dq != 0.0 {
             for &(k, v) in &nz {
-                self.d[k] -= f * v;
+                self.d[k] -= dq * v;
             }
             self.d[q] = 0.0;
         }
         self.pivot_row = nz;
+        self.entering = entering;
 
         self.pivots += 1;
         progress
@@ -679,13 +706,14 @@ mod tests {
     static CROSS_CHECKED: AtomicU64 = AtomicU64::new(0);
 
     impl BoundedSimplex {
-        /// The dense elimination [`BoundedSimplex::pivot`] replaced, kept
-        /// as its reference: every other row with a nonzero in column `q`
-        /// sweeps all `total` columns, skipping the pivot row's zeros.
+        /// The row-by-row elimination [`BoundedSimplex::pivot`] replaced,
+        /// kept as its reference and indexed for the column-major layout:
+        /// every other row with a nonzero in column `q` sweeps all `total`
+        /// columns, skipping the pivot row's zeros.
         fn pivot_dense(&mut self, r: usize, q: usize, target: f64, leaves_up: bool) -> f64 {
-            let total = self.total;
-            let row_off = r * total;
-            let alpha = self.tab[row_off + q];
+            let (m, total) = (self.m, self.total);
+            let at = move |i: usize, k: usize| k * m + i;
+            let alpha = self.tab[at(r, q)];
             let vq = if self.at_upper[q] {
                 self.ub[q]
             } else {
@@ -693,9 +721,9 @@ mod tests {
             };
             let dq_step = (self.xb[r] - target) / alpha;
             let progress = self.d[q] * dq_step;
-            for i in 0..self.m {
+            for i in 0..m {
                 if i != r {
-                    let a = self.tab[i * total + q];
+                    let a = self.tab[at(i, q)];
                     if a != 0.0 {
                         self.xb[i] -= a * dq_step;
                     }
@@ -709,32 +737,31 @@ mod tests {
             self.xb[r] = vq + dq_step;
 
             let inv = 1.0 / alpha;
-            for v in &mut self.tab[row_off..row_off + total] {
-                *v *= inv;
+            for k in 0..total {
+                self.tab[at(r, k)] *= inv;
             }
-            self.tab[row_off + q] = 1.0;
+            self.tab[at(r, q)] = 1.0;
             self.binv_b[r] *= inv;
-            for i in 0..self.m {
+            for i in 0..m {
                 if i == r {
                     continue;
                 }
-                let f = self.tab[i * total + q];
+                let f = self.tab[at(i, q)];
                 if f != 0.0 {
-                    let off = i * total;
                     for k in 0..total {
-                        let v = self.tab[row_off + k];
+                        let v = self.tab[at(r, k)];
                         if v != 0.0 {
-                            self.tab[off + k] -= f * v;
+                            self.tab[at(i, k)] -= f * v;
                         }
                     }
-                    self.tab[off + q] = 0.0;
+                    self.tab[at(i, q)] = 0.0;
                     self.binv_b[i] -= f * self.binv_b[r];
                 }
             }
             let f = self.d[q];
             if f != 0.0 {
                 for k in 0..total {
-                    let v = self.tab[row_off + k];
+                    let v = self.tab[at(r, k)];
                     if v != 0.0 {
                         self.d[k] -= f * v;
                     }
@@ -747,34 +774,34 @@ mod tests {
     }
 
     /// Run after every pivot in this crate's tests: from the same state,
-    /// the dense reference must leave `tab`, `d`, `binv_b` and `xb`
-    /// bit-for-bit where the sparse pivot left them, with the same basis
-    /// and the same reported progress.
+    /// the row-by-row reference must leave `tab`, `d`, `binv_b` and `xb`
+    /// bit-for-bit where the column sweeps left them, with the same basis,
+    /// resting sides, pivot count and reported progress.
     pub(super) fn assert_matches_dense(
         mut reference: BoundedSimplex,
         (r, q, target, leaves_up): (usize, usize, f64, bool),
-        sparse: &BoundedSimplex,
+        swept: &BoundedSimplex,
         progress: f64,
     ) {
         let expected = reference.pivot_dense(r, q, target, leaves_up);
         assert_eq!(progress.to_bits(), expected.to_bits(), "pivot ({r}, {q})");
         for (what, got, want) in [
-            ("tab", &sparse.tab, &reference.tab),
-            ("d", &sparse.d, &reference.d),
-            ("binv_b", &sparse.binv_b, &reference.binv_b),
-            ("xb", &sparse.xb, &reference.xb),
+            ("tab", &swept.tab, &reference.tab),
+            ("d", &swept.d, &reference.d),
+            ("binv_b", &swept.binv_b, &reference.binv_b),
+            ("xb", &swept.xb, &reference.xb),
         ] {
             if let Some(k) = (0..want.len()).find(|&k| got[k].to_bits() != want[k].to_bits()) {
                 panic!(
-                    "pivot ({r}, {q}): {what}[{k}] is {} sparse, {} dense",
+                    "pivot ({r}, {q}): {what}[{k}] is {} swept, {} in the reference",
                     got[k], want[k]
                 );
             }
         }
-        assert_eq!(sparse.basis, reference.basis);
-        assert_eq!(sparse.row_of, reference.row_of);
-        assert_eq!(sparse.at_upper, reference.at_upper);
-        assert_eq!(sparse.pivots, reference.pivots);
+        assert_eq!(swept.basis, reference.basis);
+        assert_eq!(swept.row_of, reference.row_of);
+        assert_eq!(swept.at_upper, reference.at_upper);
+        assert_eq!(swept.pivots, reference.pivots);
         CROSS_CHECKED.fetch_add(1, Ordering::Relaxed);
     }
 

@@ -1,4 +1,5 @@
-//! A minimal little-endian byte codec for the `mfhls-store/v1` payload.
+//! A minimal little-endian byte codec for `mfhls-store` record payloads
+//! (written as v2, read as v1 or v2).
 //!
 //! Fixed-width little-endian integers, length-prefixed byte strings, no
 //! varints, no reflection: the format is boring on purpose. Decoding is
@@ -12,7 +13,7 @@ pub struct DecodeError;
 
 impl std::fmt::Display for DecodeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("payload does not decode as an mfhls-store/v1 record")
+        f.write_str("payload does not decode as an mfhls-store/v1 or v2 record")
     }
 }
 
@@ -178,5 +179,14 @@ mod tests {
         w.u64(u64::MAX / 2);
         let buf = w.finish();
         assert_eq!(ByteReader::new(&buf).size(), Err(DecodeError));
+    }
+
+    #[test]
+    fn decode_errors_name_both_readable_format_versions() {
+        // Records are read from v1 and v2 segments alike, so the message
+        // (which reaches `StoreStats::last_error` and the serve summary)
+        // must not claim the payload had to be v1.
+        let text = DecodeError.to_string();
+        assert!(text.contains("mfhls-store/v1 or v2"), "{text}");
     }
 }

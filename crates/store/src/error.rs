@@ -42,7 +42,8 @@ impl std::fmt::Display for StoreOp {
 /// Why a record (or a whole segment tail) was quarantined at load.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CorruptKind {
-    /// The segment does not start with the `mfhls-store/v1` magic.
+    /// The segment starts with neither `mfhls-store` magic (`MFHLSTO1`
+    /// for v1, `MFHLSTO2` for v2; both are accepted).
     BadHeader,
     /// The segment ends mid-record: a crash tore the final write.
     TornTail,

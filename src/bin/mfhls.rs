@@ -120,10 +120,10 @@ fn print_usage() {
          encoding (default jsonl, validated by 'mfhls trace-check').\n  \
          --log LEVEL   echo trace records at or above LEVEL to stderr\n                \
          (error|warn|info|debug|trace).\n  \
-         --store DIR   (serve) persist solved layers to DIR (mfhls-store/v1\n                \
-         segments) so a restarted server warms instantly; corrupt\n                \
-         or unwritable stores degrade to memory-only, never fail\n                \
-         a request.\n  \
+         --store DIR   (serve) persist solved layers to DIR (mfhls-store/v2\n                \
+         segments; v1 directories still load) so a restarted\n                \
+         server warms instantly; corrupt or unwritable stores\n                \
+         degrade to memory-only, never fail a request.\n  \
          --workers N   (serve) worker threads per shard pool; 0 (the\n                \
          default) = auto, i.e. MFHLS_THREADS, then the CPU count.\n  \
          --shards S    (serve) shard worker-groups per window (default 1);\n                \

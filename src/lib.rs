@@ -23,7 +23,7 @@
 //! | [`ilp`] | `mfhls-ilp` | the MILP solver substrate (simplex + branch-and-bound) |
 //! | [`obs`] | `mfhls-obs` | deterministic structured tracing (spans, events, counters, exporters) |
 //! | [`par`] | `mfhls-par` | deterministic scoped thread pool (`par_map`, thread-count control) |
-//! | [`store`] | `mfhls-store` | crash-safe on-disk solution store (`mfhls-store/v1` segments, fault injection, graceful degradation) |
+//! | [`store`] | `mfhls-store` | crash-safe on-disk solution store (`mfhls-store/v2` segments, v1 still read, fault injection, graceful degradation) |
 //! | [`svc`] | `mfhls-svc` | batched synthesis service: `mfhls-api/v1` NDJSON requests over stdin/stdout or TCP |
 //! | [`bench`] | `mfhls-bench` | benchmark harness, seeded assay generation (`mfhls gen`) and metamorphic oracles |
 //!

@@ -34,6 +34,19 @@ fn no_args_prints_usage() {
 }
 
 #[test]
+fn help_names_the_store_format_new_segments_are_written_in() {
+    let out = mfhls(&["help"]);
+    assert!(out.status.success());
+    let text = String::from_utf8_lossy(&out.stdout);
+    let store = text
+        .lines()
+        .find(|line| line.trim_start().starts_with("--store DIR"))
+        .expect("help documents --store");
+    // New segments are v2 (`format::SEGMENT_MAGIC_V2`); v1 is only read.
+    assert!(store.contains("(mfhls-store/v2"), "{store}");
+}
+
+#[test]
 fn unknown_command_fails() {
     let out = mfhls(&["frobnicate"]);
     assert!(!out.status.success());

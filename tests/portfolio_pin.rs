@@ -1,6 +1,6 @@
 //! The paper-scale portfolio pins: `portfolio:heuristic+sdc+ilp` on the
-//! 120-op single-cell RT-qPCR assay (case 3 of Table 2), and on the one
-//! generated assay where the exact leg races and wins.
+//! 120-op single-cell RT-qPCR assay (case 3 of Table 2), and on the two
+//! generated assays whose layers admit the exact leg (it wins on one).
 //!
 //! A whole-assay `--solver ilp` synthesis is intractable on case 3 — on
 //! the assay's 40-60-op layers branch-and-bound exhausts any budget
@@ -18,7 +18,10 @@
 //!    the op limit, and the pivot-work budget affords the remaining
 //!    models fewer pivots than they have rows, so no leg is even built;
 //! 3. on `gen-small-1` an exact leg is admitted and adopted, improving
-//!    the heuristic's quality;
+//!    the heuristic's quality, and on `gen-small-2` every layer's exact
+//!    leg runs and loses; on both, the exact legs' node, pivot and
+//!    warm/cold solve counts are pinned, because they repeat only if
+//!    every simplex pivot does;
 //! 4. schedules and solver counters are byte-identical at 1 vs 4
 //!    threads — the ILP legs' deterministic pivot-work budget is what
 //!    makes bounded exact racing reproducible — and the race accounting
@@ -71,6 +74,19 @@ fn all_iterations(result: &SynthesisResult) -> SolverStats {
         total.merge(&it.solver);
     }
     total
+}
+
+/// The exact legs' search effort: (`nodes`, `pivots`, `warm_solves`,
+/// `cold_solves`). These repeat only if every simplex pivot does, so a
+/// pin on them witnesses that a change to the LP engine's arithmetic
+/// layout left each pivot bit-identical.
+fn exact_work(total: &SolverStats) -> (u64, u64, u64, u64) {
+    (
+        total.nodes,
+        total.pivots,
+        total.warm_solves,
+        total.cold_solves,
+    )
 }
 
 /// The race is byte-identical at 1 vs 4 threads, schedule and counters.
@@ -135,6 +151,45 @@ fn portfolio_race_matches_heuristic_exec_on_the_120_op_assay() {
     assert_thread_invariant(&assay, &port);
 }
 
+/// Races `gen-small-<seed>`, whose small layers pass both size gates,
+/// and pins its quality, its summed (`portfolio_races`, `wins_ilp`,
+/// `ilp_solves`) and its exact legs' search effort; the race must be
+/// thread-count invariant.
+fn assert_gen_small_race(
+    seed: u64,
+    expected_quality: (u64, usize, usize),
+    races: (u64, u64, u64),
+    work: (u64, u64, u64, u64),
+) {
+    let assay = gen::generate(Profile::Small, seed);
+    let port = with_threads(1, || run(&assay, race()));
+    port.schedule
+        .validate(&assay)
+        .expect("portfolio schedule must satisfy every paper constraint");
+    assert_eq!(
+        quality(&assay, &port),
+        expected_quality,
+        "the portfolio's result on gen-small-{seed} moved"
+    );
+    let total = all_iterations(&port);
+    assert_eq!(
+        total.wins_heuristic + total.wins_sdc + total.wins_ilp,
+        total.portfolio_races,
+        "race accounting out of balance"
+    );
+    assert_eq!(
+        (total.portfolio_races, total.wins_ilp, total.ilp_solves),
+        races,
+        "exact-leg admission or adoption on gen-small-{seed} moved"
+    );
+    assert_eq!(
+        exact_work(&total),
+        work,
+        "the exact legs' search on gen-small-{seed} moved"
+    );
+    assert_thread_invariant(&assay, &port);
+}
+
 #[test]
 fn the_exact_leg_races_and_wins_on_gen_small_1() {
     let assay = gen::generate(Profile::Small, 1);
@@ -144,32 +199,19 @@ fn the_exact_leg_races_and_wins_on_gen_small_1() {
             improvement_passes: 2,
         },
     );
-    let port = with_threads(1, || run(&assay, race()));
-    port.schedule
-        .validate(&assay)
-        .expect("portfolio schedule must satisfy every paper constraint");
     assert_eq!(
         quality(&assay, &heur),
         (128, 4, 5),
         "heuristic baseline moved"
     );
-    assert_eq!(
-        quality(&assay, &port),
-        (123, 3, 3),
-        "the exact leg's win on gen-small-1 moved"
-    );
-    // The small layers pass both size gates: over the whole synthesis
-    // the exact legs run on every race and one of them is adopted.
-    let total = all_iterations(&port);
-    assert_eq!(
-        total.wins_heuristic + total.wins_sdc + total.wins_ilp,
-        total.portfolio_races,
-        "race accounting out of balance"
-    );
-    assert_eq!(
-        (total.portfolio_races, total.wins_ilp, total.ilp_solves),
-        (9, 1, 9),
-        "exact-leg admission or adoption on gen-small-1 moved"
-    );
-    assert_thread_invariant(&assay, &port);
+    // The exact legs run on every race, and one of them is adopted,
+    // improving on the heuristic.
+    assert_gen_small_race(1, (123, 3, 3), (9, 1, 9), (31, 1219, 128, 9));
+}
+
+#[test]
+fn the_exact_legs_race_and_lose_on_gen_small_2() {
+    // Every layer admits an exact leg, and none of them beats the cheap
+    // legs: the exact work is spent without an adoption.
+    assert_gen_small_race(2, (63, 2, 1), (3, 0, 3), (19, 1475, 66, 3));
 }
