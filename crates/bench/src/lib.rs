@@ -8,7 +8,6 @@
 #![warn(missing_docs)]
 
 pub mod gen;
-pub mod report;
 pub mod timing;
 
 use mfhls_core::{Assay, SynthConfig, SynthesisResult, Synthesizer};

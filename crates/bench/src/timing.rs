@@ -21,16 +21,6 @@ pub struct Sample {
     pub count: usize,
 }
 
-/// Sample count from `MFHLS_BENCH_SAMPLES` (CI smoke runs set a small
-/// value), falling back to `default`.
-pub fn samples_from_env(default: usize) -> usize {
-    std::env::var("MFHLS_BENCH_SAMPLES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n: &usize| n > 0)
-        .unwrap_or(default)
-}
-
 /// Times `f` over `samples` runs (after `warmup` unrecorded runs) and
 /// returns the timing summary together with the last run's output.
 pub fn measure<T>(samples: usize, mut f: impl FnMut() -> T) -> (Sample, T) {

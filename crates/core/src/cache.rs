@@ -191,9 +191,9 @@ pub struct LayerKeyParts {
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// FNV-1a 64 — the same dependency-free hash the serve plane's shard
-/// router and the store's record checksums use, duplicated here so
-/// `mfhls-core` stays dependency-free.
+/// FNV-1a 64 — the same dependency-free hash as `mfhls_svc::shard` and
+/// the store's record checksums, duplicated here so `mfhls-core` stays
+/// dependency-free.
 fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h = FNV_OFFSET;
     for &b in bytes {

@@ -305,12 +305,12 @@ struct Recorder {
 /// A standalone log2-bucketed histogram over `u64` values.
 ///
 /// This is the same structure the capture recorder aggregates behind
-/// [`observe`], exposed as a value type so harnesses (the serve load
-/// bench, for one) can accumulate latency distributions without an
-/// active capture and estimate quantiles from the buckets. Bucket `k`
-/// counts values whose bit length is `k` (bucket 0 holds the value 0),
-/// so any quantile is resolved to within a factor of two — plenty for
-/// p50/p99 reporting — while the whole histogram is 65 counters.
+/// [`observe`], exposed as a value type so a caller can accumulate a
+/// latency distribution without an active capture and estimate
+/// quantiles from the buckets. Bucket `k` counts values whose bit length
+/// is `k` (bucket 0 holds the value 0), so any quantile is resolved to
+/// within a factor of two — plenty for p50/p99 reporting — while the
+/// whole histogram is 65 counters.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Log2Histogram {
     count: u64,

@@ -386,9 +386,10 @@ impl SynthesisRequest {
     /// Re-serializes the request into its canonical byte form: the same
     /// fields a client sent, written through the deterministic [`Json`]
     /// writer in a fixed field order, independent of the wire line's
-    /// whitespace, key order, or escaping choices. This is the input to
-    /// shard routing ([`crate::shard::shard_of`]) — two requests with
-    /// identical content always land on the same shard, on any process.
+    /// whitespace, key order, or escaping choices. Two requests with
+    /// identical content have identical canonical bytes on any process,
+    /// so a client-side memo (the benchmark's reference responses, for
+    /// one) can key on them.
     pub fn canonical_request_bytes(&self) -> Vec<u8> {
         let assay = match &self.assay {
             AssaySource::Dsl(text) => obj(vec![("dsl", Json::Str(text.clone()))]),

@@ -11,13 +11,11 @@
 //!   (`flush`/`cancel`/`shutdown`), typed error kinds, and the response
 //!   builders the CLI's `--format json` mode reuses.
 //! * [`service`] — [`SynthesisService`]: deterministic admission windows
-//!   feeding sharded `mfhls-par` worker pools ([`shard`] routes each
-//!   request by a stable FNV hash of its canonical bytes), pipelined
-//!   across windows (ingest → shard-solve → write as typed concurrent
-//!   stages), a bounded cross-request
-//!   [`SharedLayerCache`](mfhls_core::SharedLayerCache), typed overload
-//!   rejection, and byte-identical responses at any worker, shard, or
-//!   pipeline-depth setting. Runs over any `BufRead`/`Write` pair (the
+//!   solved on an `mfhls-par` worker pool, pipelined across windows
+//!   (ingest → solve → write as typed concurrent stages), a bounded
+//!   cross-request [`SharedLayerCache`](mfhls_core::SharedLayerCache),
+//!   typed overload rejection, and byte-identical responses at any worker
+//!   count or pipeline depth. Runs over any `BufRead`/`Write` pair (the
 //!   CLI wires up stdin/stdout) or a local TCP listener.
 //!
 //! ```
@@ -53,7 +51,7 @@ pub use api::{
 };
 pub use json::{Json, JsonError};
 pub use netlist::{assay_from_json, NETLIST_VERSION};
-pub use service::{ServiceConfig, ServiceSummary, ShardStats, SynthesisService};
+pub use service::{ServiceConfig, ServiceSummary, SynthesisService};
 pub use spec::{
     backend_names, kind_name, parse_spec, spec_display, spec_from_json, spec_json, BackendInfo,
     BACKENDS,

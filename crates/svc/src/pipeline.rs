@@ -6,8 +6,7 @@
 //! through bounded channels):
 //!
 //! ```text
-//! ingest/parse ──AdmittedWindow──▶ shard dispatch + solve
-//!                                  + ordered merge + serialize
+//! ingest/parse ──AdmittedWindow──▶ solve + serialize
 //!                                         │
 //!                                   SolvedWindow
 //!                                         ▼
@@ -15,12 +14,11 @@
 //! ```
 //!
 //! * **Ingest/parse** (the calling thread) reads NDJSON lines, admits
-//!   requests, serializes admission-time rejections into the window's
-//!   scratch buffer, and assigns each admitted request a shard by the
-//!   stable FNV hash of its canonical bytes (see [`crate::shard`]).
-//! * **Solve** (one worker thread) dispatches the batch to per-shard
-//!   `mfhls-par` pools, merges the per-request results back in admission
-//!   order, and appends the serialized responses to the same buffer.
+//!   requests, and serializes admission-time rejections into the
+//!   window's scratch buffer.
+//! * **Solve** (one worker thread) runs the batch on the `mfhls-par`
+//!   pool and appends the serialized responses, in admission order, to
+//!   the same buffer.
 //! * **Write** (one worker thread) writes the whole window with a single
 //!   `write_all` + `flush`, then recycles the scratch `String` back to
 //!   the ingest stage so steady-state serving allocates nothing per
@@ -33,7 +31,7 @@
 //! can publish — and windows flow through FIFO channels — the output
 //! stream is byte-identical to the sequential drain loop.
 
-use crate::service::{Pending, ShardStats};
+use crate::service::Pending;
 use mfhls_store::StoreStats;
 
 /// Ingest → solve boundary: one closed admission window.
@@ -44,7 +42,7 @@ use mfhls_store::StoreStats;
 pub(crate) struct AdmittedWindow {
     /// Response scratch for this window, recycled across windows.
     pub buf: String,
-    /// Admitted requests, in admission order, each carrying its shard.
+    /// Admitted requests, in admission order.
     pub batch: Vec<Pending>,
 }
 
@@ -72,21 +70,11 @@ pub(crate) struct WindowStats {
     pub window_misses: u64,
     /// Whole-request delta-cache replays in this window.
     pub delta_hits: u64,
-    /// Per-shard request/hit/miss counters (length = configured shards).
-    pub shards: Vec<ShardStats>,
     /// Store snapshot after this window (when a store is attached).
     pub store: Option<StoreStats>,
 }
 
 impl WindowStats {
-    /// An empty record sized for `shards` worker-groups.
-    pub fn new(shards: usize) -> WindowStats {
-        WindowStats {
-            shards: vec![ShardStats::default(); shards],
-            ..WindowStats::default()
-        }
-    }
-
     /// Folds another window's counters into this one (the pipelined
     /// solve stage accumulates its totals here).
     pub fn add(&mut self, other: &WindowStats) {
@@ -97,23 +85,8 @@ impl WindowStats {
         self.window_store_hits += other.window_store_hits;
         self.window_misses += other.window_misses;
         self.delta_hits += other.delta_hits;
-        merge_shards(&mut self.shards, &other.shards);
         if other.store.is_some() {
             self.store = other.store.clone();
         }
-    }
-}
-
-/// Element-wise shard-counter merge, growing `into` as needed.
-pub(crate) fn merge_shards(into: &mut Vec<ShardStats>, from: &[ShardStats]) {
-    if into.len() < from.len() {
-        into.resize(from.len(), ShardStats::default());
-    }
-    for (a, b) in into.iter_mut().zip(from) {
-        a.requests += b.requests;
-        a.exact_hits += b.exact_hits;
-        a.store_hits += b.store_hits;
-        a.delta_hits += b.delta_hits;
-        a.misses += b.misses;
     }
 }

@@ -1,17 +1,7 @@
-//! Deterministic shard assignment for the serve plane.
+//! FNV-1a 64 over byte strings.
 //!
-//! Every admitted request is routed to one of `S` shard worker-groups by
-//! an FNV-1a 64 hash of its **canonical request bytes** (the request
-//! re-serialized through the deterministic [`Json`](crate::json::Json)
-//! writer, see [`canonical_request_bytes`](crate::api::canonical_request_bytes)).
-//! Hashing the canonical form rather than the raw wire line means two
-//! clients sending the same request with different whitespace or key
-//! order land on the same shard — and, more importantly, that the
-//! assignment is a pure function of request *content*, independent of
-//! transport framing, worker counts, or timing. The response stream
-//! stays byte-identical at any shard count because the ordered
-//! cross-shard reduction reassembles responses by admission index, not
-//! by shard completion order (see `service::run_window`).
+//! The service itself hashes nothing with it. It stays at this path
+//! because the benchmark (`mfbench`) compares response lines by it.
 
 /// FNV-1a 64-bit over `bytes` — the same dependency-free hash the
 /// `mfhls-store` record format uses for checksums.
@@ -26,17 +16,6 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// The shard a request with these canonical bytes belongs to, in
-/// `0..shards`. Stable across processes, platforms, and releases (the
-/// hash and the reduction are both pinned), so a load balancer in front
-/// of several processes can precompute the same routing.
-pub fn shard_of(canonical_bytes: &[u8], shards: usize) -> usize {
-    if shards <= 1 {
-        return 0;
-    }
-    (fnv1a64(canonical_bytes) % shards as u64) as usize
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -47,33 +26,5 @@ mod tests {
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
-    }
-
-    #[test]
-    fn shard_assignment_is_stable_and_in_range() {
-        for shards in [1usize, 2, 3, 4, 7, 64] {
-            for seed in 0..50u64 {
-                let bytes = seed.to_le_bytes();
-                let s = shard_of(&bytes, shards);
-                assert!(s < shards);
-                assert_eq!(s, shard_of(&bytes, shards), "stable");
-            }
-        }
-        assert_eq!(shard_of(b"anything", 0), 0);
-        assert_eq!(shard_of(b"anything", 1), 0);
-    }
-
-    #[test]
-    fn shards_are_reasonably_balanced() {
-        // 1000 distinct keys over 4 shards: no shard should be empty or
-        // hold more than half the keys.
-        let mut counts = [0usize; 4];
-        for k in 0..1000u32 {
-            counts[shard_of(format!("req-{k}").as_bytes(), 4)] += 1;
-        }
-        for (s, &c) in counts.iter().enumerate() {
-            assert!(c > 100, "shard {s} starved: {counts:?}");
-            assert!(c < 500, "shard {s} overloaded: {counts:?}");
-        }
     }
 }

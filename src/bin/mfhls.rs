@@ -13,9 +13,9 @@
 //!                             [--pad-factor F] [--threads N] [--exact]
 //! mfhls export-lp protocol.mfa [--layer K] [--out FILE]
 //! mfhls trace-check trace.jsonl
-//! mfhls serve [--workers N] [--shards S] [--window D] [--queue N]
-//!             [--cache-entries N] [--max-ops N] [--no-shared-cache]
-//!             [--no-delta-cache] [--store DIR] [--tcp ADDR] [--once]
+//! mfhls serve [--workers N] [--window D] [--queue N] [--cache-entries N]
+//!             [--max-ops N] [--no-shared-cache] [--no-delta-cache]
+//!             [--store DIR] [--tcp ADDR] [--once]
 //! mfhls bench
 //! mfhls gen [--seed S] [--count N] [--profile P|all] [--format dsl|netlist]
 //!           [--out DIR] [--check] [--threads N]
@@ -27,9 +27,9 @@
 //! `--format text|json` to emit their result as one `mfhls-api/v1` JSON
 //! object instead of prose. `serve` runs the batched synthesis service of
 //! `mfhls-svc` over stdin/stdout NDJSON (or a local TCP listener),
-//! sharding each window over `--shards` worker-groups, pipelining up to
-//! `--window` admission windows through ingest/solve/write stages, and
-//! sharing a bounded layer cache across requests. Unknown flags, flags
+//! solving each window on a worker pool, pipelining up to `--window`
+//! admission windows through ingest/solve/write stages, and sharing a
+//! bounded layer cache across requests. Unknown flags, flags
 //! missing their value, and zero/absurd sizing values are rejected with a
 //! targeted error naming the flag and a nonzero exit code.
 
@@ -97,9 +97,9 @@ fn print_usage() {
          mfhls export-lp <file.mfa> [--layer K] [--out FILE]\n  \
          mfhls graph <file.mfa> [--layers] [--out FILE]\n  \
          mfhls trace-check <trace.jsonl>\n  \
-         mfhls serve [--workers N] [--shards S] [--window D] [--queue N]\n             \
-         [--cache-entries N] [--max-ops N] [--no-shared-cache]\n             \
-         [--no-delta-cache] [--store DIR] [--tcp ADDR] [--once]\n  \
+         mfhls serve [--workers N] [--window D] [--queue N] [--cache-entries N]\n             \
+         [--max-ops N] [--no-shared-cache] [--no-delta-cache]\n             \
+         [--store DIR] [--tcp ADDR] [--once]\n  \
          mfhls bench\n  \
          mfhls gen [--seed S] [--count N] [--profile P|all]\n             \
          [--format dsl|netlist] [--out DIR] [--check] [--threads N]\n\n\
@@ -124,11 +124,8 @@ fn print_usage() {
          segments; v1 directories still load) so a restarted\n                \
          server warms instantly; corrupt or unwritable stores\n                \
          degrade to memory-only, never fail a request.\n  \
-         --workers N   (serve) worker threads per shard pool; 0 (the\n                \
+         --workers N   (serve) worker threads solving each window; 0 (the\n                \
          default) = auto, i.e. MFHLS_THREADS, then the CPU count.\n  \
-         --shards S    (serve) shard worker-groups per window (default 1);\n                \
-         requests route by a stable FNV hash of their canonical\n                \
-         bytes. Responses are byte-identical at any setting.\n  \
          --window D    (serve) admission windows in flight across the\n                \
          ingest/solve/write pipeline (default 2; 1 = pipelining\n                \
          off). Responses are byte-identical at any setting."
@@ -802,7 +799,6 @@ fn trace_check(args: &[String]) -> Result<(), CliError> {
 
 const SERVE_FLAGS: &[(&str, bool)] = &[
     ("--workers", true),
-    ("--shards", true),
     ("--window", true),
     ("--queue", true),
     ("--cache-entries", true),
@@ -814,7 +810,7 @@ const SERVE_FLAGS: &[(&str, bool)] = &[
     ("--once", false),
 ];
 
-/// Upper sanity bound on `--shards`/`--window`/`--queue`: values past
+/// Upper sanity bound on `--window`/`--queue`: values past
 /// this are far beyond any useful setting on one machine and almost
 /// certainly a typo (e.g. a byte size pasted into the wrong flag).
 const SERVE_ABSURD: usize = 65_536;
@@ -844,7 +840,6 @@ fn serve(args: &[String]) -> Result<(), CliError> {
         Ok(value)
     };
     let queue_capacity = bounded("--queue", flags.parsed("--queue", defaults.queue_capacity)?)?;
-    let shards = bounded("--shards", flags.parsed("--shards", defaults.shards)?)?;
     let pipeline_windows = bounded(
         "--window",
         flags.parsed("--window", defaults.pipeline_windows)?,
@@ -860,7 +855,6 @@ fn serve(args: &[String]) -> Result<(), CliError> {
         shared_cache: !flags.has("--no-shared-cache"),
         delta_cache: !flags.has("--no-delta-cache"),
         max_ops,
-        shards,
         pipeline_windows,
     };
     let service = match flags.value("--store") {

@@ -633,10 +633,8 @@ fn serve_validates_shard_window_queue_bounds_at_parse_time() {
     // Zero and absurd values are rejected before the service starts,
     // with an error that names the offending flag.
     for (flag, value) in [
-        ("--shards", "0"),
         ("--window", "0"),
         ("--queue", "0"),
-        ("--shards", "1000000"),
         ("--window", "999999999"),
         ("--queue", "1000000"),
     ] {
@@ -650,37 +648,41 @@ fn serve_validates_shard_window_queue_bounds_at_parse_time() {
         );
     }
     // Non-numeric values hit the same targeted path.
-    let out = mfhls_with_stdin(&["serve", "--shards", "many"], "");
+    let out = mfhls_with_stdin(&["serve", "--window", "many"], "");
     assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--shards"));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--window"));
+    // `--shards` is not a serve flag.
+    let out = mfhls_with_stdin(&["serve", "--shards", "2"], "");
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown flag '--shards'"), "{err}");
 }
 
 #[test]
 fn serve_stream_is_shard_invariant_end_to_end() {
-    // Same stdin, different shard/pipeline settings: stdout must be
-    // byte-for-byte identical (the ordered merge pins response order to
-    // admission order, not shard completion order).
-    let baseline = mfhls_with_stdin(&["serve", "--workers", "1", "--shards", "1"], SERVE_BATCH);
+    // Same stdin at every worker count and pipeline depth: stdout must be
+    // byte-for-byte identical (responses follow admission order, not
+    // completion order).
+    let baseline = mfhls_with_stdin(&["serve", "--workers", "1", "--window", "1"], SERVE_BATCH);
     assert!(
         baseline.status.success(),
         "{}",
         String::from_utf8_lossy(&baseline.stderr)
     );
-    for args in [
-        &["serve", "--workers", "1", "--shards", "4"][..],
-        &["serve", "--workers", "2", "--shards", "2", "--window", "1"][..],
-        &["serve", "--workers", "0", "--shards", "3", "--window", "4"][..],
-    ] {
-        let out = mfhls_with_stdin(args, SERVE_BATCH);
-        assert!(
-            out.status.success(),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        assert_eq!(
-            String::from_utf8_lossy(&out.stdout),
-            String::from_utf8_lossy(&baseline.stdout),
-            "serve responses differ under {args:?}"
-        );
+    for workers in ["0", "1", "2"] {
+        for window in ["1", "2", "4"] {
+            let args = ["serve", "--workers", workers, "--window", window];
+            let out = mfhls_with_stdin(&args, SERVE_BATCH);
+            assert!(
+                out.status.success(),
+                "{}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            assert_eq!(
+                String::from_utf8_lossy(&out.stdout),
+                String::from_utf8_lossy(&baseline.stdout),
+                "serve responses differ under {args:?}"
+            );
+        }
     }
 }

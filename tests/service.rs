@@ -2,14 +2,14 @@
 //!
 //! The service's determinism contract extends the workspace-wide one
 //! pinned in `tests/determinism.rs`: NDJSON responses must be
-//! **byte-identical** at any worker count, at any shard count, with the
-//! window pipeline on or off, and with the shared cross-request layer
-//! cache on or off — because the cache is a pure accelerator, shard
-//! results merge in admission order, and windows flow through the
-//! pipeline in FIFO order. These tests drive a large in-flight window
-//! (the ≥64-request acceptance criterion), the full shards × workers ×
-//! pipelining matrix, typed rejection paths, the cache eviction bound,
-//! and the observability counters.
+//! **byte-identical** at any worker count, with the window pipeline on
+//! or off, and with the shared cross-request layer cache and the
+//! whole-request delta cache on or off — because the caches are pure
+//! accelerators, results come back in admission order, and windows flow
+//! through the pipeline in FIFO order. These tests drive a large
+//! in-flight window (the ≥64-request acceptance criterion), the workers ×
+//! pipelining matrix, a seeded near-duplicate stream, typed rejection
+//! paths, the cache eviction bound, and the observability counters.
 
 use mfhls::svc::{Json, ServiceConfig, ServiceSummary, SynthesisService, VERSION};
 use std::io::BufReader;
@@ -47,13 +47,18 @@ fn dsl(seed: usize, ops: usize) -> String {
 /// Builds one `synthesize` request line; `extra` appends fields such as
 /// `"artifacts"` or `"config"` (JSON escaping handled by [`Json::write`]).
 fn request(id: &str, seed: usize, ops: usize, extra: Vec<(&str, Json)>) -> String {
+    dsl_request(id, dsl(seed, ops), extra)
+}
+
+/// [`request`] over an arbitrary DSL text.
+fn dsl_request(id: &str, text: String, extra: Vec<(&str, Json)>) -> String {
     let mut fields = vec![
         ("version".to_owned(), Json::Str(VERSION.to_owned())),
         ("type".to_owned(), Json::Str("synthesize".to_owned())),
         ("id".to_owned(), Json::Str(id.to_owned())),
         (
             "assay".to_owned(),
-            Json::Object(vec![("dsl".to_owned(), Json::Str(dsl(seed, ops)))]),
+            Json::Object(vec![("dsl".to_owned(), Json::Str(text))]),
         ),
     ];
     for (k, v) in extra {
@@ -345,12 +350,11 @@ fn rejection_paths_are_typed_and_worker_invariant() {
 
 #[test]
 fn response_stream_is_byte_identical_across_shard_worker_pipeline_matrix() {
-    // The acceptance matrix of the sharded, pipelined serve plane:
-    // --shards {1,2,4} × --workers {0,1,4} × pipelining on/off must all
-    // produce the same bytes. Three windows of mixed traffic (varied
-    // protocols, artifacts, a malformed line, a cancel, a zero deadline)
-    // so shard routing, solve-time rejections, and the window pipeline
-    // all engage.
+    // The acceptance matrix of the pipelined serve plane: --workers
+    // {0,1,4} × pipelining on/off must all produce the same bytes. Three
+    // windows of mixed traffic (varied protocols, artifacts, a malformed
+    // line, a cancel, a zero deadline) so solve-time rejections and the
+    // window pipeline both engage.
     let mut input = String::new();
     for window in 0..3 {
         for i in 0..8 {
@@ -384,34 +388,31 @@ fn response_stream_is_byte_identical_across_shard_worker_pipeline_matrix() {
         input.push('\n');
     }
     let mut baseline: Option<(String, u64)> = None;
-    for shards in [1usize, 2, 4] {
-        for workers in [0usize, 1, 4] {
-            for pipeline_windows in [1usize, 2] {
-                let (out, summary) = serve(
-                    ServiceConfig {
-                        shards,
-                        workers,
-                        pipeline_windows,
-                        ..ServiceConfig::default()
-                    },
-                    &input,
-                );
-                assert_eq!(summary.batches, 3);
-                match &baseline {
-                    None => baseline = Some((out, summary.solved)),
-                    Some((bytes, solved)) => {
-                        assert_eq!(
-                            &out, bytes,
-                            "stream diverged at shards={shards} workers={workers} \
-                             pipeline_windows={pipeline_windows}"
-                        );
-                        assert_eq!(summary.solved, *solved);
-                    }
+    for workers in [0usize, 1, 4] {
+        for pipeline_windows in [1usize, 2] {
+            let (out, summary) = serve(
+                ServiceConfig {
+                    workers,
+                    pipeline_windows,
+                    ..ServiceConfig::default()
+                },
+                &input,
+            );
+            assert_eq!(summary.batches, 3);
+            match &baseline {
+                None => baseline = Some((out, summary.solved)),
+                Some((bytes, solved)) => {
+                    assert_eq!(
+                        &out, bytes,
+                        "stream diverged at workers={workers} \
+                         pipeline_windows={pipeline_windows}"
+                    );
+                    assert_eq!(summary.solved, *solved);
                 }
-                // Every request is accounted to exactly one shard.
-                let routed: u64 = summary.shards.iter().map(|s| s.requests).sum();
-                assert_eq!(routed, summary.solved + (summary.rejected - 1)); // -1: the malformed line never reaches a shard
             }
+            // Every admitted request is solved or rejected once; the
+            // malformed line is rejected without being admitted.
+            assert_eq!(summary.accepted, summary.solved + summary.rejected - 1);
         }
     }
 }
@@ -464,6 +465,183 @@ fn tcp_and_stdin_serve_the_same_bytes() {
     assert!(summary.shutdown);
     assert_eq!(summary.solved, stdin_summary.solved);
     assert_eq!(summary.solved, 8);
+}
+
+/// A chain of `ops` operations whose last `fan` hang off the first one
+/// instead, each op named `{prefix}{k}`, with the fan ops declared in an
+/// order rotated by `rotate`. Names are excluded from the delta cache's
+/// positional shape, so a renamed chain replays the original. A rotation
+/// keeps the graph but moves durations between op ids, so no cache tier
+/// matches the rotated chain.
+fn fan_chain(ops: usize, fan: usize, prefix: &str, rotate: usize) -> String {
+    let op_line = |k: usize| {
+        let dur = 2 + (k * 3) % 7;
+        if k == 0 {
+            format!("op {prefix}0 {{ duration: {dur}m }}\n")
+        } else if k + fan >= ops {
+            format!("op {prefix}{k} {{ duration: {dur}m after: [{prefix}0] }}\n")
+        } else {
+            let parent = k - 1;
+            format!("op {prefix}{k} {{ duration: >= {dur}m after: [{prefix}{parent}] }}\n")
+        }
+    };
+    // Op 0 stays the root even when `fan == ops` claims it.
+    let first_fan = (ops - fan).max(1);
+    let nfan = ops - first_fan;
+    let mut s = String::from("assay \"mixed\"\n");
+    for k in 0..first_fan {
+        s.push_str(&op_line(k));
+    }
+    for j in 0..nfan {
+        s.push_str(&op_line(first_fan + (j + rotate) % nfan));
+    }
+    s
+}
+
+/// `(ops, fan)` of the [`fan_chain`]s a near-duplicate stream draws from.
+const FAN_SHAPES: &[(usize, usize)] = &[(2, 1), (3, 1), (4, 2), (5, 2), (6, 3), (3, 3)];
+
+/// Admission bound of the near-duplicate stream: every [`FAN_SHAPES`]
+/// chain fits, the 9-op oversized requests do not.
+const MIXED_MAX_OPS: usize = 6;
+
+/// A seeded stream of 96 request lines in windows of 16: exact
+/// duplicates of a six-request pool, relabelled twins (a pool assay
+/// under a fresh id), op-renamed twins, op-permuted variants, malformed
+/// and wrong-version lines, and requests over [`MIXED_MAX_OPS`].
+fn near_duplicate_stream() -> (String, usize) {
+    const LINES: usize = 96;
+    // Only shapes with two or more fan ops besides the root have a
+    // rotation that changes the declaration order.
+    let wide: Vec<(usize, usize)> = FAN_SHAPES
+        .iter()
+        .copied()
+        .filter(|&(o, f)| o - (o - f).max(1) >= 2)
+        .collect();
+    let mut rng = mfhls::graph::rng::SplitMix64::seed_from_u64(0x5EED_10AD);
+    let mut input = String::new();
+    let mut arms = [0usize; 6];
+    for k in 0..LINES {
+        let arm = match rng.gen_index(0, 100) {
+            0..=29 => 0,
+            30..=44 => 1,
+            45..=59 => 2,
+            60..=74 => 3,
+            75..=87 => 4,
+            _ => 5,
+        };
+        arms[arm] += 1;
+        let shape = rng.gen_index(0, FAN_SHAPES.len());
+        let (ops, fan) = FAN_SHAPES[shape];
+        let line = match arm {
+            0 => dsl_request(&format!("pool{shape}"), fan_chain(ops, fan, "p", 0), vec![]),
+            1 => dsl_request(&format!("twin{k}"), fan_chain(ops, fan, "p", 0), vec![]),
+            2 => dsl_request(&format!("ren{k}"), fan_chain(ops, fan, "q", 0), vec![]),
+            3 => {
+                let (ops, fan) = wide[shape % wide.len()];
+                let nfan = ops - (ops - fan).max(1);
+                let rotate = 1 + rng.gen_index(0, nfan - 1);
+                dsl_request(
+                    &format!("perm{k}"),
+                    fan_chain(ops, fan, "p", rotate),
+                    vec![],
+                )
+            }
+            4 => match k % 3 {
+                0 => format!("not json ({k})"),
+                1 => format!(r#"{{"version":"{VERSION}","type":"synthesize","#),
+                _ => format!(r#"{{"version":"mfhls-api/v0","type":"synthesize","id":"old{k}"}}"#),
+            },
+            _ => dsl_request(&format!("big{k}"), fan_chain(9, 2, "o", 0), vec![]),
+        };
+        input.push_str(&line);
+        input.push('\n');
+        if (k + 1) % 16 == 0 {
+            input.push('\n');
+        }
+    }
+    assert!(
+        arms.iter().all(|&n| n > 0),
+        "every arm drew lines: {arms:?}"
+    );
+    (input, LINES)
+}
+
+#[test]
+fn near_duplicate_stream_is_byte_identical_across_configs_and_caches() {
+    let (input, lines) = near_duplicate_stream();
+    let base = ServiceConfig {
+        max_ops: MIXED_MAX_OPS,
+        ..ServiceConfig::default()
+    };
+    let configs = [
+        ("default", base.clone()),
+        (
+            "drain",
+            ServiceConfig {
+                pipeline_windows: 1,
+                ..base.clone()
+            },
+        ),
+        (
+            "one worker",
+            ServiceConfig {
+                workers: 1,
+                ..base.clone()
+            },
+        ),
+        (
+            "caches off",
+            ServiceConfig {
+                shared_cache: false,
+                delta_cache: false,
+                ..base.clone()
+            },
+        ),
+    ];
+    let mut baseline: Option<String> = None;
+    for (name, config) in configs {
+        let (out, summary) = serve(config, &input);
+        // Every request line, malformed or oversized ones included, draws
+        // exactly one response line.
+        assert_eq!(out.lines().count(), lines, "{name}");
+        assert_eq!(summary.solved + summary.rejected, lines as u64, "{name}");
+        match name {
+            "caches off" => {
+                assert_eq!(summary.delta_hits, 0, "{summary:?}");
+                assert_eq!(summary.window_hits, 0, "{summary:?}");
+            }
+            // One worker admits each window's requests to the delta cache
+            // in order, so the replay count is a function of the stream.
+            "one worker" => assert_eq!(summary.delta_hits, 63, "{summary:?}"),
+            _ => assert!(summary.delta_hits > 0, "{name}: {summary:?}"),
+        }
+        match &baseline {
+            None => baseline = Some(out),
+            Some(bytes) => assert_eq!(&out, bytes, "stream diverged under {name}"),
+        }
+    }
+}
+
+#[test]
+fn op_permuted_variant_draws_no_delta_replay() {
+    // Two windows: an original, then the same chain with its fan ops
+    // declared in rotated order. A renamed twin in the second window is
+    // the control: it replays the original.
+    let original = dsl_request("orig", fan_chain(5, 2, "p", 0), vec![]);
+    let permuted = dsl_request("perm", fan_chain(5, 2, "p", 1), vec![]);
+    let renamed = dsl_request("ren", fan_chain(5, 2, "q", 0), vec![]);
+    let (_, summary) = serve(
+        ServiceConfig::default(),
+        &format!("{original}\n\n{permuted}\n"),
+    );
+    assert_eq!(summary.solved, 2);
+    assert_eq!(summary.delta_hits, 0, "{summary:?}");
+    let (_, control) = serve(
+        ServiceConfig::default(),
+        &format!("{original}\n\n{renamed}\n"),
+    );
+    assert_eq!(control.delta_hits, 1, "{control:?}");
 }
 
 #[test]
