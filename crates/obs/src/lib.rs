@@ -15,8 +15,8 @@
 //!   the *calling* thread only. Pool workers spawned by `mfhls-par` never
 //!   have one, so anything they emit is dropped. Synthesis runs entirely
 //!   on the calling thread, so a whole synthesis trace is identical at any
-//!   pool size; the fan-outs that remain (simulation trials, the serve
-//!   pool) keep their per-item work silent.
+//!   pool size; the simulation trials' fan-outs keep their per-item work
+//!   silent, and the serve loop mutes each request's synthesis.
 //! * **Logical vs. diagnostic.** Records are classed [`Class::Logical`]
 //!   (pinned by determinism tests: same at 1 or N threads, cache on or
 //!   off) or [`Class::Diagnostic`] (best-effort insight such as cache
@@ -302,17 +302,11 @@ struct Recorder {
     epoch: Instant,
 }
 
-/// A standalone log2-bucketed histogram over `u64` values.
-///
-/// This is the same structure the capture recorder aggregates behind
-/// [`observe`], exposed as a value type so a caller can accumulate a
-/// latency distribution without an active capture and estimate
-/// quantiles from the buckets. Bucket `k` counts values whose bit length
-/// is `k` (bucket 0 holds the value 0), so any quantile is resolved to
-/// within a factor of two — plenty for p50/p99 reporting — while the
-/// whole histogram is 65 counters.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Log2Histogram {
+/// The log2-bucketed histogram the recorder keeps per [`observe`] name
+/// and writes out at [`finish_capture`]. Bucket `k` counts values whose
+/// bit length is `k` (bucket 0 holds the value 0), so a reader resolves
+/// any quantile to within a factor of two from 65 counters.
+struct Log2Histogram {
     count: u64,
     sum: u64,
     min: u64,
@@ -334,13 +328,8 @@ impl Default for Log2Histogram {
 }
 
 impl Log2Histogram {
-    /// An empty histogram.
-    pub fn new() -> Log2Histogram {
-        Log2Histogram::default()
-    }
-
     /// Records one value.
-    pub fn observe(&mut self, value: u64) {
+    fn observe(&mut self, value: u64) {
         if self.count == 0 {
             self.min = value;
             self.max = value;
@@ -351,88 +340,6 @@ impl Log2Histogram {
         self.count += 1;
         self.sum = self.sum.saturating_add(value);
         self.buckets[(u64::BITS - value.leading_zeros()) as usize] += 1;
-    }
-
-    /// Folds another histogram into this one.
-    pub fn merge(&mut self, other: &Log2Histogram) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            self.min = other.min;
-            self.max = other.max;
-        } else {
-            self.min = self.min.min(other.min);
-            self.max = self.max.max(other.max);
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        for (mine, theirs) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *mine += theirs;
-        }
-    }
-
-    /// Observations recorded so far.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Saturating sum of all observed values.
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Smallest observed value (0 when empty).
-    pub fn min(&self) -> u64 {
-        self.min
-    }
-
-    /// Largest observed value (0 when empty).
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Mean of the observed values (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Estimates the `q`-quantile (`q` in `[0, 1]`) from the log2
-    /// buckets: the upper bound of the bucket holding the `⌈q·count⌉`-th
-    /// smallest observation, clamped to the observed `[min, max]`. The
-    /// estimate therefore never overshoots the true quantile by more
-    /// than 2× (and is exact at the extremes). Returns 0 when empty.
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (k, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                // Bucket k holds values in [2^(k-1), 2^k - 1] (k = 0: just 0).
-                let upper = if k == 0 {
-                    0
-                } else if k >= 64 {
-                    u64::MAX
-                } else {
-                    (1u64 << k) - 1
-                };
-                return upper.clamp(self.min, self.max);
-            }
-        }
-        self.max
-    }
-
-    /// The raw bucket counts (`buckets()[k]` = observations of bit
-    /// length `k`).
-    pub fn buckets(&self) -> &[u64; 65] {
-        &self.buckets
     }
 }
 
@@ -1040,6 +947,8 @@ mod tests {
             }
             counter("steps", 2);
             observe("latency", 5);
+            observe("latency", 12);
+            observe("latency", 0);
         });
         let kinds: Vec<_> = trace.records.iter().map(|r| r.kind).collect();
         assert_eq!(
@@ -1063,6 +972,25 @@ mod tests {
         assert_eq!(trace.records[1].parent, Some(0));
         assert_eq!(trace.records[2].parent, Some(0));
         assert_eq!(trace.records[5].fields[0].1, OwnedValue::I64(3));
+        // The histogram record: count, sum, min, max, then the nonzero
+        // log2 buckets (bit lengths 0, 3 and 4).
+        let fields: Vec<(&str, &OwnedValue)> = trace.records[6]
+            .fields
+            .iter()
+            .map(|(k, v)| (k.as_str(), v))
+            .collect();
+        assert_eq!(
+            fields,
+            [
+                ("count", &OwnedValue::U64(3)),
+                ("sum", &OwnedValue::U64(17)),
+                ("min", &OwnedValue::U64(0)),
+                ("max", &OwnedValue::U64(12)),
+                ("p2_0", &OwnedValue::U64(1)),
+                ("p2_3", &OwnedValue::U64(1)),
+                ("p2_4", &OwnedValue::U64(1)),
+            ]
+        );
         assert!(trace.records.iter().all(|r| r.wall_ns.is_none()));
     }
 
@@ -1159,48 +1087,5 @@ mod tests {
         assert_eq!("debug".parse::<Level>(), Ok(Level::Debug));
         assert!("verbose".parse::<Level>().is_err());
         assert!(Level::Error < Level::Trace);
-    }
-
-    #[test]
-    fn log2_histogram_quantiles_bound_the_truth() {
-        let mut h = Log2Histogram::new();
-        assert_eq!(h.quantile(0.5), 0);
-        for v in 1..=1000u64 {
-            h.observe(v);
-        }
-        assert_eq!(h.count(), 1000);
-        assert_eq!(h.min(), 1);
-        assert_eq!(h.max(), 1000);
-        assert_eq!(h.sum(), 500_500);
-        // The estimate is the bucket upper bound: at least the true
-        // quantile, at most 2x it (clamped to the observed max).
-        for (q, truth) in [(0.5, 500u64), (0.9, 900), (0.99, 990)] {
-            let est = h.quantile(q);
-            assert!(est >= truth, "q={q}: {est} < {truth}");
-            assert!(est <= (2 * truth).min(1000), "q={q}: {est} > 2x{truth}");
-        }
-        assert_eq!(h.quantile(0.0), 1);
-        assert_eq!(h.quantile(1.0), 1000);
-    }
-
-    #[test]
-    fn log2_histogram_merge_matches_combined_stream() {
-        let mut a = Log2Histogram::new();
-        let mut b = Log2Histogram::new();
-        let mut combined = Log2Histogram::new();
-        for v in [3u64, 17, 900, 0, 5] {
-            a.observe(v);
-            combined.observe(v);
-        }
-        for v in [1u64, 250_000, 8] {
-            b.observe(v);
-            combined.observe(v);
-        }
-        a.merge(&b);
-        assert_eq!(a, combined);
-        // Merging an empty histogram is a no-op.
-        let before = a.clone();
-        a.merge(&Log2Histogram::new());
-        assert_eq!(a, before);
     }
 }

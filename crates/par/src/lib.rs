@@ -11,8 +11,8 @@
 //! > `par_map(items, f)` is **bitwise identical** to
 //! > `items.iter().map(f).collect()` at *every* thread count,
 //!
-//! which is what lets `mfhls-sim`'s seeded Monte-Carlo trials and
-//! `mfhls-svc`'s per-window request pool keep their byte-for-byte
+//! which is what lets `mfhls-sim`'s seeded Monte-Carlo trials and the
+//! metamorphic checks of `mfhls gen --check` keep their byte-for-byte
 //! reproducibility guarantees while saturating the machine.
 //!
 //! # Sizing

@@ -10,13 +10,13 @@
 //!   requested artifacts, optional deadline), control lines
 //!   (`flush`/`cancel`/`shutdown`), typed error kinds, and the response
 //!   builders the CLI's `--format json` mode reuses.
-//! * [`service`] — [`SynthesisService`]: deterministic admission windows
-//!   solved on an `mfhls-par` worker pool, pipelined across windows
-//!   (ingest → solve → write as typed concurrent stages), a bounded
-//!   cross-request [`SharedLayerCache`](mfhls_core::SharedLayerCache),
-//!   typed overload rejection, and byte-identical responses at any worker
-//!   count or pipeline depth. Runs over any `BufRead`/`Write` pair (the
-//!   CLI wires up stdin/stdout) or a local TCP listener.
+//! * [`service`] — [`SynthesisService`]: deterministic admission windows,
+//!   each read, solved in admission order and written on the calling
+//!   thread before the next is read; a bounded cross-request
+//!   [`SharedLayerCache`](mfhls_core::SharedLayerCache), typed overload
+//!   rejection, and byte-identical responses with the caches on or off.
+//!   Runs over any `BufRead`/`Write` pair (the CLI wires up
+//!   stdin/stdout) or a local TCP listener.
 //!
 //! ```
 //! use mfhls_svc::{ServiceConfig, SynthesisService};
@@ -40,7 +40,6 @@
 pub mod api;
 pub mod json;
 pub mod netlist;
-mod pipeline;
 pub mod service;
 pub mod shard;
 pub mod spec;

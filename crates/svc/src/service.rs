@@ -1,49 +1,35 @@
-//! The batched synthesis service: deterministic admission windows solved
-//! on a worker pool, pipelined across windows, with a cross-request
+//! The batched synthesis service: deterministic admission windows, each
+//! solved to completion on the serving thread, with a cross-request
 //! shared layer cache.
 //!
 //! # Determinism model
 //!
 //! A long-lived service with backpressure sounds inherently racy — queue
-//! occupancy would depend on how fast workers drain it, and so would
+//! occupancy would depend on how fast requests drain, and so would
 //! which request gets the `overloaded` rejection. This service avoids
 //! that with **synchronous admission windows**:
 //!
-//! * The ingest stage reads NDJSON lines one at a time and only *admits*
+//! * The loop reads NDJSON lines one at a time and only *admits*
 //!   requests (parse, resolve the assay, validate the config). Nothing
 //!   solves yet.
 //! * A blank line, a `{"type":"flush"}` control, EOF, or
-//!   `{"type":"shutdown"}` closes the window: the pending batch runs on
-//!   the worker pool ([`mfhls_par::par_map`], whose ordered reduction is
-//!   bitwise-deterministic at any thread count), and the responses are
-//!   written in admission order.
+//!   `{"type":"shutdown"}` closes the window: the pending batch is solved
+//!   in admission order on the calling thread, and the window is written
+//!   with one `write_all` + `flush` before the next line is read.
 //! * Admission-time failures — malformed lines, version mismatches,
 //!   parse/config errors, and `overloaded` rejections when the window
 //!   already holds `queue_capacity` requests — are serialized into the
 //!   window's buffer ahead of the batch responses, so each window's
 //!   bytes are `[rejections in input order] ++ [responses in admission
-//!   order]`, written with one buffered flush at the window boundary.
+//!   order]`.
 //!
-//! Queue occupancy is therefore a pure function of the input stream, not
-//! of worker timing: the same NDJSON input produces byte-identical output
-//! at 1 worker and at 16, with pipelining on or off (`tests/service.rs`
-//! pins the matrix, and the CI `serve-smoke` job diffs the streams
-//! end-to-end).
-//!
-//! # Pipelining
-//!
-//! With [`ServiceConfig::pipeline_windows`] > 1 the loop runs as a
-//! three-stage pipeline (see [`crate::pipeline`]): window *k+1* is
-//! admitted while window *k* solves and window *k−1* drains to the
-//! client. Overlap is a pure throughput feature: per-request responses
-//! depend only on the request itself plus the shared cache, and the cache
-//! is a pure accelerator, so overlap cannot change a response byte.
-//!
-//! When an `mfhls-obs` capture is active on the serving thread the loop
-//! falls back to the sequential in-line path (captures are thread-local,
-//! and a deterministic trace of a concurrent pipeline would interleave);
-//! the byte-identity pins guarantee this fallback is observationally
-//! equivalent.
+//! Queue occupancy is therefore a pure function of the input stream, and
+//! so is the rest of the loop's work: one thread meets the shared caches
+//! with the same lookups in the same order on every run, so the summary's
+//! hit/miss split and delta-replay count repeat along with the response
+//! bytes (`tests/service.rs` pins both; the CI `serve-smoke` job diffs two
+//! runs end to end). Only positive `deadline_ms` values read a clock.
+//! Serving across cores is a matter of running more processes.
 //!
 //! # The shared cache
 //!
@@ -51,15 +37,14 @@
 //! [`SharedLayerCache`]: request *N* re-solving a layer that request *M*
 //! already solved gets a cache hit. The cache is a pure accelerator —
 //! `mfhls-core` pins that schedules are identical with the cache on or
-//! off — so cross-request interleaving may change the hit/miss split
-//! (reported as diagnostics) but never a response byte.
+//! off — so it never changes a response byte; its hit/miss split is
+//! reported as diagnostics.
 
 use crate::api::{
     parse_incoming, response_error, response_ok, Artifacts, ErrorKind, Incoming, RequestError,
     SynthesisRequest,
 };
 use crate::json::Json;
-use crate::pipeline::{AdmittedWindow, SolvedWindow, WindowStats};
 use mfhls_core::{
     Assay, AssayShape, CacheStats, DeltaCache, RetryPolicy, SharedLayerCache, SynthConfig,
     Synthesizer,
@@ -67,16 +52,12 @@ use mfhls_core::{
 use mfhls_obs as obs;
 use mfhls_store::{SolutionStore, StoreStats};
 use std::io::{self, BufRead, Write};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Tuning knobs of a [`SynthesisService`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Worker threads solving each window (`0` = the `mfhls-par` default,
-    /// i.e. the `MFHLS_THREADS` env var, then the CPU count). Responses
-    /// are byte-identical at any setting.
-    pub workers: usize,
     /// Maximum requests admitted per window; further requests are
     /// rejected with `overloaded` until the window flushes.
     pub queue_capacity: usize,
@@ -88,10 +69,6 @@ pub struct ServiceConfig {
     /// Admission bound on operations per assay (inline DSL `repeat`
     /// blocks can multiply a small request into a huge one).
     pub max_ops: usize,
-    /// Windows in flight across the ingest → solve → write pipeline
-    /// (`1` = the sequential drain loop, i.e. pipelining off). Responses
-    /// are byte-identical at any setting.
-    pub pipeline_windows: usize,
     /// Keep a whole-request delta cache: a request whose positional
     /// [`AssayShape`] (structure + config, names excluded) matches an
     /// earlier request replays that result without synthesizing. A pure
@@ -105,12 +82,10 @@ pub struct ServiceConfig {
 impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
-            workers: 0,
             queue_capacity: 128,
             cache_entries: 256,
             shared_cache: true,
             max_ops: 512,
-            pipeline_windows: 2,
             delta_cache: true,
         }
     }
@@ -181,21 +156,6 @@ impl ServiceSummary {
             self.window_hits as f64 / total as f64
         }
     }
-
-    /// Folds one window's deterministic counters into the lifetime
-    /// totals (everything but `batches`, which the caller owns).
-    fn absorb_window(&mut self, w: &WindowStats) {
-        self.solved += w.solved;
-        self.rejected += w.rejected;
-        self.cancelled += w.cancelled;
-        self.window_hits += w.window_hits;
-        self.window_store_hits += w.window_store_hits;
-        self.window_misses += w.window_misses;
-        self.delta_hits += w.delta_hits;
-        if w.store.is_some() {
-            self.store = w.store.clone();
-        }
-    }
 }
 
 impl std::fmt::Display for ServiceSummary {
@@ -230,14 +190,14 @@ impl std::fmt::Display for ServiceSummary {
 }
 
 /// A request admitted into the current window.
-pub(crate) struct Pending {
-    pub(crate) id: String,
-    pub(crate) assay: Assay,
-    pub(crate) config: SynthConfig,
-    pub(crate) artifacts: Artifacts,
-    pub(crate) deadline_ms: Option<u64>,
-    pub(crate) admitted_at: Instant,
-    pub(crate) cancelled: bool,
+struct Pending {
+    id: String,
+    assay: Assay,
+    config: SynthConfig,
+    artifacts: Artifacts,
+    deadline_ms: Option<u64>,
+    admitted_at: Instant,
+    cancelled: bool,
 }
 
 /// How one request left the service (drives obs events and the summary).
@@ -323,31 +283,17 @@ impl SynthesisService {
     /// Serves NDJSON requests from `input`, writing NDJSON responses to
     /// `output`, until EOF or a `shutdown` control.
     ///
-    /// With [`ServiceConfig::pipeline_windows`] > 1 this runs the typed
-    /// three-stage pipeline (ingest → solve → write); with an
-    /// active `mfhls-obs` capture on this thread, or `pipeline_windows
-    /// == 1`, it runs the sequential in-line loop. Output bytes are
-    /// identical either way.
+    /// One loop on the calling thread: read lines and admit requests
+    /// until the window closes, solve its batch in admission order, write
+    /// the window with one `write_all` + `flush`, then read the next
+    /// line. An active `mfhls-obs` capture on this thread records the
+    /// loop's events.
     ///
     /// # Errors
     ///
     /// Only I/O errors on `input`/`output`; protocol problems become
     /// error *responses*, never an early return.
-    pub fn serve<R: BufRead, W: Write + Send>(
-        &self,
-        input: R,
-        output: W,
-    ) -> io::Result<ServiceSummary> {
-        if self.config.pipeline_windows > 1 && !obs::is_enabled() {
-            self.serve_pipelined(input, output)
-        } else {
-            self.serve_inline(input, output)
-        }
-    }
-
-    /// The sequential drain loop: each window is admitted, solved, and
-    /// written before the next line is read.
-    fn serve_inline<R: BufRead, W: Write>(
+    pub fn serve<R: BufRead, W: Write>(
         &self,
         input: R,
         mut output: W,
@@ -359,142 +305,13 @@ impl SynthesisService {
             store: self.store.as_ref().map(|s| s.stats()),
             ..ServiceSummary::default()
         };
-        self.admission_loop(input, &mut summary, |mut window, summary| {
-            if !window.batch.is_empty() {
-                summary.batches += 1;
-                let prev_store = summary.store.take();
-                let stats = self.run_window(&window.batch, &mut window.buf, prev_store);
-                summary.absorb_window(&stats);
-            }
-            output.write_all(window.buf.as_bytes())?;
-            output.flush()?;
-            let mut scratch = window.buf;
-            scratch.clear();
-            Ok(scratch)
-        })?;
-        summary.cache = self.cache.stats();
-        summary.store = self.store.as_ref().map(|s| s.stats());
-        Ok(summary)
-    }
-
-    /// The pipelined loop: ingest on the calling thread, solve and write
-    /// on their own stage threads, windows flowing through bounded
-    /// channels (see [`crate::pipeline`]).
-    fn serve_pipelined<R: BufRead, W: Write + Send>(
-        &self,
-        input: R,
-        output: W,
-    ) -> io::Result<ServiceSummary> {
-        let depth = self.config.pipeline_windows - 1;
-        let (solve_tx, solve_rx) = mpsc::sync_channel::<AdmittedWindow>(depth);
-        let (write_tx, write_rx) = mpsc::sync_channel::<SolvedWindow>(depth);
-        let (recycle_tx, recycle_rx) = mpsc::channel::<io::Result<String>>();
-        let mut summary = ServiceSummary::default();
-        let (read_result, solve_totals, batches, write_result) = std::thread::scope(|scope| {
-            let solver = scope.spawn(move || {
-                let mut totals = WindowStats::default();
-                let mut batches = 0u64;
-                let mut prev_store = self.store.as_ref().map(|s| s.stats());
-                while let Ok(mut window) = solve_rx.recv() {
-                    if !window.batch.is_empty() {
-                        batches += 1;
-                        let stats =
-                            self.run_window(&window.batch, &mut window.buf, prev_store.take());
-                        prev_store = stats.store.clone();
-                        totals.add(&stats);
-                    }
-                    if write_tx.send(SolvedWindow { buf: window.buf }).is_err() {
-                        break; // writer gone; teardown in progress
-                    }
-                }
-                (totals, batches)
-            });
-            let writer = scope.spawn(move || {
-                let mut output = output;
-                let mut failed: Option<io::Error> = None;
-                while let Ok(window) = write_rx.recv() {
-                    if failed.is_some() {
-                        continue; // keep draining so earlier stages never block
-                    }
-                    match output
-                        .write_all(window.buf.as_bytes())
-                        .and_then(|()| output.flush())
-                    {
-                        Ok(()) => {
-                            let mut scratch = window.buf;
-                            scratch.clear();
-                            let _ = recycle_tx.send(Ok(scratch));
-                        }
-                        Err(e) => {
-                            let _ = recycle_tx.send(Err(io::Error::new(e.kind(), e.to_string())));
-                            failed = Some(e);
-                        }
-                    }
-                }
-                match failed {
-                    Some(e) => Err(e),
-                    None => Ok(()),
-                }
-            });
-            let read_result = self.admission_loop(input, &mut summary, |window, _summary| {
-                if solve_tx.send(window).is_err() {
-                    return Err(io::Error::new(
-                        io::ErrorKind::BrokenPipe,
-                        "solve stage stopped",
-                    ));
-                }
-                // Pick up a recycled scratch buffer (or the writer's
-                // error) without blocking; a fresh String otherwise.
-                match recycle_rx.try_recv() {
-                    Ok(Ok(scratch)) => Ok(scratch),
-                    Ok(Err(e)) => Err(e),
-                    Err(_) => Ok(String::new()),
-                }
-            });
-            drop(solve_tx);
-            let (totals, batches) = match solver.join() {
-                Ok(v) => v,
-                Err(panic) => std::panic::resume_unwind(panic),
-            };
-            let write_result = match writer.join() {
-                Ok(v) => v,
-                Err(panic) => std::panic::resume_unwind(panic),
-            };
-            (read_result, totals, batches, write_result)
-        });
-        summary.batches += batches;
-        summary.absorb_window(&solve_totals);
-        write_result?;
-        read_result?;
-        summary.cache = self.cache.stats();
-        summary.store = self.store.as_ref().map(|s| s.stats());
-        Ok(summary)
-    }
-
-    /// The shared ingest/parse stage: reads lines, admits requests, and
-    /// hands each closed window to `on_window` (which must return a —
-    /// possibly recycled — scratch `String` for the next window).
-    fn admission_loop<R: BufRead, F>(
-        &self,
-        input: R,
-        summary: &mut ServiceSummary,
-        mut on_window: F,
-    ) -> io::Result<()>
-    where
-        F: FnMut(AdmittedWindow, &mut ServiceSummary) -> io::Result<String>,
-    {
+        // Both buffers are reused for every window.
         let mut pending: Vec<Pending> = Vec::new();
         let mut buf = String::new();
         for line in input.lines() {
             let line = line?;
             if line.trim().is_empty() {
-                if !pending.is_empty() || !buf.is_empty() {
-                    let window = AdmittedWindow {
-                        buf: std::mem::take(&mut buf),
-                        batch: std::mem::take(&mut pending),
-                    };
-                    buf = on_window(window, summary)?;
-                }
+                self.flush_window(&mut pending, &mut buf, &mut output, &mut summary)?;
                 continue;
             }
             match parse_incoming(&line) {
@@ -504,27 +321,16 @@ impl SynthesisService {
                     let id = Json::parse(&line)
                         .ok()
                         .and_then(|v| v.get("id").and_then(Json::as_str).map(str::to_owned));
-                    self.reject(id.as_deref(), &e, &mut buf, summary);
+                    self.reject(id.as_deref(), &e, &mut buf, &mut summary);
                 }
                 Ok(Incoming::Flush) => {
-                    if !pending.is_empty() || !buf.is_empty() {
-                        let window = AdmittedWindow {
-                            buf: std::mem::take(&mut buf),
-                            batch: std::mem::take(&mut pending),
-                        };
-                        buf = on_window(window, summary)?;
-                    }
+                    self.flush_window(&mut pending, &mut buf, &mut output, &mut summary)?;
                 }
                 Ok(Incoming::Shutdown) => {
-                    if !pending.is_empty() || !buf.is_empty() {
-                        let window = AdmittedWindow {
-                            buf: std::mem::take(&mut buf),
-                            batch: std::mem::take(&mut pending),
-                        };
-                        on_window(window, summary)?;
-                    }
+                    // The open window flushes below; nothing after the
+                    // shutdown line is read.
                     summary.shutdown = true;
-                    return Ok(());
+                    break;
                 }
                 Ok(Incoming::Cancel(id)) => {
                     let mut found = false;
@@ -537,20 +343,40 @@ impl SynthesisService {
                             kind: ErrorKind::MalformedRequest,
                             message: format!("no pending request '{id}' to cancel"),
                         };
-                        self.reject(Some(&id), &e, &mut buf, summary);
+                        self.reject(Some(&id), &e, &mut buf, &mut summary);
                     }
                 }
                 Ok(Incoming::Synthesize(req)) => {
-                    self.admit(*req, &mut pending, &mut buf, summary);
+                    self.admit(*req, &mut pending, &mut buf, &mut summary);
                 }
             }
         }
-        if !pending.is_empty() || !buf.is_empty() {
-            let window = AdmittedWindow {
-                buf: std::mem::take(&mut buf),
-                batch: std::mem::take(&mut pending),
-            };
-            on_window(window, summary)?;
+        self.flush_window(&mut pending, &mut buf, &mut output, &mut summary)?;
+        summary.cache = self.cache.stats();
+        summary.store = self.store.as_ref().map(|s| s.stats());
+        Ok(summary)
+    }
+
+    /// Closes the current window: solves its batch behind the rejections
+    /// already in `buf`, writes the window's bytes with one `write_all` +
+    /// `flush`, and empties both buffers for the next window. A window
+    /// with nothing in it writes nothing.
+    fn flush_window<W: Write>(
+        &self,
+        pending: &mut Vec<Pending>,
+        buf: &mut String,
+        output: &mut W,
+        summary: &mut ServiceSummary,
+    ) -> io::Result<()> {
+        if !pending.is_empty() {
+            summary.batches += 1;
+            self.run_window(pending, buf, summary);
+            pending.clear();
+        }
+        if !buf.is_empty() {
+            output.write_all(buf.as_bytes())?;
+            output.flush()?;
+            buf.clear();
         }
         Ok(())
     }
@@ -686,23 +512,17 @@ impl SynthesisService {
         });
     }
 
-    /// The solve stage: solves the batch and appends the serialized
-    /// responses to `buf` in admission order. Returns the window's
-    /// deterministic counters.
-    fn run_window(
-        &self,
-        batch: &[Pending],
-        buf: &mut String,
-        prev_store: Option<StoreStats>,
-    ) -> WindowStats {
+    /// Solves the batch in admission order, appends the serialized
+    /// responses to `buf`, and counts the window into `summary`.
+    fn run_window(&self, batch: &[Pending], buf: &mut String, summary: &mut ServiceSummary) {
         obs::event(
             obs::Level::Info,
             "svc.batch_flush",
             &[("size", obs::Value::U64(batch.len() as u64))],
         );
-        let mut stats = WindowStats::default();
-        let results = self.solve_batch(batch);
-        for (p, solved) in batch.iter().zip(&results) {
+        let mut delta_hits = 0u64;
+        for p in batch {
+            let solved = self.solve_one(p);
             match &solved.outcome {
                 Outcome::Solved => {
                     obs::event(
@@ -711,7 +531,7 @@ impl SynthesisService {
                         &[("id", obs::Value::Str(&p.id))],
                     );
                     obs::counter("svc.solved", 1);
-                    stats.solved += 1;
+                    summary.solved += 1;
                 }
                 Outcome::Rejected(kind) => {
                     obs::event(
@@ -723,39 +543,40 @@ impl SynthesisService {
                         ],
                     );
                     obs::counter("svc.rejected", 1);
-                    stats.rejected += 1;
+                    summary.rejected += 1;
                     if *kind == ErrorKind::Cancelled {
-                        stats.cancelled += 1;
+                        summary.cancelled += 1;
                     }
                 }
             }
             if solved.delta_hit {
-                stats.delta_hits += 1;
+                delta_hits += 1;
             }
             solved.line.write(buf);
             buf.push('\n');
         }
-        // Cache movement is timing-dependent under the shared cache, so
-        // it goes to the diagnostic class (excluded from determinism
-        // comparisons), mirroring the per-run split in IterationStats.
-        // Draining the per-window counters here (rather than diffing
-        // lifetime stats) keeps each window's — and each connection's —
-        // rate independent of what ran before it.
+        // Cache movement depends on what earlier requests (and the store)
+        // left in the cache, so it goes to the diagnostic class (excluded
+        // from determinism comparisons), mirroring the per-run split in
+        // IterationStats. Draining the per-window counters here (rather
+        // than diffing lifetime stats) keeps each window's — and each
+        // connection's — rate independent of what ran before it.
         let window = self.cache.take_window_counters();
         obs::diagnostic_counter("svc.cache_hits", window.hits() as i64);
         obs::diagnostic_counter("svc.cache_exact_hits", window.exact_hits as i64);
         obs::diagnostic_counter("svc.cache_store_hits", window.store_hits as i64);
         obs::diagnostic_counter("svc.cache_misses", window.misses as i64);
-        obs::diagnostic_counter("svc.delta_hits", stats.delta_hits as i64);
-        stats.window_hits = window.hits();
-        stats.window_store_hits = window.store_hits;
-        stats.window_misses = window.misses;
+        obs::diagnostic_counter("svc.delta_hits", delta_hits as i64);
+        summary.window_hits += window.hits();
+        summary.window_store_hits += window.store_hits;
+        summary.window_misses += window.misses;
+        summary.delta_hits += delta_hits;
         // The store moves while solve_one runs muted, so its counters are
         // re-emitted here as this window's deltas against the previous
         // window's snapshot.
         if let Some(store) = &self.store {
             let now = store.stats();
-            let prev = prev_store.unwrap_or_default();
+            let prev = summary.store.take().unwrap_or_default();
             obs::diagnostic_counter("store_hit", (now.hits - prev.hits) as i64);
             obs::diagnostic_counter("store_miss", (now.misses - prev.misses) as i64);
             obs::diagnostic_counter("store_appended", (now.appended - prev.appended) as i64);
@@ -765,27 +586,13 @@ impl SynthesisService {
             if now.degraded && !prev.degraded {
                 obs::diagnostic_counter("store_degraded", 1);
             }
-            stats.store = Some(now);
-        }
-        stats
-    }
-
-    /// Solves the batch on an `mfhls-par` pool (the configured worker
-    /// count, or the pool default at 0), results in admission order.
-    fn solve_batch(&self, batch: &[Pending]) -> Vec<SolvedOne> {
-        if self.config.workers == 0 {
-            mfhls_par::par_map(batch, |p| self.solve_one(p))
-        } else {
-            mfhls_par::with_threads(self.config.workers, || {
-                mfhls_par::par_map(batch, |p| self.solve_one(p))
-            })
+            summary.store = Some(now);
         }
     }
 
-    /// Solves one admitted request on a worker thread. Muted: a request's
-    /// synthesis records must not leak into the service's own capture
-    /// (par_map runs inline on the serve thread at 1 worker). The `trace`
-    /// artifact gets its own scoped capture instead.
+    /// Solves one admitted request. Muted: a request's synthesis records
+    /// must not leak into the service's own capture on this thread. The
+    /// `trace` artifact gets its own scoped capture instead.
     fn solve_one(&self, p: &Pending) -> SolvedOne {
         let _mute = obs::muted();
         let rejected = |kind: ErrorKind, message: &str| SolvedOne {
@@ -798,8 +605,7 @@ impl SynthesisService {
         }
         if let Some(ms) = p.deadline_ms {
             // `0` is deterministically expired; positive deadlines are
-            // wall-clock (best effort, like any timeout — under
-            // pipelining a window may wait behind its predecessor).
+            // wall-clock (best effort, like any timeout).
             let expired = ms == 0 || u128::from(ms) <= p.admitted_at.elapsed().as_millis();
             if expired {
                 return rejected(
@@ -1130,8 +936,17 @@ mod tests {
         assert!(second.cache.hits >= first.window_hits + second.window_hits);
     }
 
+    /// The config a caches-off control run serves under.
+    fn caches_off() -> ServiceConfig {
+        ServiceConfig {
+            shared_cache: false,
+            delta_cache: false,
+            ..ServiceConfig::default()
+        }
+    }
+
     #[test]
-    fn pipelined_and_inline_streams_are_byte_identical() {
+    fn mixed_windows_repeat_byte_for_byte_and_match_caches_off() {
         // Three windows mixing solved requests, a malformed line, an
         // overload rejection, and a cancel.
         let mut input = String::new();
@@ -1146,26 +961,40 @@ mod tests {
             }
             input.push('\n');
         }
+        let cached = ServiceConfig {
+            queue_capacity: 3,
+            ..ServiceConfig::default()
+        };
+        let runs = [
+            ("first", cached.clone()),
+            ("second", cached),
+            (
+                "caches off",
+                ServiceConfig {
+                    queue_capacity: 3,
+                    ..caches_off()
+                },
+            ),
+        ];
         let mut streams = Vec::new();
-        for pipeline_windows in [1, 2, 4] {
-            let service = SynthesisService::new(ServiceConfig {
-                pipeline_windows,
-                queue_capacity: 3,
-                ..ServiceConfig::default()
-            });
-            let (out, summary) = run(&service, &input);
-            assert_eq!(summary.batches, 3, "windows at depth {pipeline_windows}");
-            assert_eq!(summary.cancelled, 1);
+        for (name, config) in runs {
+            let (out, summary) = run(&SynthesisService::new(config), &input);
+            assert_eq!(summary.batches, 3, "{name}");
+            assert_eq!(summary.cancelled, 1, "{name}");
+            // 12 requests, 3 over capacity, 3 malformed lines.
+            assert_eq!(out.lines().count(), 15, "{name}");
             streams.push(out);
         }
-        assert_eq!(streams[0], streams[1]);
-        assert_eq!(streams[0], streams[2]);
+        assert_eq!(streams[0], streams[1], "a second run changed a byte");
+        assert_eq!(streams[0], streams[2], "the caches changed a byte");
     }
 
     #[test]
-    fn pipelined_writer_error_surfaces() {
+    fn writer_error_surfaces_after_the_windows_already_written() {
+        /// Accepts `after` writes, keeping their bytes, then fails.
         struct FailingWriter {
             after: usize,
+            accepted: Vec<u8>,
         }
         impl Write for FailingWriter {
             fn write(&mut self, data: &[u8]) -> io::Result<usize> {
@@ -1173,32 +1002,44 @@ mod tests {
                     return Err(io::Error::new(io::ErrorKind::BrokenPipe, "sink closed"));
                 }
                 self.after -= 1;
+                self.accepted.extend_from_slice(data);
                 Ok(data.len())
             }
             fn flush(&mut self) -> io::Result<()> {
                 Ok(())
             }
         }
-        let service = SynthesisService::new(ServiceConfig::default());
-        // Many windows so the reader is guaranteed to observe the
-        // writer's failure (or finish input, either way the error must
-        // surface from serve()).
+        // Eight one-request windows: the first is written whole, the
+        // second write fails, and serving stops there.
         let mut input = String::new();
         for k in 0..8 {
             input.push_str(&req(&format!("r{k}"), 1));
             input.push_str("\n\n");
         }
-        let err = service
-            .serve(
-                io::BufReader::new(input.as_bytes()),
-                FailingWriter { after: 1 },
-            )
-            .expect_err("writer failure must propagate");
-        assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
+        let mut written = Vec::new();
+        for config in [
+            ServiceConfig::default(),
+            ServiceConfig::default(),
+            caches_off(),
+        ] {
+            let mut sink = FailingWriter {
+                after: 1,
+                accepted: Vec::new(),
+            };
+            let err = SynthesisService::new(config)
+                .serve(io::BufReader::new(input.as_bytes()), &mut sink)
+                .expect_err("writer failure must propagate");
+            assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
+            written.push(String::from_utf8(sink.accepted).expect("responses are UTF-8"));
+        }
+        assert_eq!(written[0].lines().count(), 1, "{}", written[0]);
+        assert!(written[0].contains("\"id\":\"r0\""), "{}", written[0]);
+        assert_eq!(written[0], written[1]);
+        assert_eq!(written[0], written[2]);
     }
 
     #[test]
-    fn summary_display_surfaces_shards_and_retries() {
+    fn summary_display_surfaces_store_delta_and_retries() {
         let mut summary = ServiceSummary {
             accepted: 4,
             solved: 4,

@@ -13,23 +13,23 @@
 //!                             [--pad-factor F] [--threads N] [--exact]
 //! mfhls export-lp protocol.mfa [--layer K] [--out FILE]
 //! mfhls trace-check trace.jsonl
-//! mfhls serve [--workers N] [--window D] [--queue N] [--cache-entries N]
-//!             [--max-ops N] [--no-shared-cache] [--no-delta-cache]
+//! mfhls serve [--queue N] [--cache-entries N] [--max-ops N]
+//!             [--no-shared-cache] [--no-delta-cache]
 //!             [--store DIR] [--tcp ADDR] [--once]
 //! mfhls bench
 //! mfhls gen [--seed S] [--count N] [--profile P|all] [--format dsl|netlist]
 //!           [--out DIR] [--check] [--threads N]
 //! ```
 //!
-//! `synth`, `simulate`, and `faultsim` additionally accept
+//! `synth`, `simulate`, `faultsim` and `serve` additionally accept
 //! `--trace FILE [--trace-format jsonl|chrome] [--log LEVEL]` to capture a
-//! deterministic execution trace (see `mfhls-obs`), and
+//! deterministic execution trace (see `mfhls-obs`), and the first three
 //! `--format text|json` to emit their result as one `mfhls-api/v1` JSON
 //! object instead of prose. `serve` runs the batched synthesis service of
-//! `mfhls-svc` over stdin/stdout NDJSON (or a local TCP listener),
-//! solving each window on a worker pool, pipelining up to `--window`
-//! admission windows through ingest/solve/write stages, and sharing a
-//! bounded layer cache across requests. Unknown flags, flags
+//! `mfhls-svc` over stdin/stdout NDJSON (or a local TCP listener): one
+//! thread reads each admission window, solves it in admission order and
+//! writes it before reading the next, sharing a bounded layer cache
+//! across requests. Unknown flags, flags
 //! missing their value, and zero/absurd sizing values are rejected with a
 //! targeted error naming the flag and a nonzero exit code.
 
@@ -97,8 +97,8 @@ fn print_usage() {
          mfhls export-lp <file.mfa> [--layer K] [--out FILE]\n  \
          mfhls graph <file.mfa> [--layers] [--out FILE]\n  \
          mfhls trace-check <trace.jsonl>\n  \
-         mfhls serve [--workers N] [--window D] [--queue N] [--cache-entries N]\n             \
-         [--max-ops N] [--no-shared-cache] [--no-delta-cache]\n             \
+         mfhls serve [--queue N] [--cache-entries N] [--max-ops N]\n             \
+         [--no-shared-cache] [--no-delta-cache]\n             \
          [--store DIR] [--tcp ADDR] [--once]\n  \
          mfhls bench\n  \
          mfhls gen [--seed S] [--count N] [--profile P|all]\n             \
@@ -115,20 +115,20 @@ fn print_usage() {
          (default: MFHLS_THREADS env var, then the CPU count);\n                \
          synthesis itself is sequential. Output is\n                \
          bitwise-identical at any thread count.\n  \
-         --trace FILE  (synth|simulate|faultsim) capture a deterministic\n                \
-         execution trace; --trace-format jsonl|chrome picks the\n                \
-         encoding (default jsonl, validated by 'mfhls trace-check').\n  \
+         --trace FILE  (synth|simulate|faultsim|serve) capture a\n                \
+         deterministic execution trace; --trace-format\n                \
+         jsonl|chrome picks the encoding (default jsonl,\n                \
+         validated by 'mfhls trace-check').\n  \
          --log LEVEL   echo trace records at or above LEVEL to stderr\n                \
          (error|warn|info|debug|trace).\n  \
          --store DIR   (serve) persist solved layers to DIR (mfhls-store/v2\n                \
          segments; v1 directories still load) so a restarted\n                \
          server warms instantly; corrupt or unwritable stores\n                \
          degrade to memory-only, never fail a request.\n  \
-         --workers N   (serve) worker threads solving each window; 0 (the\n                \
-         default) = auto, i.e. MFHLS_THREADS, then the CPU count.\n  \
-         --window D    (serve) admission windows in flight across the\n                \
-         ingest/solve/write pipeline (default 2; 1 = pipelining\n                \
-         off). Responses are byte-identical at any setting."
+         --queue N     (serve) requests admitted per window (default 128);\n                \
+         further ones draw a typed 'overloaded' error. Each window\n                \
+         is solved on one thread and written before the next is\n                \
+         read; run more processes to serve across cores."
     );
 }
 
@@ -798,8 +798,6 @@ fn trace_check(args: &[String]) -> Result<(), CliError> {
 }
 
 const SERVE_FLAGS: &[(&str, bool)] = &[
-    ("--workers", true),
-    ("--window", true),
     ("--queue", true),
     ("--cache-entries", true),
     ("--max-ops", true),
@@ -810,7 +808,7 @@ const SERVE_FLAGS: &[(&str, bool)] = &[
     ("--once", false),
 ];
 
-/// Upper sanity bound on `--window`/`--queue`: values past
+/// Upper sanity bound on `--queue`: values past
 /// this are far beyond any useful setting on one machine and almost
 /// certainly a typo (e.g. a byte size pasted into the wrong flag).
 const SERVE_ABSURD: usize = 65_536;
@@ -824,38 +822,28 @@ fn serve(args: &[String]) -> Result<(), CliError> {
     let flags = Flags { args };
     let trace = trace_opts(&flags)?;
     let defaults = mfhls::svc::ServiceConfig::default();
-    // Zero or absurd values on the serve-plane sizing flags are always a
-    // mistake; fail at parse time naming the flag rather than spinning up
-    // a degenerate service.
-    let bounded = |flag: &str, value: usize| -> Result<usize, CliError> {
-        if value == 0 {
-            return Err(format!("flag '{flag}' of 'mfhls serve' wants at least 1").into());
-        }
-        if value > SERVE_ABSURD {
-            return Err(format!(
-                "flag '{flag}' of 'mfhls serve' wants at most {SERVE_ABSURD} (got {value})"
-            )
-            .into());
-        }
-        Ok(value)
-    };
-    let queue_capacity = bounded("--queue", flags.parsed("--queue", defaults.queue_capacity)?)?;
-    let pipeline_windows = bounded(
-        "--window",
-        flags.parsed("--window", defaults.pipeline_windows)?,
-    )?;
+    // A zero or absurd queue is always a mistake; fail at parse time
+    // naming the flag rather than spinning up a degenerate service.
+    let queue_capacity = flags.parsed("--queue", defaults.queue_capacity)?;
+    if queue_capacity == 0 {
+        return Err("flag '--queue' of 'mfhls serve' wants at least 1".into());
+    }
+    if queue_capacity > SERVE_ABSURD {
+        return Err(format!(
+            "flag '--queue' of 'mfhls serve' wants at most {SERVE_ABSURD} (got {queue_capacity})"
+        )
+        .into());
+    }
     let max_ops = flags.parsed("--max-ops", defaults.max_ops)?;
     if max_ops == 0 {
         return Err("--max-ops wants at least 1".into());
     }
     let config = mfhls::svc::ServiceConfig {
-        workers: flags.parsed("--workers", defaults.workers)?,
         queue_capacity,
         cache_entries: flags.parsed("--cache-entries", defaults.cache_entries)?,
         shared_cache: !flags.has("--no-shared-cache"),
         delta_cache: !flags.has("--no-delta-cache"),
         max_ops,
-        pipeline_windows,
     };
     let service = match flags.value("--store") {
         Some(dir) => {
@@ -881,13 +869,7 @@ fn serve(args: &[String]) -> Result<(), CliError> {
             eprintln!("mfhls serve: listening on {}", listener.local_addr()?);
             service.serve_listener(&listener, flags.has("--once"))?
         }
-        None => {
-            // stdout() rather than stdout().lock(): the pipelined serve
-            // plane moves the writer onto its write stage, so it must be
-            // Send (StdoutLock is not). Stdout locks per write anyway.
-            let stdin = std::io::stdin();
-            service.serve(stdin.lock(), std::io::stdout())?
-        }
+        None => service.serve(std::io::stdin().lock(), std::io::stdout().lock())?,
     };
     finish_trace_quietly(&trace, true)?;
     eprintln!("mfhls serve: {summary}");

@@ -539,7 +539,7 @@ const SERVE_BATCH: &str = concat!(
 
 #[test]
 fn serve_round_trips_ndjson_over_stdin() {
-    let out = mfhls_with_stdin(&["serve", "--workers", "1"], SERVE_BATCH);
+    let out = mfhls_with_stdin(&["serve"], SERVE_BATCH);
     assert!(
         out.status.success(),
         "{}",
@@ -573,22 +573,32 @@ fn serve_round_trips_ndjson_over_stdin() {
     assert!(summary.contains("2 accepted, 2 solved"), "{summary}");
 }
 
+/// Runs `mfhls serve` with `args` over `SERVE_BATCH`, returning stdout and
+/// the stderr summary line.
+fn serve_batch(args: &[&str]) -> (String, String) {
+    let out = mfhls_with_stdin(args, SERVE_BATCH);
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert!(out.status.success(), "{args:?}: {stderr}");
+    let summary = stderr
+        .lines()
+        .find(|l| l.starts_with("mfhls serve: ") && l.contains(" accepted, "))
+        .unwrap_or_else(|| panic!("{args:?} printed no summary line: {stderr}"))
+        .to_owned();
+    (String::from_utf8_lossy(&out.stdout).into_owned(), summary)
+}
+
 #[test]
-fn serve_is_worker_count_invariant_end_to_end() {
-    let run = |workers: &str| {
-        let out = mfhls_with_stdin(&["serve", "--workers", workers], SERVE_BATCH);
-        assert!(
-            out.status.success(),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        out.stdout
-    };
-    assert_eq!(
-        run("1"),
-        run("4"),
-        "serve responses differ between 1 and 4 workers"
-    );
+fn serve_repeats_its_stdout_and_summary_end_to_end() {
+    // One thread serves each window in admission order, so a second run
+    // prints the same responses and the same summary line, cache hit
+    // rate and delta replays included.
+    let (stdout, summary) = serve_batch(&["serve"]);
+    let (stdout_again, summary_again) = serve_batch(&["serve"]);
+    assert_eq!(stdout, stdout_again, "a second run changed a response");
+    assert_eq!(summary, summary_again, "a second run changed the summary");
+    assert!(summary.contains("2 accepted, 2 solved"), "{summary}");
+    let (cold, _) = serve_batch(&["serve", "--no-shared-cache", "--no-delta-cache"]);
+    assert_eq!(stdout, cold, "the caches changed a response");
 }
 
 #[test]
@@ -600,7 +610,7 @@ fn serve_overload_rejection_is_typed() {
         ));
         input.push('\n');
     }
-    let out = mfhls_with_stdin(&["serve", "--workers", "1", "--queue", "2"], &input);
+    let out = mfhls_with_stdin(&["serve", "--queue", "2"], &input);
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
     let first = mfhls::svc::Json::parse(stdout.lines().next().expect("responses written"))
@@ -632,57 +642,42 @@ fn serve_rejects_bad_flags() {
 fn serve_validates_shard_window_queue_bounds_at_parse_time() {
     // Zero and absurd values are rejected before the service starts,
     // with an error that names the offending flag.
-    for (flag, value) in [
-        ("--window", "0"),
-        ("--queue", "0"),
-        ("--window", "999999999"),
-        ("--queue", "1000000"),
-    ] {
-        let out = mfhls_with_stdin(&["serve", flag, value], "");
-        assert!(!out.status.success(), "serve {flag} {value} must fail");
+    for value in ["0", "1000000"] {
+        let out = mfhls_with_stdin(&["serve", "--queue", value], "");
+        assert!(!out.status.success(), "serve --queue {value} must fail");
         let err = String::from_utf8_lossy(&out.stderr);
-        assert!(err.contains(flag), "error must name {flag}: {err}");
+        assert!(err.contains("--queue"), "error must name --queue: {err}");
         assert!(
             err.contains("at least") || err.contains("at most"),
             "error must state the bound: {err}"
         );
     }
     // Non-numeric values hit the same targeted path.
-    let out = mfhls_with_stdin(&["serve", "--window", "many"], "");
+    let out = mfhls_with_stdin(&["serve", "--queue", "many"], "");
     assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--window"));
-    // `--shards` is not a serve flag.
-    let out = mfhls_with_stdin(&["serve", "--shards", "2"], "");
-    assert!(!out.status.success());
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("unknown flag '--shards'"), "{err}");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--queue"));
+    // The retired serve-plane axes are not serve flags.
+    for flag in ["--shards", "--window", "--workers"] {
+        let out = mfhls_with_stdin(&["serve", flag, "2"], "");
+        assert!(!out.status.success(), "serve {flag} 2 must fail");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("unknown flag '{flag}'")), "{err}");
+    }
 }
 
 #[test]
-fn serve_stream_is_shard_invariant_end_to_end() {
-    // Same stdin at every worker count and pipeline depth: stdout must be
-    // byte-for-byte identical (responses follow admission order, not
-    // completion order).
-    let baseline = mfhls_with_stdin(&["serve", "--workers", "1", "--window", "1"], SERVE_BATCH);
-    assert!(
-        baseline.status.success(),
-        "{}",
-        String::from_utf8_lossy(&baseline.stderr)
-    );
-    for workers in ["0", "1", "2"] {
-        for window in ["1", "2", "4"] {
-            let args = ["serve", "--workers", workers, "--window", window];
-            let out = mfhls_with_stdin(&args, SERVE_BATCH);
-            assert!(
-                out.status.success(),
-                "{}",
-                String::from_utf8_lossy(&out.stderr)
-            );
-            assert_eq!(
-                String::from_utf8_lossy(&out.stdout),
-                String::from_utf8_lossy(&baseline.stdout),
-                "serve responses differ under {args:?}"
-            );
-        }
+fn serve_stream_is_cache_invariant_end_to_end() {
+    // Responses follow admission order and the caches are pure
+    // accelerators: stdout must be byte-for-byte identical on a second
+    // run and with either cache, or both, turned off.
+    let (baseline, _) = serve_batch(&["serve"]);
+    for args in [
+        &["serve"][..],
+        &["serve", "--no-delta-cache"],
+        &["serve", "--no-shared-cache"],
+        &["serve", "--no-shared-cache", "--no-delta-cache"],
+    ] {
+        let (stdout, _) = serve_batch(args);
+        assert_eq!(stdout, baseline, "serve responses differ under {args:?}");
     }
 }

@@ -2,14 +2,16 @@
 //!
 //! The service's determinism contract extends the workspace-wide one
 //! pinned in `tests/determinism.rs`: NDJSON responses must be
-//! **byte-identical** at any worker count, with the window pipeline on
-//! or off, and with the shared cross-request layer cache and the
-//! whole-request delta cache on or off — because the caches are pure
-//! accelerators, results come back in admission order, and windows flow
-//! through the pipeline in FIFO order. These tests drive a large
-//! in-flight window (the ≥64-request acceptance criterion), the workers ×
-//! pipelining matrix, a seeded near-duplicate stream, typed rejection
-//! paths, the cache eviction bound, and the observability counters.
+//! **byte-identical** from run to run and with the shared cross-request
+//! layer cache and the whole-request delta cache on or off — because the
+//! caches are pure accelerators and one thread solves each window in
+//! admission order. With no thread timing in the loop, a second run
+//! repeats the whole summary too, cache hit/miss split and delta replays
+//! included. These tests drive a large in-flight window (the
+//! ≥64-request acceptance criterion), mixed traffic, a seeded
+//! near-duplicate stream, typed rejection paths, the cache eviction
+//! bound, and the observability counters, each against a second run and
+//! a caches-off run.
 
 use mfhls::svc::{Json, ServiceConfig, ServiceSummary, SynthesisService, VERSION};
 use std::io::BufReader;
@@ -69,6 +71,25 @@ fn dsl_request(id: &str, text: String, extra: Vec<(&str, Json)>) -> String {
     line
 }
 
+/// Serves `input` under `config`, again on a fresh service, and once more
+/// with both caches off. Asserts that the three response streams are
+/// byte-identical and the first two summaries equal; returns the first
+/// run.
+fn serve_thrice(config: ServiceConfig, input: &str) -> (String, ServiceSummary) {
+    let control = ServiceConfig {
+        shared_cache: false,
+        delta_cache: false,
+        ..config.clone()
+    };
+    let (out, summary) = serve(config.clone(), input);
+    let (again, summary_again) = serve(config, input);
+    assert_eq!(out, again, "a second run changed a response byte");
+    assert_eq!(summary, summary_again, "a second run changed the summary");
+    let (cold, _) = serve(control, input);
+    assert_eq!(out, cold, "the caches changed a response byte");
+    (out, summary)
+}
+
 fn serve(config: ServiceConfig, input: &str) -> (String, ServiceSummary) {
     let service = SynthesisService::new(config);
     let mut out = Vec::new();
@@ -116,29 +137,14 @@ fn batch_of_64() -> String {
 }
 
 #[test]
-fn sixty_four_in_flight_requests_are_byte_identical_at_1_and_4_workers() {
-    let input = batch_of_64();
-    let at = |workers: usize| {
-        serve(
-            ServiceConfig {
-                workers,
-                ..ServiceConfig::default()
-            },
-            &input,
-        )
-    };
-    let (out_1, summary_1) = at(1);
-    let (out_4, summary_4) = at(4);
-    assert_eq!(
-        out_1, out_4,
-        "service responses differ between 1 and 4 workers"
-    );
-    assert_eq!(summary_1.solved, 64);
-    assert_eq!(summary_1.rejected, 0);
-    assert_eq!(summary_4.solved, 64);
+fn sixty_four_in_flight_requests_repeat_and_match_caches_off() {
+    let (out, summary) = serve_thrice(ServiceConfig::default(), &batch_of_64());
+    assert_eq!(summary.solved, 64);
+    assert_eq!(summary.rejected, 0);
+    assert_eq!(summary.batches, 1);
 
     // Responses come back in admission order, every one solved.
-    let lines: Vec<Json> = out_1.lines().map(|l| Json::parse(l).unwrap()).collect();
+    let lines: Vec<Json> = out.lines().map(|l| Json::parse(l).unwrap()).collect();
     assert_eq!(lines.len(), 64);
     for (i, line) in lines.iter().enumerate() {
         assert_eq!(
@@ -235,9 +241,18 @@ fn cache_and_admission_counters_flow_through_obs() {
         r2 = request("second", 7, 4, vec![])
     );
     mfhls::obs::start_capture(mfhls::obs::CaptureConfig::default());
-    let (_, summary) = serve(ServiceConfig::default(), &input);
+    let (out, summary) = serve(ServiceConfig::default(), &input);
     let trace = mfhls::obs::finish_capture().expect("capture was active");
     let jsonl = trace.to_jsonl();
+    // Traced serving is the production loop: the same bytes as an
+    // uncaptured run, and one batch flush recorded per window.
+    let (uncaptured, _) = serve(ServiceConfig::default(), &input);
+    assert_eq!(out, uncaptured, "a capture changed a response byte");
+    assert_eq!(
+        jsonl.matches("\"name\":\"svc.batch_flush\"").count(),
+        2,
+        "one svc.batch_flush per window: {jsonl}"
+    );
     for name in [
         "svc.request_accepted",
         "svc.batch_flush",
@@ -266,10 +281,11 @@ fn cache_and_admission_counters_flow_through_obs() {
 }
 
 #[test]
-fn rejection_paths_are_typed_and_worker_invariant() {
+fn rejection_paths_are_typed_and_repeatable() {
     // One window over capacity, one malformed line, one unsupported
     // version, one zero deadline, one cancel: every rejection is typed,
-    // and the whole stream is byte-identical at any worker count.
+    // and the whole stream is byte-identical on a second run and with the
+    // caches off.
     let mut input = String::new();
     for i in 0..4 {
         let extra = if i == 3 {
@@ -291,21 +307,15 @@ fn rejection_paths_are_typed_and_worker_invariant() {
     input.push_str(&request("q4", 4, 1, vec![]));
     input.push('\n');
     input.push('\n');
-    let at = |workers: usize| {
-        serve(
-            ServiceConfig {
-                workers,
-                queue_capacity: 4,
-                ..ServiceConfig::default()
-            },
-            &input,
-        )
-    };
-    let (out_1, summary) = at(1);
-    let (out_4, _) = at(4);
-    assert_eq!(out_1, out_4, "rejections differ between 1 and 4 workers");
+    let (out, summary) = serve_thrice(
+        ServiceConfig {
+            queue_capacity: 4,
+            ..ServiceConfig::default()
+        },
+        &input,
+    );
 
-    let kinds: Vec<(Option<String>, Option<String>)> = out_1
+    let kinds: Vec<(Option<String>, Option<String>)> = out
         .lines()
         .map(|l| {
             let v = Json::parse(l).unwrap();
@@ -349,12 +359,11 @@ fn rejection_paths_are_typed_and_worker_invariant() {
 }
 
 #[test]
-fn response_stream_is_byte_identical_across_shard_worker_pipeline_matrix() {
-    // The acceptance matrix of the pipelined serve plane: --workers
-    // {0,1,4} × pipelining on/off must all produce the same bytes. Three
-    // windows of mixed traffic (varied protocols, artifacts, a malformed
-    // line, a cancel, a zero deadline) so solve-time rejections and the
-    // window pipeline both engage.
+fn mixed_traffic_stream_repeats_and_matches_caches_off() {
+    // Three windows of mixed traffic (varied protocols, artifacts, a
+    // malformed line, a cancel, a zero deadline), so admission- and
+    // solve-time rejections both engage, served twice and with the caches
+    // off.
     let mut input = String::new();
     for window in 0..3 {
         for i in 0..8 {
@@ -387,34 +396,14 @@ fn response_stream_is_byte_identical_across_shard_worker_pipeline_matrix() {
         }
         input.push('\n');
     }
-    let mut baseline: Option<(String, u64)> = None;
-    for workers in [0usize, 1, 4] {
-        for pipeline_windows in [1usize, 2] {
-            let (out, summary) = serve(
-                ServiceConfig {
-                    workers,
-                    pipeline_windows,
-                    ..ServiceConfig::default()
-                },
-                &input,
-            );
-            assert_eq!(summary.batches, 3);
-            match &baseline {
-                None => baseline = Some((out, summary.solved)),
-                Some((bytes, solved)) => {
-                    assert_eq!(
-                        &out, bytes,
-                        "stream diverged at workers={workers} \
-                         pipeline_windows={pipeline_windows}"
-                    );
-                    assert_eq!(summary.solved, *solved);
-                }
-            }
-            // Every admitted request is solved or rejected once; the
-            // malformed line is rejected without being admitted.
-            assert_eq!(summary.accepted, summary.solved + summary.rejected - 1);
-        }
-    }
+    let (out, summary) = serve_thrice(ServiceConfig::default(), &input);
+    assert_eq!(summary.batches, 3);
+    assert_eq!(out.lines().count(), 25);
+    // Every admitted request is solved or rejected once; the malformed
+    // line is rejected without being admitted.
+    assert_eq!(summary.accepted, 24);
+    assert_eq!(summary.accepted, summary.solved + summary.rejected - 1);
+    assert_eq!((summary.cancelled, summary.rejected), (1, 3));
 }
 
 #[test]
@@ -576,17 +565,11 @@ fn near_duplicate_stream_is_byte_identical_across_configs_and_caches() {
     };
     let configs = [
         ("default", base.clone()),
+        ("second run", base.clone()),
         (
-            "drain",
+            "no shared cache",
             ServiceConfig {
-                pipeline_windows: 1,
-                ..base.clone()
-            },
-        ),
-        (
-            "one worker",
-            ServiceConfig {
-                workers: 1,
+                shared_cache: false,
                 ..base.clone()
             },
         ),
@@ -599,26 +582,30 @@ fn near_duplicate_stream_is_byte_identical_across_configs_and_caches() {
             },
         ),
     ];
-    let mut baseline: Option<String> = None;
+    let mut baseline: Option<(String, ServiceSummary)> = None;
     for (name, config) in configs {
         let (out, summary) = serve(config, &input);
         // Every request line, malformed or oversized ones included, draws
         // exactly one response line.
         assert_eq!(out.lines().count(), lines, "{name}");
         assert_eq!(summary.solved + summary.rejected, lines as u64, "{name}");
+        // One thread admits each window's requests to the delta cache in
+        // order, so the replay count is a function of the stream.
         match name {
             "caches off" => {
                 assert_eq!(summary.delta_hits, 0, "{summary:?}");
                 assert_eq!(summary.window_hits, 0, "{summary:?}");
             }
-            // One worker admits each window's requests to the delta cache
-            // in order, so the replay count is a function of the stream.
-            "one worker" => assert_eq!(summary.delta_hits, 63, "{summary:?}"),
-            _ => assert!(summary.delta_hits > 0, "{name}: {summary:?}"),
+            _ => assert_eq!(summary.delta_hits, 63, "{name}: {summary:?}"),
         }
         match &baseline {
-            None => baseline = Some(out),
-            Some(bytes) => assert_eq!(&out, bytes, "stream diverged under {name}"),
+            None => baseline = Some((out, summary)),
+            Some((bytes, first)) => {
+                assert_eq!(&out, bytes, "stream diverged under {name}");
+                if name == "second run" {
+                    assert_eq!(&summary, first, "a second run changed the summary");
+                }
+            }
         }
     }
 }
@@ -740,10 +727,11 @@ fn netlist_sources_solve_and_reject_with_field_names() {
 }
 
 #[test]
-fn trace_artifact_fingerprint_is_worker_invariant() {
+fn trace_artifact_fingerprint_repeats_and_matches_caches_off() {
     // The per-request `trace` artifact is the logical fingerprint of the
-    // request's own synthesis — invariant by the mfhls-obs contract, so
-    // it is safe to include in byte-compared responses.
+    // request's own synthesis — cache movement is diagnostic by the
+    // mfhls-obs contract, so it is safe to include in byte-compared
+    // responses.
     let input = format!(
         "{}\n\n",
         request(
@@ -759,21 +747,11 @@ fn trace_artifact_fingerprint_is_worker_invariant() {
             )]
         )
     );
-    let fp = |workers: usize| {
-        let (out, _) = serve(
-            ServiceConfig {
-                workers,
-                ..ServiceConfig::default()
-            },
-            &input,
-        );
-        let v = Json::parse(out.lines().next().unwrap()).unwrap();
-        v.get("trace_fingerprint")
-            .and_then(Json::as_str)
-            .expect("trace artifact present")
-            .to_owned()
-    };
-    let fp_1 = fp(1);
-    assert!(fp_1.contains("layer_solved"), "{fp_1}");
-    assert_eq!(fp_1, fp(4));
+    let (out, _) = serve_thrice(ServiceConfig::default(), &input);
+    let v = Json::parse(out.lines().next().unwrap()).unwrap();
+    let fp = v
+        .get("trace_fingerprint")
+        .and_then(Json::as_str)
+        .expect("trace artifact present");
+    assert!(fp.contains("layer_solved"), "{fp}");
 }
