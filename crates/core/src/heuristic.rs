@@ -25,7 +25,12 @@
 //! as its running objective lower bound reaches the incumbent's objective.
 //! Every candidate for one op resumes from the same checkpoint: the
 //! incumbent binding committed over the determinate ops that precede the
-//! op in construction order, which no move of that op can change.
+//! op in construction order, which no move of that op can change. The
+//! checkpoint also holds what the other ops fix for every candidate: the
+//! created devices' accessory unions, which devices they use and which of
+//! those hold an indeterminate op, the capex of the created devices they
+//! use, and whether they can be placed at all. A candidate then checks
+//! and prices only the moved op on its new device.
 
 use crate::problem::path_key;
 use crate::{CoreError, LayerProblem, LayerSolution, LayerSolver, OpId, ScheduledOp};
@@ -98,7 +103,8 @@ impl LayerSolver for HeuristicLayerSolver {
                     if !may_rebind(p, &best, &ind_held, op, d) {
                         continue;
                     }
-                    if !*checkpoint.get_or_insert_with(|| re.checkpoint(&best, prefix, &binding)) {
+                    if !*checkpoint.get_or_insert_with(|| re.checkpoint(&best, prefix, &binding, r))
+                    {
                         break; // no candidate of this op can be re-scheduled
                     }
                     binding[r] = d;
@@ -397,6 +403,31 @@ impl<'p, 'a> State<'p, 'a> {
         }
     }
 
+    /// Empties the state onto the device pool of `reference`: the
+    /// inherited devices, then `reference`'s created devices stripped to
+    /// their container and capacity (re-scheduling re-unions their
+    /// accessories from the binding). `false` when a stripped config is
+    /// invalid.
+    fn reset(&mut self, reference: &LayerSolution) -> bool {
+        let base = self.p.devices.len();
+        self.devices.clear();
+        self.devices.extend_from_slice(&self.p.devices);
+        for cfg in &reference.devices[base.min(reference.devices.len())..] {
+            let Ok(bare) = DeviceConfig::new(cfg.container(), cfg.capacity(), Default::default())
+            else {
+                return false;
+            };
+            self.devices.push(bare);
+        }
+        self.avail.clear();
+        self.avail.resize(self.devices.len(), 0);
+        self.slots.fill(None);
+        self.new_paths.clear();
+        self.span = 0;
+        self.path_count = 0;
+        true
+    }
+
     /// Whether device `d` was created by this layer.
     fn is_created(&self, d: usize) -> bool {
         d >= self.p.devices.len()
@@ -592,12 +623,19 @@ impl<'p, 'a> State<'p, 'a> {
 /// The improvement passes' re-scheduling buffers, reused across ops and
 /// candidates: re-binding allocates only the solutions it returns.
 struct Rescheduler<'p, 'a> {
-    /// The incumbent committed over the current op's prefix.
+    /// The incumbent committed over the current op's prefix, its created
+    /// devices re-unioned over every op but the moved one.
     checkpoint: State<'p, 'a>,
     /// The candidate being resumed, overwritten from `checkpoint`.
     resumed: State<'p, 'a>,
-    /// Per-device flags of a candidate's feasibility and capex checks.
-    held: Vec<bool>,
+    /// Rank of the op whose candidates resume from `checkpoint`.
+    moved: usize,
+    /// Per device: some other op is bound to it.
+    others_use: Vec<bool>,
+    /// Per device: some other indeterminate op is bound to it.
+    others_ind: Vec<bool>,
+    /// Capex of the created devices that the other ops use.
+    others_capex: u64,
     /// The indeterminate ops' devices and earliest starts.
     placed: Vec<(OpId, usize, u64)>,
 }
@@ -607,19 +645,24 @@ impl<'p, 'a> Rescheduler<'p, 'a> {
         Rescheduler {
             checkpoint: State::new(p, ctx),
             resumed: State::new(p, ctx),
-            held: Vec::new(),
+            moved: UNBOUND,
+            others_use: Vec::new(),
+            others_ind: Vec::new(),
+            others_capex: 0,
             placed: Vec::new(),
         }
     }
 
-    /// Makes the checkpoint the re-scheduling state of `binding` (device
-    /// per op rank, in `reference.devices`) after committing `prefix`, a
-    /// prefix of the construction order: the inherited devices,
-    /// `reference`'s created devices stripped to their container and
-    /// capacity (accessories are re-unioned per candidate by
-    /// [`Rescheduler::resume`]), and the prefix's slots and paths. `false`
-    /// when `reference`'s devices or `binding` cannot be re-scheduled at
-    /// all.
+    /// Prepares the candidates that move the op of rank `moved` away from
+    /// `binding` (device per op rank, in `reference.devices`). The
+    /// checkpoint becomes `reference`'s device pool (see [`State::reset`])
+    /// with the created devices' accessories re-unioned over every other
+    /// op, committed over `prefix`, a prefix of the construction order
+    /// without the moved op. `false` when the other ops cannot be placed
+    /// at all (a device out of range, a conflicting shape, a masked or
+    /// unfit device, two indeterminate ops on one device): no candidate
+    /// can then be re-scheduled, since the moved op only adds accessories
+    /// and conflicts.
     ///
     /// A prefix op starts at the later of its in-layer parents' release
     /// and its device's `avail`, and its new paths depend on its parents'
@@ -632,44 +675,74 @@ impl<'p, 'a> Rescheduler<'p, 'a> {
         reference: &LayerSolution,
         prefix: &[OpId],
         binding: &[usize],
+        moved: usize,
     ) -> bool {
         let state = &mut self.checkpoint;
         let (p, ctx) = (state.p, state.ctx);
-        state.devices.clear();
-        state.devices.extend_from_slice(&p.devices);
-        for cfg in &reference.devices[p.devices.len().min(reference.devices.len())..] {
-            let Ok(bare) = DeviceConfig::new(cfg.container(), cfg.capacity(), Default::default())
-            else {
-                return false;
-            };
-            state.devices.push(bare);
+        if !state.reset(reference) {
+            return false;
         }
-        state.avail.clear();
-        state.avail.resize(state.devices.len(), 0);
-        state.slots.fill(None);
-        state.new_paths.clear();
-        state.span = 0;
-        state.path_count = 0;
-        for &op in prefix {
-            let d = binding[ctx.rank(op)];
-            if d >= state.devices.len() {
+        let n = state.devices.len();
+        self.moved = moved;
+        self.others_use.clear();
+        self.others_use.resize(n, false);
+        self.others_ind.clear();
+        self.others_ind.resize(n, false);
+        for (r, &d) in binding.iter().enumerate() {
+            if r == moved {
+                continue;
+            }
+            if d >= n {
                 return false;
             }
+            let op = p.assay.op(ctx.ops[r]);
+            if state.is_created(d) {
+                if !shape_fits(&state.devices[d], op.requirements()) {
+                    return false;
+                }
+                state.devices[d].add_accessories(op.requirements().accessories);
+            } else if !p.bindable.get(d).copied().unwrap_or(false) {
+                return false;
+            }
+            self.others_use[d] = true;
+            if op.is_indeterminate() && std::mem::replace(&mut self.others_ind[d], true) {
+                return false;
+            }
+        }
+        // The unions are final only now; the moved op can only grow them.
+        for (r, &d) in binding.iter().enumerate() {
+            if r != moved
+                && !config_fits(p, &state.devices[d], p.assay.op(ctx.ops[r]).requirements())
+            {
+                return false;
+            }
+        }
+        self.others_capex = (p.devices.len()..n)
+            .filter(|&d| self.others_use[d])
+            .map(|d| device_capex(p, &state.devices[d]))
+            .sum();
+        for &op in prefix {
+            debug_assert_ne!(ctx.rank(op), moved, "the moved op is not in the prefix");
+            let d = binding[ctx.rank(op)];
             let start = state.ready_time(op).max(state.avail[d]);
             state.commit(op, d, start);
         }
         true
     }
 
-    /// Re-schedules the pinned `binding` from the checkpoint: commits
-    /// `suffix` (the rest of the construction order) and then the
-    /// indeterminate ops. Used by the improvement passes. Returns `None` if
-    /// the binding is incompatible, violates indeterminate exclusivity, or
-    /// cannot beat `bound`: the re-schedule aborts once its running
-    /// objective lower bound reaches `bound`, which is exact for callers
-    /// that adopt only objectives below `bound`. Span and path count only
-    /// grow, so the one check at the checkpoint fires exactly when a check
-    /// after some prefix commit would have.
+    /// Re-schedules `binding`, which differs from the checkpoint's binding
+    /// only in the moved op, from the checkpoint. Checks the moved op on
+    /// its device alone and prices capex as the other ops' capex plus the
+    /// device's cost change, then [completes](Rescheduler::complete) the
+    /// schedule. Returns `None` if the move is incompatible, violates
+    /// indeterminate exclusivity, or cannot beat `bound`.
+    ///
+    /// In conventional mode the moved op must not grow the accessories of
+    /// a created device that other ops use: their exact signatures would
+    /// no longer match. Component mode's superset fit only gains from a
+    /// larger union. A created device that no other op uses costs nothing
+    /// until the moved op joins it, so moving the last op off a device
+    /// drops its capex (and [`State::finish`] prunes it).
     fn resume(
         &mut self,
         suffix: &[OpId],
@@ -677,59 +750,62 @@ impl<'p, 'a> Rescheduler<'p, 'a> {
         binding: &[usize],
         bound: u64,
     ) -> Option<LayerSolution> {
+        let (p, ctx) = (self.checkpoint.p, self.checkpoint.ctx);
+        let d = binding[self.moved];
+        let op = p.assay.op(ctx.ops[self.moved]);
+        let req = op.requirements();
+        let mut cfg = *self.checkpoint.devices.get(d)?;
+        if op.is_indeterminate() && self.others_ind[d] {
+            return None;
+        }
+        let mut capex = self.others_capex;
+        if self.checkpoint.is_created(d) {
+            if !shape_fits(&cfg, req) {
+                return None;
+            }
+            let before = cfg;
+            cfg.add_accessories(req.accessories);
+            let shared = self.others_use[d];
+            if shared && !p.component_oriented && cfg != before {
+                return None;
+            }
+            let replaced = if shared { device_capex(p, &before) } else { 0 };
+            capex += device_capex(p, &cfg) - replaced;
+        } else if !p.bindable.get(d).copied().unwrap_or(false) {
+            return None;
+        }
+        if !config_fits(p, &cfg, req) {
+            return None;
+        }
+        self.resumed.devices.clone_from(&self.checkpoint.devices);
+        self.resumed.devices[d] = cfg;
+        self.complete(suffix, ind_order, binding, capex, bound)
+    }
+
+    /// Continues the checkpoint under `binding`: copies its slots and
+    /// paths, commits `suffix` (the rest of the construction order) and
+    /// then the indeterminate ops, and finishes. The resumed state's
+    /// devices must already hold the binding's configs, and `capex` their
+    /// exact cost. Returns `None` once the running objective lower bound
+    /// reaches `bound`, which is exact for callers that adopt only
+    /// objectives below `bound`. Span and path count only grow, so the one
+    /// check at the checkpoint fires exactly when a check after some
+    /// prefix commit would have.
+    fn complete(
+        &mut self,
+        suffix: &[OpId],
+        ind_order: &[OpId],
+        binding: &[usize],
+        capex: u64,
+        bound: u64,
+    ) -> Option<LayerSolution> {
         let Rescheduler {
             checkpoint: from,
             resumed: state,
-            held,
             placed,
+            ..
         } = self;
-        let (p, ctx) = (from.p, from.ctx);
-        // Re-derive accessory unions for created devices.
-        state.devices.clone_from(&from.devices);
-        for (r, &d) in binding.iter().enumerate() {
-            if d >= state.devices.len() {
-                return None;
-            }
-            if state.is_created(d) {
-                let req = p.assay.op(ctx.ops[r]).requirements();
-                if !shape_fits(&state.devices[d], req) {
-                    return None;
-                }
-                state.devices[d].add_accessories(req.accessories);
-            }
-        }
-        // Compatibility check for every binding.
-        for (r, &d) in binding.iter().enumerate() {
-            if !state.is_created(d) && !p.bindable.get(d).copied().unwrap_or(false) {
-                return None;
-            }
-            if !config_fits(p, &state.devices[d], p.assay.op(ctx.ops[r]).requirements()) {
-                return None;
-            }
-        }
-        // Indeterminate exclusivity.
-        held.clear();
-        held.resize(state.devices.len(), false);
-        for &op in ind_order {
-            if std::mem::replace(&mut held[binding[ctx.rank(op)]], true) {
-                return None;
-            }
-        }
-
-        // The binding already fixes which created devices stay in use and
-        // their configs, so their capex is exact before any slot commits.
-        held.fill(false);
-        for &d in binding {
-            held[d] = true;
-        }
-        let w = p.weights;
-        let capex: u64 = (p.devices.len()..state.devices.len())
-            .filter(|&d| held[d])
-            .map(|d| {
-                let cfg = &state.devices[d];
-                w.area * p.costs.device_area(cfg) + w.processing * p.costs.device_processing(cfg)
-            })
-            .sum();
+        let ctx = from.ctx;
         if from.lower_bound(capex) >= bound {
             return None;
         }
@@ -764,6 +840,12 @@ impl<'p, 'a> Rescheduler<'p, 'a> {
         );
         Some(sol)
     }
+}
+
+/// Area and processing cost of a created device with config `cfg`.
+fn device_capex(p: &LayerProblem<'_>, cfg: &DeviceConfig) -> u64 {
+    p.weights.area * p.costs.device_area(cfg)
+        + p.weights.processing * p.costs.device_processing(cfg)
 }
 
 /// A binding decision for one operation.
@@ -1155,7 +1237,9 @@ pub(crate) mod tests {
     static CROSS_CHECKED: AtomicUsize = AtomicUsize::new(0);
 
     /// Re-schedules `binding` against `reference` from an empty prefix:
-    /// every op of the layer commits, none is taken from a checkpoint.
+    /// every op of the layer commits, none is taken from a checkpoint, and
+    /// feasibility and capex are derived over the whole binding, not from
+    /// the moved op alone as [`Rescheduler::resume`] does.
     fn schedule_from_scratch(
         p: &LayerProblem<'_>,
         ctx: &Ctx,
@@ -1166,10 +1250,54 @@ pub(crate) mod tests {
         bound: u64,
     ) -> Option<LayerSolution> {
         let mut re = Rescheduler::new(p, ctx);
-        if !re.checkpoint(reference, &[], binding) {
+        if !re.checkpoint.reset(reference) {
             return None;
         }
-        re.resume(det_order, ind_order, binding, bound)
+        let state = &mut re.resumed;
+        // Re-derive accessory unions for created devices.
+        state.devices.clone_from(&re.checkpoint.devices);
+        for (r, &d) in binding.iter().enumerate() {
+            if d >= state.devices.len() {
+                return None;
+            }
+            if state.is_created(d) {
+                let req = p.assay.op(ctx.ops[r]).requirements();
+                if !shape_fits(&state.devices[d], req) {
+                    return None;
+                }
+                state.devices[d].add_accessories(req.accessories);
+            }
+        }
+        // Compatibility check for every binding.
+        for (r, &d) in binding.iter().enumerate() {
+            if !state.is_created(d) && !p.bindable.get(d).copied().unwrap_or(false) {
+                return None;
+            }
+            if !config_fits(p, &state.devices[d], p.assay.op(ctx.ops[r]).requirements()) {
+                return None;
+            }
+        }
+        // Indeterminate exclusivity.
+        let mut held = vec![false; state.devices.len()];
+        for &op in ind_order {
+            if std::mem::replace(&mut held[binding[ctx.rank(op)]], true) {
+                return None;
+            }
+        }
+        // Capex of the created devices in use.
+        held.fill(false);
+        for &d in binding {
+            held[d] = true;
+        }
+        let w = p.weights;
+        let capex: u64 = (p.devices.len()..state.devices.len())
+            .filter(|&d| held[d])
+            .map(|d| {
+                let cfg = &state.devices[d];
+                w.area * p.costs.device_area(cfg) + w.processing * p.costs.device_processing(cfg)
+            })
+            .sum();
+        re.complete(det_order, ind_order, binding, capex, bound)
     }
 
     /// Run on every candidate the improvement loop resumes from a
@@ -1330,6 +1458,233 @@ pub(crate) mod tests {
                     Err(e) => panic!("{tag}: {e}"),
                 }
             }
+        }
+    }
+
+    /// A layer of all of `assay`'s ops over the inherited `devices`.
+    fn problem<'a>(
+        assay: &'a Assay,
+        transport: &'a TransportTimes,
+        costs: &'a CostModel,
+        devices: Vec<(DeviceConfig, bool)>,
+        max_devices: usize,
+        component_oriented: bool,
+    ) -> LayerProblem<'a> {
+        LayerProblem {
+            assay,
+            ops: assay.op_ids().collect(),
+            bindable: devices.iter().map(|&(_, b)| b).collect(),
+            devices: devices.into_iter().map(|(cfg, _)| cfg).collect(),
+            max_devices,
+            transport,
+            weights: Weights::default(),
+            costs,
+            existing_paths: BTreeSet::new(),
+            cross_inputs: vec![],
+            component_oriented,
+        }
+    }
+
+    /// The device `op` sits on in `sol`.
+    fn device_of(sol: &LayerSolution, op: OpId) -> usize {
+        sol.slots
+            .iter()
+            .find(|s| s.op == op)
+            .expect("placed")
+            .device
+    }
+
+    /// Moves `op` of `best` onto device `d` and re-schedules under
+    /// `bound` twice: from a checkpoint, as the improvement loop does, and
+    /// from scratch. Both must agree.
+    fn move_op(
+        p: &LayerProblem<'_>,
+        best: &LayerSolution,
+        op: OpId,
+        d: usize,
+        bound: u64,
+    ) -> Option<LayerSolution> {
+        let ctx = Ctx::new(p);
+        let (det_order, ind_order) = priority_orders(p).expect("acyclic layer");
+        let mut binding = Vec::new();
+        ctx.binding_into(best, &mut binding);
+        let r = ctx.rank(op);
+        let k = det_order.iter().position(|&o| o == op);
+        let (prefix, suffix) = det_order.split_at(k.unwrap_or(det_order.len()));
+        let mut re = Rescheduler::new(p, &ctx);
+        let ready = re.checkpoint(best, prefix, &binding, r);
+        binding[r] = d;
+        let resumed = ready
+            .then(|| re.resume(suffix, &ind_order, &binding, bound))
+            .flatten();
+        let scratch = schedule_from_scratch(p, &ctx, &det_order, &ind_order, &binding, best, bound);
+        assert_eq!(
+            resumed,
+            scratch,
+            "o{} onto d{d} under bound {bound}",
+            op.index()
+        );
+        resumed
+    }
+
+    /// A move both re-schedulers reject outright.
+    fn assert_rejected(p: &LayerProblem<'_>, best: &LayerSolution, op: OpId, d: usize) {
+        assert_eq!(move_op(p, best, op, d, u64::MAX), None);
+    }
+
+    /// A move both re-schedulers accept and price exactly: it survives a
+    /// bound one above its objective and aborts at its objective, so its
+    /// capex is neither over- nor underestimated.
+    fn assert_accepted(
+        p: &LayerProblem<'_>,
+        best: &LayerSolution,
+        op: OpId,
+        d: usize,
+    ) -> LayerSolution {
+        let sol = move_op(p, best, op, d, u64::MAX).expect("move accepted");
+        assert_eq!(
+            move_op(p, best, op, d, sol.objective + 1).as_ref(),
+            Some(&sol)
+        );
+        assert_eq!(move_op(p, best, op, d, sol.objective), None);
+        sol
+    }
+
+    #[test]
+    fn conventional_move_onto_a_shared_device_of_another_signature_is_rejected() {
+        // o1 (sieve + pump) and o2 (sieve) get two created chambers.
+        // Moving o1 onto o2's chamber grows it to o1's exact signature,
+        // which o2 then no longer matches.
+        let mut a = Assay::new("t");
+        let o1 = a.add_op(
+            Operation::new("o1")
+                .accessory(Accessory::SieveValve)
+                .accessory(Accessory::Pump)
+                .with_duration(Duration::fixed(5)),
+        );
+        let o2 = a.add_op(
+            Operation::new("o2")
+                .accessory(Accessory::SieveValve)
+                .with_duration(Duration::fixed(5)),
+        );
+        a.add_dependency(o1, o2).unwrap();
+        let costs = CostModel::default();
+        let transport = TransportTimes::initial(&a, &TransportConfig::default());
+        let conventional = problem(&a, &transport, &costs, vec![], 10, false);
+        let best = HeuristicLayerSolver::default()
+            .solve(&conventional)
+            .unwrap();
+        let (d1, d2) = (device_of(&best, o1), device_of(&best, o2));
+        assert_ne!(d1, d2);
+        assert_rejected(&conventional, &best, o1, d2);
+        assert_rejected(&conventional, &best, o2, d1);
+        // Component mode's superset fit takes the grown chamber, and o1's
+        // own chamber goes.
+        let component = problem(&a, &transport, &costs, vec![], 10, true);
+        let merged = assert_accepted(&component, &best, o1, d2);
+        assert_eq!(merged.devices.len(), 1);
+        assert_eq!(
+            merged.devices[0].accessories(),
+            best.devices[d1].accessories()
+        );
+    }
+
+    #[test]
+    fn moving_the_last_op_off_a_created_device_drops_its_capex() {
+        // Two independent ops on two created chambers. Moving the one on
+        // chamber 0 onto chamber 1 serialises them and empties chamber 0:
+        // it is pruned and its cost leaves the objective.
+        let mut a = Assay::new("t");
+        let x = a.add_op(Operation::new("x").with_duration(Duration::fixed(10)));
+        let y = a.add_op(Operation::new("y").with_duration(Duration::fixed(10)));
+        let costs = CostModel::default();
+        let transport = TransportTimes::initial(&a, &TransportConfig::default());
+        let p = problem(&a, &transport, &costs, vec![], 4, true);
+        let best = HeuristicLayerSolver::default().solve(&p).unwrap();
+        assert_eq!((best.devices.len(), best.makespan()), (2, 10));
+        let (first, second) = if device_of(&best, x) == 0 {
+            (x, y)
+        } else {
+            (y, x)
+        };
+        let sol = assert_accepted(&p, &best, first, device_of(&best, second));
+        assert_eq!((sol.devices.len(), sol.new_devices.clone()), (1, vec![0]));
+        assert_eq!(sol.makespan(), 20);
+        let (w, cfg) = (p.weights, &sol.devices[0]);
+        assert_eq!(
+            sol.objective,
+            w.time * 20
+                + w.area * costs.device_area(cfg)
+                + w.processing * costs.device_processing(cfg)
+        );
+    }
+
+    #[test]
+    fn indeterminate_op_onto_a_device_holding_another_is_rejected() {
+        let mut a = Assay::new("t");
+        let i1 = a.add_op(Operation::new("i1").with_duration(Duration::at_least(4)));
+        let i2 = a.add_op(Operation::new("i2").with_duration(Duration::at_least(6)));
+        let prep = a.add_op(Operation::new("prep").with_duration(Duration::fixed(3)));
+        a.add_dependency(prep, i1).unwrap();
+        let costs = CostModel::default();
+        let transport = TransportTimes::initial(&a, &TransportConfig::default());
+        let p = problem(&a, &transport, &costs, vec![], 5, true);
+        let best = HeuristicLayerSolver::default().solve(&p).unwrap();
+        let (d1, d2) = (device_of(&best, i1), device_of(&best, i2));
+        assert_ne!(d1, d2);
+        assert_rejected(&p, &best, i2, d1);
+        assert_rejected(&p, &best, i1, d2);
+        // Exclusivity binds indeterminate ops only.
+        let d = if device_of(&best, prep) == d2 { d1 } else { d2 };
+        assert_accepted(&p, &best, prep, d);
+    }
+
+    #[test]
+    fn move_onto_a_masked_inherited_device_is_rejected() {
+        // The inherited chamber fits `x` but `bindable` masks it out, so
+        // `x` sits on a created device and may not move onto it.
+        let mut a = Assay::new("t");
+        let x = a.add_op(Operation::new("x").with_duration(Duration::fixed(5)));
+        let costs = CostModel::default();
+        let transport = TransportTimes::initial(&a, &TransportConfig::default());
+        let chamber =
+            DeviceConfig::new(ContainerKind::Chamber, Capacity::Small, Default::default()).unwrap();
+        let masked = problem(&a, &transport, &costs, vec![(chamber, false)], 4, true);
+        let best = HeuristicLayerSolver::default().solve(&masked).unwrap();
+        assert_eq!((best.devices.len(), device_of(&best, x)), (2, 1));
+        assert_rejected(&masked, &best, x, 0);
+        // Visible, the chamber takes it and the created device goes.
+        let visible = problem(&a, &transport, &costs, vec![(chamber, true)], 4, true);
+        let sol = assert_accepted(&visible, &best, x, 0);
+        assert_eq!((sol.devices.len(), sol.new_devices.len()), (1, 0));
+    }
+
+    #[test]
+    fn checkpoint_refuses_other_ops_that_cannot_be_placed() {
+        // With `y` bound to the masked inherited chamber, no move of `x`
+        // can be re-scheduled, and the from-scratch reference agrees on
+        // every device.
+        let mut a = Assay::new("t");
+        let x = a.add_op(Operation::new("x").with_duration(Duration::fixed(5)));
+        let y = a.add_op(Operation::new("y").with_duration(Duration::fixed(5)));
+        let costs = CostModel::default();
+        let transport = TransportTimes::initial(&a, &TransportConfig::default());
+        let chamber =
+            DeviceConfig::new(ContainerKind::Chamber, Capacity::Small, Default::default()).unwrap();
+        let p = problem(&a, &transport, &costs, vec![(chamber, false)], 4, true);
+        let best = HeuristicLayerSolver::default().solve(&p).unwrap();
+        let ctx = Ctx::new(&p);
+        let (det_order, ind_order) = priority_orders(&p).unwrap();
+        let mut binding = Vec::new();
+        ctx.binding_into(&best, &mut binding);
+        binding[ctx.rank(y)] = 0;
+        let mut re = Rescheduler::new(&p, &ctx);
+        assert!(!re.checkpoint(&best, &[], &binding, ctx.rank(x)));
+        for d in 0..best.devices.len() {
+            binding[ctx.rank(x)] = d;
+            let scratch =
+                schedule_from_scratch(&p, &ctx, &det_order, &ind_order, &binding, &best, u64::MAX);
+            assert_eq!(scratch, None, "x onto d{d}");
         }
     }
 

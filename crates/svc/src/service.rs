@@ -219,7 +219,7 @@ struct SolvedOne {
 pub struct SynthesisService {
     config: ServiceConfig,
     cache: Arc<SharedLayerCache>,
-    delta: Option<Arc<DeltaCache>>,
+    delta: Option<DeltaCache>,
     store: Option<Arc<SolutionStore>>,
 }
 
@@ -230,7 +230,7 @@ impl SynthesisService {
         let cache = Arc::new(SharedLayerCache::new(config.cache_entries));
         let delta = config
             .delta_cache
-            .then(|| Arc::new(DeltaCache::new(config.cache_entries)));
+            .then(|| DeltaCache::new(config.cache_entries));
         SynthesisService {
             config,
             cache,
@@ -255,7 +255,7 @@ impl SynthesisService {
         cache.set_backing(store.clone());
         let delta = config
             .delta_cache
-            .then(|| Arc::new(DeltaCache::new(config.cache_entries)));
+            .then(|| DeltaCache::new(config.cache_entries));
         SynthesisService {
             config,
             cache,
@@ -268,16 +268,6 @@ impl SynthesisService {
     /// the CLI summary).
     pub fn cache(&self) -> &Arc<SharedLayerCache> {
         &self.cache
-    }
-
-    /// The whole-request delta cache, when enabled.
-    pub fn delta(&self) -> Option<&Arc<DeltaCache>> {
-        self.delta.as_ref()
-    }
-
-    /// The persistent store backing the cache, if one was attached.
-    pub fn store(&self) -> Option<&Arc<SolutionStore>> {
-        self.store.as_ref()
     }
 
     /// Serves NDJSON requests from `input`, writing NDJSON responses to
