@@ -6,9 +6,10 @@
 //! ```
 //!
 //! Expectation: the heuristic's objective matches or stays within a small
-//! factor of the exact back-end's (time-boxed branch-and-bound seeded with
-//! the heuristic cutoff), while exact runtimes grow quickly with layer size
-//! — which is why large layers run the heuristic; see `SolverKind::Hybrid`.
+//! factor of the exact back-end's (the `portfolio:heuristic+ilp` race: the
+//! heuristic, then branch-and-bound cut off at its objective under the
+//! `PORTFOLIO_ILP_PIVOT_WORK` budget), while exact runtimes grow quickly
+//! with layer size — which is why large layers run the heuristic.
 
 use mfhls_assays::{random_assay, RandomAssayParams};
 use mfhls_bench::print_table;
@@ -35,10 +36,13 @@ fn main() {
             );
             let ilp = Synthesizer::new(
                 SynthConfig::builder()
-                    .solver(SolverKind::Hybrid {
-                        max_nodes: 400_000,
-                        ilp_op_limit: 10,
-                        improvement_passes: 2,
+                    .solver(SolverKind::Portfolio {
+                        backends: vec![
+                            SolverKind::Heuristic {
+                                improvement_passes: 2,
+                            },
+                            SolverKind::Ilp { max_nodes: 400_000 },
+                        ],
                     })
                     .max_devices(6)
                     .max_iterations(1)
@@ -98,6 +102,6 @@ fn main() {
         &rows,
     );
     println!(
-        "\n(gap = heuristic objective vs the exact-bounded hybrid solver; same weights, |D| = 6)"
+        "\n(gap = heuristic objective vs the portfolio:heuristic+ilp race; same weights, |D| = 6)"
     );
 }

@@ -20,8 +20,10 @@
 //! solver in the test-suite. The model grows as
 //! `O(|ops|² · |devices|)`; with the warm-started bounded-variable simplex
 //! behind `mfhls-ilp` (DESIGN.md §9) it is practical for paper-scale layers
-//! of ~25 operations, and [`SolverKind::Hybrid`](crate::SolverKind) remains
-//! the right choice beyond that.
+//! of ~25 operations. Beyond that a [`SolverKind::Portfolio`](crate::SolverKind)
+//! races the heuristic first and gates the exact leg by layer size and by a
+//! deterministic pivot-work budget ([`IlpLayerSolver::pivot_work`]), so the
+//! search is bounded by its problem, never by a clock.
 
 use crate::problem::path_key;
 use crate::{CoreError, LayerProblem, LayerSolution, LayerSolver, OpId, ScheduledOp};
@@ -44,8 +46,6 @@ const CONFIGS: [(ContainerKind, Capacity); 6] = [
 pub struct IlpLayerSolver {
     /// Branch-and-bound node budget.
     pub max_nodes: usize,
-    /// Optional wall-clock limit for the search.
-    pub time_limit: Option<std::time::Duration>,
     /// Optional objective cutoff (e.g. a heuristic solution's objective):
     /// the search only explores strictly better nodes.
     pub cutoff: Option<u64>,
@@ -53,9 +53,6 @@ pub struct IlpLayerSolver {
     /// true). `false` cold-solves every node — the scratch baseline used to
     /// benchmark the warm-start win.
     pub warm_start: bool,
-    /// Deterministic total-pivot budget for the search (see
-    /// [`mfhls_ilp::SolverConfig::max_pivots`]).
-    pub max_pivots: Option<u64>,
     /// Deterministic work budget in *tableau cells*: a simplex pivot
     /// updates at most rows × columns cells (it touches only the pivot
     /// row's nonzero columns in the rows it changes, so that is an upper
@@ -70,8 +67,9 @@ pub struct IlpLayerSolver {
     /// change per row, so the root LP seldom even finishes — the solve is
     /// skipped without allocating anything: it returns [`CoreError::Ilp`]
     /// with zero counters and emits an `ilp_leg_skipped` diagnostic.
-    /// Otherwise the budget becomes a pivot cap; the tighter of this and
-    /// `max_pivots` wins. The portfolio racer keys its ILP legs on this.
+    /// Otherwise the budget becomes the search's total-pivot cap
+    /// ([`mfhls_ilp::SolverConfig::max_pivots`]). The portfolio racer keys
+    /// its ILP legs on this.
     pub pivot_work: Option<u64>,
 }
 
@@ -79,10 +77,8 @@ impl Default for IlpLayerSolver {
     fn default() -> Self {
         IlpLayerSolver {
             max_nodes: 200_000,
-            time_limit: None,
             cutoff: None,
             warm_start: true,
-            max_pivots: None,
             pivot_work: None,
         }
     }
@@ -91,8 +87,8 @@ impl Default for IlpLayerSolver {
 impl IlpLayerSolver {
     /// Like [`LayerSolver::solve`], but also returns the solver work
     /// counters — populated even when the solve *fails* (e.g. the cutoff
-    /// pruned every node, as routinely happens on Hybrid attempts), which
-    /// `solve` cannot report.
+    /// pruned every node, as routinely happens to a portfolio's exact leg
+    /// behind a good heuristic result), which `solve` cannot report.
     pub fn solve_with_stats(
         &self,
         p: &LayerProblem<'_>,
@@ -108,32 +104,32 @@ impl IlpLayerSolver {
             );
         }
         let facts = ModelFacts::of(p);
-        let mut max_pivots = self.max_pivots;
-        if let Some(work) = self.pivot_work {
-            // `pivot_work` is denominated in tableau cells; the simplex
-            // works on an m × (n + m) tableau, so one pivot costs at most
-            // m·(n+m) cells. Decided from the counted dimensions, before the model
-            // or its tableau is allocated.
-            let (rows, cols) = facts.dims(p);
-            let m = rows as u64;
-            let affordable = work / m.saturating_mul(m + cols as u64).max(1);
-            if affordable < m {
-                leg_skipped("budget", p.ops.len(), rows, cols, affordable);
-                return (
-                    Err(CoreError::Ilp(format!(
-                        "work budget affords {affordable} pivots on a {rows}-row model; \
-                         exact leg skipped"
-                    ))),
-                    crate::SolverStats::default(),
-                );
+        // `pivot_work` is denominated in tableau cells; the simplex works
+        // on an m × (n + m) tableau, so one pivot costs at most m·(n+m)
+        // cells. Decided from the counted dimensions, before the model or
+        // its tableau is allocated.
+        let max_pivots = match self.pivot_work {
+            None => None,
+            Some(work) => {
+                let (rows, cols) = facts.dims(p);
+                let m = rows as u64;
+                let affordable = work / m.saturating_mul(m + cols as u64).max(1);
+                if affordable < m {
+                    leg_skipped("budget", p.ops.len(), rows, cols, affordable);
+                    return (
+                        Err(CoreError::Ilp(format!(
+                            "work budget affords {affordable} pivots on a {rows}-row model; \
+                             exact leg skipped"
+                        ))),
+                        crate::SolverStats::default(),
+                    );
+                }
+                Some(affordable.max(1))
             }
-            let cap = affordable.max(1);
-            max_pivots = Some(max_pivots.map_or(cap, |a| a.min(cap)));
-        }
+        };
         let built = build_model(p, &facts);
         let config = SolverConfig {
             max_nodes: self.max_nodes,
-            time_limit: self.time_limit,
             cutoff: self.cutoff.map(|c| c as f64),
             warm_start: self.warm_start,
             max_pivots,
@@ -702,8 +698,8 @@ fn decode(
         }
     }
 
-    // Cost the solution with the same formula as the heuristic, so Hybrid
-    // comparisons are apples-to-apples.
+    // Cost the solution with the same formula as the heuristic, so a
+    // portfolio's comparisons are apples-to-apples.
     let makespan = slots
         .iter()
         .map(|s| s.start + s.duration)

@@ -1,4 +1,5 @@
-//! The layer-solver abstraction: exact ILP, scalable heuristic, or hybrid.
+//! The layer-solver abstraction: exact ILP, scalable heuristic, SDC, or a
+//! deterministic portfolio race of them.
 
 use crate::{CoreError, LayerProblem, ScheduledOp};
 use mfhls_chip::DeviceConfig;
@@ -149,21 +150,12 @@ pub enum SolverKind {
     },
     /// The faithful ILP model of §4, solved exactly by `mfhls-ilp`. The
     /// warm-started dual simplex makes this practical for paper-scale
-    /// layers (~25 operations with a small device budget); very large
-    /// layers should still prefer [`SolverKind::Hybrid`].
+    /// layers (~25 operations with a small device budget); larger layers
+    /// belong to a [`SolverKind::Portfolio`] that races the heuristic first
+    /// and gates its exact leg by size and a pivot-work budget.
     Ilp {
         /// Branch-and-bound node budget.
         max_nodes: usize,
-    },
-    /// Run the heuristic, then attempt the ILP within the given node budget
-    /// (only when the layer is small enough), and keep the better solution.
-    Hybrid {
-        /// Node budget for the ILP attempt.
-        max_nodes: usize,
-        /// Only attempt the ILP when the layer has at most this many ops.
-        ilp_op_limit: usize,
-        /// Heuristic improvement passes.
-        improvement_passes: usize,
     },
     /// Incremental system-of-difference-constraints scheduling: the layer's
     /// dependency skeleton is solved by incremental shortest-path
@@ -183,7 +175,7 @@ pub enum SolverKind {
     /// `portfolio_races` / `wins_*`.
     ///
     /// Backends must be leaf strategies (`heuristic`, `sdc`, `ilp`) —
-    /// nesting `portfolio` or `hybrid` is a configuration error. ILP legs
+    /// nesting a `portfolio` is a configuration error. ILP legs
     /// pass two size gates before they race. Layers larger than
     /// [`PORTFOLIO_ILP_OP_LIMIT`] ops are skipped outright (past paper
     /// scale, branch-and-bound reliably exhausts any budget without an
@@ -202,11 +194,9 @@ pub enum SolverKind {
 }
 
 /// Largest layer (in ops) an ILP leg will race inside a
-/// [`SolverKind::Portfolio`]. Mirrors the reasoning behind
-/// [`SolverKind::Hybrid`]'s `ilp_op_limit`: the warm-started simplex is
-/// practical for paper-scale layers (~25 operations); beyond that the
-/// exact search burns its whole budget without producing an incumbent,
-/// even cutoff-bounded.
+/// [`SolverKind::Portfolio`]: the warm-started simplex is practical for
+/// paper-scale layers (~25 operations); beyond that the exact search burns
+/// its whole budget without producing an incumbent, even cutoff-bounded.
 pub const PORTFOLIO_ILP_OP_LIMIT: usize = 25;
 
 /// Deterministic work budget (in tableau cells, see
@@ -239,6 +229,16 @@ impl Default for SolverKind {
 }
 
 impl SolverKind {
+    /// The strategy's registry name, as selected on the CLI and the API.
+    pub fn name(&self) -> &'static str {
+        match self {
+            SolverKind::Heuristic { .. } => "heuristic",
+            SolverKind::Sdc { .. } => "sdc",
+            SolverKind::Ilp { .. } => "ilp",
+            SolverKind::Portfolio { .. } => "portfolio",
+        }
+    }
+
     /// Whether this strategy may appear inside a
     /// [`SolverKind::Portfolio`]'s backend list.
     pub fn is_portfolio_leaf(&self) -> bool {
@@ -246,6 +246,29 @@ impl SolverKind {
             self,
             SolverKind::Heuristic { .. } | SolverKind::Sdc { .. } | SolverKind::Ilp { .. }
         )
+    }
+
+    /// Checks the strategy's own shape: a portfolio needs at least one
+    /// backend, and every backend must be a leaf strategy.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Config`] naming the empty list or the offending leg.
+    pub fn validate(&self) -> Result<(), CoreError> {
+        let SolverKind::Portfolio { backends } = self else {
+            return Ok(());
+        };
+        if backends.is_empty() {
+            return Err(CoreError::Config(
+                "portfolio requires at least one backend".to_owned(),
+            ));
+        }
+        if let Some(bad) = backends.iter().find(|b| !b.is_portfolio_leaf()) {
+            return Err(CoreError::Config(format!(
+                "portfolio backends must be leaf strategies (heuristic|sdc|ilp), got {bad:?}"
+            )));
+        }
+        Ok(())
     }
 }
 
@@ -267,33 +290,9 @@ impl LayerSolver for SolverKind {
                 ..crate::ilp_model::IlpLayerSolver::default()
             }
             .solve(problem),
-            SolverKind::Portfolio { backends } => solve_portfolio(backends, problem),
-            &SolverKind::Hybrid {
-                max_nodes,
-                ilp_op_limit,
-                improvement_passes,
-            } => {
-                let mut heur =
-                    crate::heuristic::HeuristicLayerSolver { improvement_passes }.solve(problem)?;
-                if problem.ops.len() > ilp_op_limit {
-                    return Ok(heur);
-                }
-                let (exact, stats) = crate::ilp_model::IlpLayerSolver {
-                    max_nodes,
-                    time_limit: Some(std::time::Duration::from_secs(10)),
-                    cutoff: Some(heur.objective),
-                    ..crate::ilp_model::IlpLayerSolver::default()
-                }
-                .solve_with_stats(problem);
-                match exact {
-                    Ok(exact) if exact.objective < heur.objective => Ok(exact),
-                    _ => {
-                        // Keep the heuristic solution but record the work the
-                        // (pruned or unlucky) exact attempt performed.
-                        heur.stats.merge(&stats);
-                        Ok(heur)
-                    }
-                }
+            SolverKind::Portfolio { backends } => {
+                self.validate()?;
+                solve_portfolio(backends, problem)
             }
         }
     }
@@ -304,16 +303,6 @@ fn solve_portfolio(
     backends: &[SolverKind],
     problem: &LayerProblem<'_>,
 ) -> Result<LayerSolution, CoreError> {
-    if backends.is_empty() {
-        return Err(CoreError::Config(
-            "portfolio requires at least one backend".to_owned(),
-        ));
-    }
-    if let Some(bad) = backends.iter().find(|b| !b.is_portfolio_leaf()) {
-        return Err(CoreError::Config(format!(
-            "portfolio backends must be leaf strategies (heuristic|sdc|ilp), got {bad:?}"
-        )));
-    }
     let mut best: Option<(usize, LayerSolution)> = None;
     let mut losers = SolverStats {
         portfolio_races: 1,
@@ -349,6 +338,13 @@ fn solve_portfolio(
         };
         if problem.ops.len() > PORTFOLIO_ILP_OP_LIMIT {
             crate::ilp_model::leg_skipped("op_limit", problem.ops.len(), 0, 0, 0);
+            first_err.get_or_insert_with(|| {
+                CoreError::Ilp(format!(
+                    "{}-op layer exceeds the exact leg's limit of {PORTFOLIO_ILP_OP_LIMIT} ops; \
+                     exact leg skipped",
+                    problem.ops.len()
+                ))
+            });
             continue;
         }
         let (exact, work) = crate::ilp_model::IlpLayerSolver {
@@ -512,14 +508,6 @@ mod tests {
             backends: vec![SolverKind::Portfolio { backends: vec![] }],
         };
         assert!(matches!(nested.solve(&p), Err(CoreError::Config(_))));
-        let hybrid = SolverKind::Portfolio {
-            backends: vec![SolverKind::Hybrid {
-                max_nodes: 1,
-                ilp_op_limit: 1,
-                improvement_passes: 0,
-            }],
-        };
-        assert!(matches!(hybrid.solve(&p), Err(CoreError::Config(_))));
     }
 
     #[test]
@@ -564,6 +552,18 @@ mod tests {
                 ),
             ]
         );
+        // With no cheap leg to fall back on, the skip is the race's error.
+        let ilp_only = SolverKind::Portfolio {
+            backends: vec![SolverKind::Ilp { max_nodes: 1 }],
+        };
+        match ilp_only.solve(&p) {
+            Err(CoreError::Ilp(msg)) => assert!(
+                msg.contains(&format!("{}-op", PORTFOLIO_ILP_OP_LIMIT + 1))
+                    && msg.contains(&format!("limit of {PORTFOLIO_ILP_OP_LIMIT} ops")),
+                "{msg}"
+            ),
+            other => panic!("expected an exact-leg error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -101,19 +101,7 @@ impl SynthConfig {
                 self.min_improvement
             )));
         }
-        if let SolverKind::Portfolio { backends } = &self.solver {
-            if backends.is_empty() {
-                return Err(CoreError::Config(
-                    "portfolio requires at least one backend".to_owned(),
-                ));
-            }
-            if let Some(bad) = backends.iter().find(|b| !b.is_portfolio_leaf()) {
-                return Err(CoreError::Config(format!(
-                    "portfolio backends must be leaf strategies (heuristic|sdc|ilp), got {bad:?}"
-                )));
-            }
-        }
-        Ok(())
+        self.solver.validate()
     }
 }
 
@@ -330,20 +318,13 @@ impl Synthesizer {
     ) -> Result<SynthesisResult, CoreError> {
         let started = std::time::Instant::now();
         self.config.validate()?;
-        let solver_name = match self.config.solver {
-            SolverKind::Heuristic { .. } => "heuristic",
-            SolverKind::Ilp { .. } => "ilp",
-            SolverKind::Hybrid { .. } => "hybrid",
-            SolverKind::Sdc { .. } => "sdc",
-            SolverKind::Portfolio { .. } => "portfolio",
-        };
         let _span = obs::span(
             obs::Level::Info,
             "synthesis",
             &[
                 ("assay", assay.name().into()),
                 ("ops", assay.len().into()),
-                ("solver", solver_name.into()),
+                ("solver", self.config.solver.name().into()),
             ],
         );
         let layering = layer_assay(assay, self.config.indeterminate_threshold)?;

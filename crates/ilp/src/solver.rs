@@ -13,7 +13,6 @@ use crate::model::{Model, VarId};
 use crate::presolve;
 use crate::simplex::{BoundedSimplex, LpProblem, LpRow, SimplexOutcome};
 use crate::IlpError;
-use std::time::{Duration, Instant};
 
 /// Pivot cap for a single node re-solve (backstop, not a tuning knob).
 const NODE_PIVOTS: u64 = 200_000;
@@ -27,16 +26,15 @@ const RELIABILITY: u32 = 1;
 const STRONG_BUDGET: u64 = 48;
 /// Pseudo-cost gain recorded when a probe proves a child infeasible.
 const INFEASIBLE_GAIN: f64 = 1e6;
+/// Integrality tolerance: an integer variable further than this from the
+/// nearest integer is fractional.
+const INT_TOL: f64 = 1e-6;
 
 /// Configuration of the MILP search.
 #[derive(Debug, Clone)]
 pub struct SolverConfig {
     /// Maximum number of branch-and-bound nodes to explore.
     pub max_nodes: usize,
-    /// Optional wall-clock limit.
-    pub time_limit: Option<Duration>,
-    /// Integrality tolerance.
-    pub int_tol: f64,
     /// Optional warm-start assignment. If it is feasible for the model it
     /// becomes the initial incumbent, which lets the search prune early and
     /// guarantees a `Feasible` answer even when limits are hit.
@@ -54,12 +52,12 @@ pub struct SolverConfig {
     pub warm_start: bool,
     /// Deterministic work budget: total simplex pivots across every LP
     /// solve of the search (node re-solves, strong-branching probes,
-    /// dives). Unlike `time_limit`, exhaustion is machine-independent —
-    /// the same model and config stop at exactly the same pivot, so a
-    /// budgeted search stays reproducible. Node budgets cannot play this
-    /// role: a node's LP re-solve costs anywhere from a handful of warm
-    /// pivots to tens of thousands of cold ones, so `max_nodes` bounds
-    /// work only to within several orders of magnitude.
+    /// dives). Exhaustion is machine-independent — the same model and
+    /// config stop at exactly the same pivot, so a budgeted search stays
+    /// reproducible. Node budgets cannot play this role: a node's LP
+    /// re-solve costs anywhere from a handful of warm pivots to tens of
+    /// thousands of cold ones, so `max_nodes` bounds work only to within
+    /// several orders of magnitude.
     pub max_pivots: Option<u64>,
 }
 
@@ -67,8 +65,6 @@ impl Default for SolverConfig {
     fn default() -> Self {
         SolverConfig {
             max_nodes: 200_000,
-            time_limit: None,
-            int_tol: 1e-6,
             incumbent: None,
             presolve: true,
             cutoff: None,
@@ -83,8 +79,8 @@ impl Default for SolverConfig {
 pub enum SolveStatus {
     /// The returned solution is proven optimal.
     Optimal,
-    /// A feasible solution was found, but a node or time limit stopped the
-    /// search before optimality was proven.
+    /// A feasible solution was found, but the node or pivot budget stopped
+    /// the search before optimality was proven.
     Feasible,
 }
 
@@ -183,19 +179,7 @@ impl MilpSolution {
 /// # Ok::<(), mfhls_ilp::IlpError>(())
 /// ```
 pub fn solve(model: &Model, config: &SolverConfig) -> Result<MilpSolution, IlpError> {
-    let solution = BranchAndBound::new(model, config)?.run()?;
-    // Diagnostic, not logical: under a `time_limit` the search stops on
-    // the wall clock, so these counters need not repeat between runs.
-    mfhls_obs::diagnostic(
-        mfhls_obs::Level::Debug,
-        "ilp_solve",
-        &[
-            ("nodes", solution.stats.nodes.into()),
-            ("pivots", solution.stats.pivots.into()),
-            ("optimal", (solution.status == SolveStatus::Optimal).into()),
-        ],
-    );
-    Ok(solution)
+    BranchAndBound::new(model, config)?.run()
 }
 
 /// Outcome of one LP solve inside the search.
@@ -321,7 +305,6 @@ impl<'a> BranchAndBound<'a> {
     ///
     /// See [`solve`].
     pub fn run(&mut self) -> Result<MilpSolution, IlpError> {
-        let start = Instant::now();
         let obj_const = self.model.objective().constant();
         let cutoff = self.config.cutoff;
         // An incumbent is accepted only when it beats the current best AND
@@ -357,12 +340,6 @@ impl<'a> BranchAndBound<'a> {
             }
             if let Some(mp) = self.config.max_pivots {
                 if self.sx.pivots() >= mp {
-                    limit_hit = true;
-                    break;
-                }
-            }
-            if let Some(tl) = self.config.time_limit {
-                if start.elapsed() >= tl {
                     limit_hit = true;
                     break;
                 }
@@ -406,7 +383,7 @@ impl<'a> BranchAndBound<'a> {
             // Fractional integer variables of this node's LP optimum.
             let mut cands: Vec<(usize, f64)> = Vec::new();
             for &j in &self.int_vars {
-                if (x[j] - x[j].round()).abs() > self.config.int_tol {
+                if (x[j] - x[j].round()).abs() > INT_TOL {
                     cands.push((j, x[j]));
                 }
             }
@@ -530,7 +507,7 @@ impl<'a> BranchAndBound<'a> {
         let mut x = x0.to_vec();
         for _ in 0..self.int_vars.len() {
             let mut pick: Option<usize> = None;
-            let mut worst = self.config.int_tol;
+            let mut worst = INT_TOL;
             for &j in &self.int_vars {
                 let f = (x[j] - x[j].round()).abs();
                 if f > worst {

@@ -348,21 +348,6 @@ pub fn parse_incoming(line: &str) -> Result<Incoming, RequestError> {
     })))
 }
 
-/// Maps a solver spec in flag syntax to the [`SolverKind`] the CLI and
-/// the service both use — a bare backend name (`heuristic`, `sdc`, `ilp`,
-/// `hybrid`, `portfolio`), a parameterized form
-/// (`hybrid:max_nodes=20000`), or a portfolio leg list
-/// (`portfolio:heuristic+sdc+ilp`). The backend registry lives in
-/// [`crate::spec`]; this is a thin alias for [`crate::spec::parse_spec`].
-///
-/// # Errors
-///
-/// A targeted message naming the unknown solver (with the registered
-/// names) or the offending field/value.
-pub fn solver_from_str(name: &str) -> Result<SolverKind, String> {
-    crate::spec::parse_spec(name)
-}
-
 /// Instantiates a named benchmark assay: `kinase` (scale = samples,
 /// default 2), `gene` (cells, default 10), `rtqpcr` (cells, default 20),
 /// `cell-culture` (chambers, default 4).
@@ -939,7 +924,13 @@ mod tests {
         let config = req.resolve_config().unwrap();
         assert_eq!(config.max_devices, 9);
         assert_eq!(config.min_improvement, 0.2);
-        assert!(matches!(config.solver, SolverKind::Hybrid { .. }));
+        assert_eq!(
+            format!("{:?}", config.solver),
+            format!(
+                "{:?}",
+                crate::spec::parse_spec("portfolio:heuristic+ilp").unwrap()
+            )
+        );
     }
 
     #[test]

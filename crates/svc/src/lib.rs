@@ -45,13 +45,10 @@ pub mod shard;
 pub mod spec;
 
 pub use api::{
-    benchmark_assay, parse_incoming, solver_from_str, Artifacts, AssaySource, ErrorKind, Incoming,
-    RequestError, SynthesisRequest, VERSION,
+    benchmark_assay, parse_incoming, Artifacts, AssaySource, ErrorKind, Incoming, RequestError,
+    SynthesisRequest, VERSION,
 };
 pub use json::{Json, JsonError};
 pub use netlist::{assay_from_json, NETLIST_VERSION};
 pub use service::{ServiceConfig, ServiceSummary, SynthesisService};
-pub use spec::{
-    backend_names, kind_name, parse_spec, spec_display, spec_from_json, spec_json, BackendInfo,
-    BACKENDS,
-};
+pub use spec::{backend_names, parse_spec, spec_from_json, spec_json, BackendInfo, BACKENDS};

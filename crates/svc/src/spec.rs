@@ -8,7 +8,7 @@
 //! Two equivalent surfaces map onto [`SolverKind`]:
 //!
 //! * **Flag syntax** ([`parse_spec`]): `name`, `name:field=value,...`, or
-//!   `portfolio:leg+leg+leg` — e.g. `sdc`, `hybrid:max_nodes=20000`,
+//!   `portfolio:leg+leg+leg` — e.g. `sdc`, `ilp:max_nodes=20000`,
 //!   `portfolio:heuristic+sdc+ilp`.
 //! * **JSON** ([`spec_from_json`]): a bare string in flag syntax (the
 //!   pre-0.11 compatible form), or a structured object such as
@@ -18,20 +18,20 @@
 //! [`spec_json`] is the inverse: the fully-resolved spec (defaults filled
 //! in) as a structured object, echoed in response diagnostics so clients
 //! can see exactly which strategy served them.
+//!
+//! `hybrid` is a field-less alias kept for v1 clients: it resolves to
+//! `portfolio:heuristic+ilp` and is echoed as that portfolio.
 
 use crate::json::{obj, Json};
 use mfhls_core::SolverKind;
 
-/// One registered solver backend: its wire name, accepted fields, and a
-/// one-line summary for help text.
+/// One registered solver backend: its wire name and accepted fields.
 #[derive(Debug, Clone, Copy)]
 pub struct BackendInfo {
     /// The name used in flag syntax and the JSON `kind` field.
     pub name: &'static str,
     /// Fields accepted in `name:field=value,...` / the JSON object form.
     pub fields: &'static [&'static str],
-    /// One-line description for `--help`-style listings.
-    pub summary: &'static str,
 }
 
 /// The solver backend registry. Error messages and help text derive the
@@ -40,29 +40,29 @@ pub const BACKENDS: &[BackendInfo] = &[
     BackendInfo {
         name: "heuristic",
         fields: &["improvement_passes"],
-        summary: "priority-list scheduling + greedy binding + re-binding passes",
     },
     BackendInfo {
         name: "sdc",
         fields: &["improvement_passes"],
-        summary: "incremental difference-constraint skeleton + binding legalization",
     },
     BackendInfo {
         name: "ilp",
         fields: &["max_nodes"],
-        summary: "exact MILP model of the paper, branch-and-bound",
     },
     BackendInfo {
         name: "hybrid",
-        fields: &["max_nodes", "ilp_op_limit", "improvement_passes"],
-        summary: "heuristic first, bounded exact attempt on small layers",
+        fields: &[],
     },
     BackendInfo {
         name: "portfolio",
         fields: &[],
-        summary: "race '+'-separated leaf backends, adopt the best deterministically",
     },
 ];
+
+/// What the field-less `hybrid` name resolves to: the heuristic, then an
+/// exact leg bounded by its objective and the deterministic pivot-work
+/// budget, adopted only on a strict improvement.
+const HYBRID_ALIAS: &str = "portfolio:heuristic+ilp";
 
 /// Node budget of an `ilp` leg *inside a portfolio*: the exact search is
 /// already warm-bounded by the best cheap result (`cutoff`), so a small
@@ -94,11 +94,7 @@ fn default_of(name: &str) -> Result<SolverKind, String> {
             improvement_passes: 2,
         },
         "ilp" => SolverKind::Ilp { max_nodes: 500_000 },
-        "hybrid" => SolverKind::Hybrid {
-            max_nodes: 200_000,
-            ilp_op_limit: 8,
-            improvement_passes: 2,
-        },
+        "hybrid" => return parse_spec(HYBRID_ALIAS),
         "portfolio" => SolverKind::Portfolio {
             backends: vec![
                 SolverKind::Heuristic {
@@ -146,34 +142,22 @@ fn set_field(
     field: &str,
     value: usize,
 ) -> Result<(), String> {
-    let fields = info_of(backend)?.fields;
-    if !fields.contains(&field) {
-        let listed = if fields.is_empty() {
-            "no fields".to_owned()
-        } else {
-            fields.join("|")
-        };
-        return Err(format!(
-            "solver '{backend}' has no field '{field}' ({listed})"
-        ));
-    }
     match (kind, field) {
         (SolverKind::Heuristic { improvement_passes }, "improvement_passes")
-        | (SolverKind::Sdc { improvement_passes }, "improvement_passes")
-        | (
-            SolverKind::Hybrid {
-                improvement_passes, ..
-            },
-            "improvement_passes",
-        ) => *improvement_passes = value,
-        (SolverKind::Ilp { max_nodes }, "max_nodes")
-        | (SolverKind::Hybrid { max_nodes, .. }, "max_nodes") => *max_nodes = value,
-        (SolverKind::Hybrid { ilp_op_limit, .. }, "ilp_op_limit") => *ilp_op_limit = value,
+        | (SolverKind::Sdc { improvement_passes }, "improvement_passes") => {
+            *improvement_passes = value
+        }
+        (SolverKind::Ilp { max_nodes }, "max_nodes") => *max_nodes = value,
         _ => {
-            return Err(format!(
-                "solver '{backend}' has no field '{field}' ({})",
+            let fields = info_of(backend)?.fields;
+            let listed = if fields.is_empty() {
+                "no fields".to_owned()
+            } else {
                 fields.join("|")
-            ))
+            };
+            return Err(format!(
+                "solver '{backend}' has no field '{field}' ({listed})"
+            ));
         }
     }
     Ok(())
@@ -269,7 +253,7 @@ pub fn spec_from_json(value: &Json) -> Result<SolverKind, String> {
                         if !leg.is_portfolio_leaf() {
                             return Err(format!(
                                 "portfolio backend '{}' must be a leaf strategy (heuristic|sdc|ilp)",
-                                kind_name(&leg)
+                                leg.name()
                             ));
                         }
                         legs.push(leg);
@@ -302,21 +286,6 @@ pub fn spec_from_json(value: &Json) -> Result<SolverKind, String> {
     Ok(kind)
 }
 
-/// The registry name of a strategy.
-pub fn kind_name(kind: &SolverKind) -> &'static str {
-    match kind {
-        SolverKind::Heuristic { .. } => "heuristic",
-        SolverKind::Sdc { .. } => "sdc",
-        SolverKind::Ilp { .. } => "ilp",
-        SolverKind::Hybrid { .. } => "hybrid",
-        SolverKind::Portfolio { .. } => "portfolio",
-        // `SolverKind` is #[non_exhaustive]; a core-side variant this
-        // registry does not know yet surfaces as "unknown" rather than
-        // breaking the build.
-        _ => "unknown",
-    }
-}
-
 /// The fully-resolved spec as a structured JSON object (every field
 /// explicit), as echoed in response diagnostics.
 pub fn spec_json(kind: &SolverKind) -> Json {
@@ -333,16 +302,6 @@ pub fn spec_json(kind: &SolverKind) -> Json {
             ("kind", Json::Str("ilp".to_owned())),
             ("max_nodes", Json::Int(*max_nodes as i64)),
         ]),
-        SolverKind::Hybrid {
-            max_nodes,
-            ilp_op_limit,
-            improvement_passes,
-        } => obj(vec![
-            ("kind", Json::Str("hybrid".to_owned())),
-            ("max_nodes", Json::Int(*max_nodes as i64)),
-            ("ilp_op_limit", Json::Int(*ilp_op_limit as i64)),
-            ("improvement_passes", Json::Int(*improvement_passes as i64)),
-        ]),
         SolverKind::Portfolio { backends } => obj(vec![
             ("kind", Json::Str("portfolio".to_owned())),
             (
@@ -350,34 +309,8 @@ pub fn spec_json(kind: &SolverKind) -> Json {
                 Json::Array(backends.iter().map(spec_json).collect()),
             ),
         ]),
-        other => obj(vec![("kind", Json::Str(kind_name(other).to_owned()))]),
-    }
-}
-
-/// The canonical flag-syntax form of a resolved spec (parse-able by
-/// [`parse_spec`] up to field defaults), used in human-facing summaries.
-pub fn spec_display(kind: &SolverKind) -> String {
-    match kind {
-        SolverKind::Heuristic { improvement_passes } => {
-            format!("heuristic:improvement_passes={improvement_passes}")
-        }
-        SolverKind::Sdc { improvement_passes } => {
-            format!("sdc:improvement_passes={improvement_passes}")
-        }
-        SolverKind::Ilp { max_nodes } => format!("ilp:max_nodes={max_nodes}"),
-        SolverKind::Hybrid {
-            max_nodes,
-            ilp_op_limit,
-            improvement_passes,
-        } => format!(
-            "hybrid:max_nodes={max_nodes},ilp_op_limit={ilp_op_limit},\
-             improvement_passes={improvement_passes}"
-        ),
-        SolverKind::Portfolio { backends } => {
-            let legs: Vec<&str> = backends.iter().map(kind_name).collect();
-            format!("portfolio:{}", legs.join("+"))
-        }
-        other => kind_name(other).to_owned(),
+        // `SolverKind` is #[non_exhaustive].
+        other => obj(vec![("kind", Json::Str(other.name().to_owned()))]),
     }
 }
 
@@ -418,12 +351,8 @@ mod tests {
     #[test]
     fn field_assignments_parse() {
         assert!(matches!(
-            parse_spec("hybrid:max_nodes=20000").unwrap(),
-            SolverKind::Hybrid {
-                max_nodes: 20_000,
-                ilp_op_limit: 8,
-                improvement_passes: 2
-            }
+            parse_spec("ilp:max_nodes=20000").unwrap(),
+            SolverKind::Ilp { max_nodes: 20_000 }
         ));
         assert!(matches!(
             parse_spec("sdc:improvement_passes=5").unwrap(),
@@ -431,14 +360,39 @@ mod tests {
                 improvement_passes: 5
             }
         ));
+        // Repeated assignments apply in order; the last one wins.
         assert!(matches!(
-            parse_spec("hybrid:max_nodes=1,ilp_op_limit=3,improvement_passes=0").unwrap(),
-            SolverKind::Hybrid {
-                max_nodes: 1,
-                ilp_op_limit: 3,
+            parse_spec("heuristic:improvement_passes=1, improvement_passes=0").unwrap(),
+            SolverKind::Heuristic {
                 improvement_passes: 0
             }
         ));
+    }
+
+    #[test]
+    fn hybrid_is_the_heuristic_ilp_portfolio() {
+        let portfolio = parse_spec(HYBRID_ALIAS).unwrap();
+        let want = format!("{portfolio:?}");
+        for spec in [
+            parse_spec("hybrid").unwrap(),
+            spec_from_json(&Json::Str("hybrid".to_owned())).unwrap(),
+            spec_from_json(&obj(vec![("kind", Json::Str("hybrid".to_owned()))])).unwrap(),
+        ] {
+            assert_eq!(format!("{spec:?}"), want);
+            assert_eq!(spec_json(&spec), spec_json(&portfolio));
+        }
+        assert_eq!(
+            spec_json(&portfolio).get("kind").and_then(Json::as_str),
+            Some("portfolio")
+        );
+        let e = parse_spec("hybrid:max_nodes=9").unwrap_err();
+        assert!(e.contains("'hybrid'") && e.contains("no field"), "{e}");
+        let e = spec_from_json(&obj(vec![
+            ("kind", Json::Str("hybrid".to_owned())),
+            ("max_nodes", Json::Int(9)),
+        ]))
+        .unwrap_err();
+        assert!(e.contains("'hybrid'") && e.contains("no field"), "{e}");
     }
 
     #[test]
@@ -448,7 +402,7 @@ mod tests {
             panic!("expected portfolio");
         };
         assert_eq!(
-            backends.iter().map(kind_name).collect::<Vec<_>>(),
+            backends.iter().map(SolverKind::name).collect::<Vec<_>>(),
             vec!["sdc", "heuristic", "ilp"]
         );
     }
@@ -471,9 +425,9 @@ mod tests {
 
     #[test]
     fn json_string_and_object_forms_agree() {
-        let from_str = spec_from_json(&Json::Str("hybrid:max_nodes=9".to_owned())).unwrap();
+        let from_str = spec_from_json(&Json::Str("ilp:max_nodes=9".to_owned())).unwrap();
         let from_obj = spec_from_json(&obj(vec![
-            ("kind", Json::Str("hybrid".to_owned())),
+            ("kind", Json::Str("ilp".to_owned())),
             ("max_nodes", Json::Int(9)),
         ]))
         .unwrap();
@@ -530,7 +484,7 @@ mod tests {
             "heuristic",
             "sdc",
             "ilp",
-            "hybrid:max_nodes=77",
+            "ilp:max_nodes=77",
             "portfolio:heuristic+sdc+ilp",
         ] {
             let spec = parse_spec(text).unwrap();
@@ -540,10 +494,6 @@ mod tests {
                 format!("{reparsed:?}"),
                 "echo of {text}"
             );
-            let display = spec_display(&spec);
-            // The display form is lossy for portfolio leg budgets but must
-            // always re-parse to the same backend kinds.
-            assert_eq!(kind_name(&parse_spec(&display).unwrap()), kind_name(&spec));
         }
     }
 }

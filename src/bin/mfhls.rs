@@ -105,10 +105,11 @@ fn print_usage() {
          [--format dsl|netlist] [--out DIR] [--check] [--threads N]\n\n\
          OPTIONS:\n  \
          --solver SPEC layer-solver strategy: a backend name\n                \
-         (heuristic|sdc|ilp|hybrid|portfolio), a parameterized\n                \
-         form like hybrid:max_nodes=20000 or\n                \
+         ({names}), a parameterized\n                \
+         form like ilp:max_nodes=20000 or\n                \
          sdc:improvement_passes=3, or a deterministic race\n                \
-         like portfolio:heuristic+sdc+ilp (default: heuristic).\n  \
+         like portfolio:heuristic+sdc+ilp (default: heuristic);\n                \
+         hybrid is portfolio:heuristic+ilp.\n  \
          --format F    (synth|simulate|faultsim) text (default) or json — one\n                \
          mfhls-api/v1 object on stdout.\n  \
          --threads N   worker-pool size for simulation trials and gen --check\n                \
@@ -128,7 +129,8 @@ fn print_usage() {
          --queue N     (serve) requests admitted per window (default 128);\n                \
          further ones draw a typed 'overloaded' error. Each window\n                \
          is solved on one thread and written before the next is\n                \
-         read; run more processes to serve across cores."
+         read; run more processes to serve across cores.",
+        names = mfhls::svc::backend_names()
     );
 }
 
@@ -330,7 +332,7 @@ fn config_from(flags: &Flags<'_>) -> Result<SynthConfig, CliError> {
     }
     if let Some(name) = flags.value("--solver") {
         // Same name -> SolverKind mapping as the service API.
-        builder = builder.solver(mfhls::svc::solver_from_str(name)?);
+        builder = builder.solver(mfhls::svc::parse_spec(name)?);
     }
     let mut config = builder.build()?;
     if flags.has("--conventional") {

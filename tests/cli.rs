@@ -47,6 +47,40 @@ fn help_names_the_store_format_new_segments_are_written_in() {
 }
 
 #[test]
+fn help_lists_the_registered_solvers_and_examples_that_parse() {
+    let out = mfhls(&["help"]);
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains(&mfhls::svc::backend_names()), "{text}");
+    for example in [
+        "ilp:max_nodes=20000",
+        "sdc:improvement_passes=3",
+        "portfolio:heuristic+ilp",
+    ] {
+        assert!(text.contains(example), "help lacks {example}");
+        assert!(mfhls::svc::parse_spec(example).is_ok(), "{example}");
+    }
+}
+
+#[test]
+fn synth_solver_hybrid_prints_the_heuristic_ilp_portfolio() {
+    let path = write_protocol("hybrid", PROTOCOL);
+    let run = |solver: &str| {
+        let out = mfhls(&[
+            "synth",
+            path.to_str().unwrap(),
+            "--solver",
+            solver,
+            "--format",
+            "json",
+        ]);
+        assert!(out.status.success(), "{solver}");
+        out.stdout
+    };
+    assert_eq!(run("hybrid"), run("portfolio:heuristic+ilp"));
+    let _ = std::fs::remove_file(path);
+}
+
+#[test]
 fn unknown_command_fails() {
     let out = mfhls(&["frobnicate"]);
     assert!(!out.status.success());

@@ -125,6 +125,7 @@ fn schedules_execute_without_runtime_conflicts() {
     }
 }
 
+/// `hybrid` is the `portfolio:heuristic+ilp` race built here.
 #[test]
 fn hybrid_solver_never_loses_to_heuristic() {
     let mut assay = mfhls::Assay::new("tiny");
@@ -148,10 +149,13 @@ fn hybrid_solver_never_loses_to_heuristic() {
     .unwrap();
     let hybrid = Synthesizer::new(
         SynthConfig::builder()
-            .solver(SolverKind::Hybrid {
-                max_nodes: 100_000,
-                ilp_op_limit: 8,
-                improvement_passes: 2,
+            .solver(SolverKind::Portfolio {
+                backends: vec![
+                    SolverKind::Heuristic {
+                        improvement_passes: 2,
+                    },
+                    SolverKind::Ilp { max_nodes: 100_000 },
+                ],
             })
             .max_devices(4)
             .build()

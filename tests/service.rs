@@ -632,6 +632,34 @@ fn op_permuted_variant_draws_no_delta_replay() {
 }
 
 #[test]
+fn hybrid_is_answered_as_the_heuristic_ilp_portfolio() {
+    let under = |id: &str, solver: &str| {
+        let artifacts = ["schedule", "stats"].map(|a| Json::Str(a.to_owned()));
+        let config = vec![("solver".to_owned(), Json::Str(solver.to_owned()))];
+        let extra = vec![
+            ("artifacts", Json::Array(artifacts.to_vec())),
+            ("config", Json::Object(config)),
+        ];
+        request(id, 3, 6, extra)
+    };
+    let input = format!(
+        "{}\n{}\n\n",
+        under("alias", "hybrid"),
+        under("plain", "portfolio:heuristic+ilp")
+    );
+    let (out, _) = serve_thrice(ServiceConfig::default(), &input);
+    let lines: Vec<&str> = out.lines().collect();
+    assert_eq!(
+        lines[0].replace(r#""id":"alias""#, r#""id":"plain""#),
+        lines[1]
+    );
+    // Both were solved, and the exact leg raced.
+    assert!(lines[1].contains(r#""status":"ok""#), "{}", lines[1]);
+    let raced = lines[1].contains(r#""ilp_solves":"#) && !lines[1].contains(r#""ilp_solves":0"#);
+    assert!(raced, "{}", lines[1]);
+}
+
+#[test]
 fn oversized_assay_is_rejected_at_admission() {
     let input = format!(
         "{}\n\n",
