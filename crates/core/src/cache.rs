@@ -66,8 +66,10 @@
 
 use crate::{LayerProblem, LayerSolution, OpId, SynthConfig};
 use mfhls_chip::DeviceConfig;
+use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
+use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex};
 
 /// Version of what the built-in solvers return for a given problem,
@@ -619,8 +621,29 @@ impl LayerCache {
 /// and the solver-relevant configuration. A [`SharedLayerCache`] scopes
 /// every key with one of these so entries from different assays or
 /// configurations can never alias.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct CacheContext(Arc<str>);
+///
+/// The encoding runs to kilobytes for a mid-sized assay, so a context
+/// hashes it once, when it is built: [`Hash`] writes only that value, and
+/// equality compares it before the text.
+#[derive(Debug, Clone)]
+pub struct CacheContext {
+    hash: u64,
+    text: Arc<str>,
+}
+
+impl PartialEq for CacheContext {
+    fn eq(&self, other: &Self) -> bool {
+        self.hash == other.hash && (Arc::ptr_eq(&self.text, &other.text) || self.text == other.text)
+    }
+}
+
+impl Eq for CacheContext {}
+
+impl Hash for CacheContext {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
 
 impl CacheContext {
     /// Builds the context for synthesising `assay` under `config`.
@@ -659,20 +682,25 @@ impl CacheContext {
         for (p, c) in assay.dependencies() {
             let _ = write!(s, "e{}>{};", p.index(), c.index());
         }
-        CacheContext(s.into())
+        CacheContext::from_canonical(&s)
     }
 
     /// The canonical encoding, for persistence layers that need to store
     /// the context alongside a key. Two contexts are equal iff these
     /// strings are equal.
     pub fn as_str(&self) -> &str {
-        &self.0
+        &self.text
     }
 
     /// Rebuilds a context from a string previously returned by
     /// [`CacheContext::as_str`]. Round-trips exactly.
     pub fn from_canonical(s: &str) -> CacheContext {
-        CacheContext(s.into())
+        let mut h = DefaultHasher::new();
+        s.hash(&mut h);
+        CacheContext {
+            hash: h.finish(),
+            text: s.into(),
+        }
     }
 }
 
@@ -841,14 +869,14 @@ impl SharedLayerCache {
             context: context.clone(),
             key,
         };
-        let mut st = self.locked();
-        if st.map.contains_key(&shared) {
+        let mut guard = self.locked();
+        let st = &mut *guard;
+        let Entry::Vacant(slot) = st.map.entry(shared) else {
             return false;
-        }
-        let stamp = st.next_stamp;
+        };
+        st.order.insert(st.next_stamp, slot.key().clone());
+        slot.insert(solution);
         st.next_stamp += 1;
-        st.map.insert(shared.clone(), solution);
-        st.order.insert(stamp, shared);
         st.insertions += 1;
         while st.map.len() > self.capacity {
             let Some((&oldest, _)) = st.order.iter().next() else {
@@ -1103,6 +1131,43 @@ mod tests {
         assert_ne!(
             CacheContext::of(&a, &config),
             CacheContext::of(&a, &tighter)
+        );
+        // Equal contexts hash equal, built twice or read back from their
+        // canonical text, as the store does.
+        let hash = |c: &CacheContext| {
+            let mut h = DefaultHasher::new();
+            c.hash(&mut h);
+            h.finish()
+        };
+        let ctx = CacheContext::of(&a, &config);
+        let again = CacheContext::of(&a, &config);
+        let read = CacheContext::from_canonical(ctx.as_str());
+        assert_eq!((hash(&ctx), hash(&read)), (hash(&again), hash(&again)));
+        assert_eq!(read, ctx);
+        assert_eq!(read.as_str(), ctx.as_str());
+        // One op's duration tells two contexts apart.
+        let mut longer = Assay::new("t");
+        longer.add_op(Operation::new("x").with_duration(Duration::fixed(6)));
+        longer.add_op(Operation::new("y").with_duration(Duration::fixed(3)));
+        let other = CacheContext::of(&longer, &config);
+        assert_ne!(other, ctx);
+        assert_ne!(CacheContext::from_canonical(other.as_str()), read);
+        // The store persists these bytes: a change to them must come with
+        // a `SOLVER_EPOCH` bump or a store migration.
+        assert_eq!(
+            ctx.as_str(),
+            concat!(
+                "epoch2|cfg:d25 t10 wWeights { time: 20, area: 6, processing: 3, paths: 12 } ",
+                "cCostModel { ring_area: [40, 24, 16, 18446744073709551615], ",
+                "chamber_area: [18446744073709551615, 12, 8, 4], ",
+                "ring_processing: [10, 8, 6, 18446744073709551615], ",
+                "chamber_processing: [18446744073709551615, 5, 4, 3], ",
+                "accessory_processing: [6, 5, 8, 4, 7] } ",
+                "sHeuristic { improvement_passes: 2 } cotrue|",
+                "trTransportConfig { initial: 3, progression: Progression { min: 1, max: 5, terms: 5 } }|",
+                "o0:Requirements { container: None, capacity: None, accessories: AccessorySet(0) }/Fixed(5);",
+                "o1:Requirements { container: None, capacity: None, accessories: AccessorySet(0) }/Fixed(3);|",
+            )
         );
     }
 

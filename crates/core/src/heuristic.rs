@@ -20,23 +20,28 @@
 //!
 //! Improvement: a configurable number of passes that try re-binding every
 //! operation to every alternative device and keep strict improvements.
-//! Candidates are pruned exactly: moves the re-scheduler would reject are
-//! filtered before any schedule is built, and a re-schedule aborts as soon
-//! as its running objective lower bound reaches the incumbent's objective.
-//! Every candidate for one op resumes from the same checkpoint: the
-//! incumbent binding committed over the determinate ops that precede the
-//! op in construction order, which no move of that op can change. The
+//! The passes stop early at a fixpoint: once every op has been tried
+//! against the current incumbent without an adoption, no later op can
+//! adopt either. Candidates are pruned exactly: moves the re-scheduler
+//! would reject are filtered before any schedule is built, and a
+//! re-schedule aborts as soon as its running objective lower bound, which
+//! counts the indeterminate ops' coming alignment, reaches the incumbent's
+//! objective. Every candidate for one op resumes from the same checkpoint:
+//! the incumbent binding committed over the determinate ops that precede
+//! the op in construction order, which no move of that op can change. The
 //! checkpoint also holds what the other ops fix for every candidate: the
 //! created devices' accessory unions, which devices they use and which of
 //! those hold an indeterminate op, the capex of the created devices they
-//! use, and whether they can be placed at all. A candidate then checks
+//! use, and whether they can be placed at all. These are tallied once per
+//! incumbent and adjusted for the moved op, and a candidate then checks
 //! and prices only the moved op on its new device.
 
 use crate::problem::path_key;
 use crate::{CoreError, LayerProblem, LayerSolution, LayerSolver, OpId, ScheduledOp};
 use mfhls_chip::{DeviceConfig, Requirements};
 use mfhls_graph::BitSet;
-use std::collections::{BTreeMap, BTreeSet};
+use std::cmp::Reverse;
+use std::collections::{BTreeSet, BinaryHeap};
 
 /// The heuristic solver; see the module docs.
 #[derive(Debug, Clone, Copy)]
@@ -56,7 +61,7 @@ impl Default for HeuristicLayerSolver {
 impl LayerSolver for HeuristicLayerSolver {
     fn solve(&self, p: &LayerProblem<'_>) -> Result<LayerSolution, CoreError> {
         let ctx = Ctx::new(p);
-        let (det_order, ind_order) = priority_orders(p)?;
+        let (det_order, ind_order) = priority_orders(p, &ctx)?;
         let mut best = construct(p, &ctx, &det_order, &ind_order)?;
 
         // Where each op's candidates resume: its position in `det_order`,
@@ -66,29 +71,26 @@ impl LayerSolver for HeuristicLayerSolver {
             resume_at[ctx.rank(op)] = k;
         }
         let mut re = Rescheduler::new(p, &ctx);
-        let mut binding = Vec::new();
-        let mut ind_held = Vec::new();
+        re.derive(&best);
         let mut rounds = 0u64;
         let mut adoptions = 0u64;
+        // Ops tried in a row against `best` without an adoption. Trying an
+        // op depends only on the op and the incumbent, so once every op has
+        // been tried against this one, no later op can adopt.
+        let mut quiet = 0;
         for _ in 0..self.improvement_passes {
             rounds += 1;
-            let mut improved_any = false;
             for &op in p.ops.iter() {
-                // Re-derive the binding after every adoption: device indices
-                // may have been renumbered by pruning.
-                ctx.binding_into(&best, &mut binding);
+                if quiet == p.ops.len() {
+                    break;
+                }
                 let r = ctx.rank(op);
-                let current = binding[r];
+                let current = re.binding[r];
                 if current == UNBOUND {
                     return Err(CoreError::Internal(format!(
                         "layer solution lost operation o{}",
                         op.index()
                     )));
-                }
-                ind_held.clear();
-                ind_held.resize(best.devices.len(), false);
-                for s in &best.slots {
-                    ind_held[s.device] |= p.assay.op(s.op).is_indeterminate();
                 }
                 let (prefix, suffix) = det_order.split_at(resume_at[r]);
                 // Whether `re` holds the incumbent committed over `prefix`:
@@ -100,31 +102,38 @@ impl LayerSolver for HeuristicLayerSolver {
                 // adopted device is the one an unpruned search finds.
                 let mut adopted = None;
                 for d in (0..best.devices.len()).filter(|&d| d != current) {
-                    if !may_rebind(p, &best, &ind_held, op, d) {
+                    if !may_rebind(p, &best, &re.tally.ind_count, op, d) {
                         continue;
                     }
-                    if !*checkpoint.get_or_insert_with(|| re.checkpoint(&best, prefix, &binding, r))
-                    {
+                    if !*checkpoint.get_or_insert_with(|| re.checkpoint(prefix, r)) {
                         break; // no candidate of this op can be re-scheduled
                     }
-                    binding[r] = d;
-                    let resumed = re.resume(suffix, &ind_order, &binding, best.objective);
+                    let resumed = re.resume(suffix, &ind_order, d, best.objective);
                     #[cfg(test)]
                     tests::assert_resume_matches_from_scratch(
-                        p, &ctx, &det_order, &ind_order, &binding, &best, &resumed,
+                        &re,
+                        (&det_order, &ind_order),
+                        d,
+                        &best,
+                        &resumed,
                     );
                     adopted = resumed.filter(|sol| sol.objective < best.objective);
                     if adopted.is_some() {
                         break; // next op, with a fresh binding
                     }
                 }
-                if let Some(sol) = adopted {
-                    best = sol;
-                    improved_any = true;
-                    adoptions += 1;
+                match adopted {
+                    Some(sol) => {
+                        best = sol;
+                        // Device indices may have been renumbered by pruning.
+                        re.derive(&best);
+                        adoptions += 1;
+                        quiet = 0;
+                    }
+                    None => quiet += 1,
                 }
             }
-            if !improved_any {
+            if quiet == p.ops.len() {
                 break;
             }
         }
@@ -204,6 +213,8 @@ const UNBOUND: usize = usize::MAX;
 pub(crate) struct Ctx {
     /// The layer's ops in ascending id (rank → op).
     ops: Vec<OpId>,
+    /// Position in `p.ops` per rank: the construction orders' tie-break.
+    pub(crate) pos: Vec<usize>,
     /// Rank per *global* op index; [`UNBOUND`] for ops outside the layer.
     rank: Vec<usize>,
     /// In-layer parents per op, as ranks. Ops outside the layer never hold
@@ -233,6 +244,10 @@ impl Ctx {
         let mut rank = vec![UNBOUND; p.assay.len()];
         for (r, &o) in ops.iter().enumerate() {
             rank[o.index()] = r;
+        }
+        let mut pos = vec![0; ops.len()];
+        for (i, &o) in p.ops.iter().enumerate() {
+            pos[rank[o.index()]] = i;
         }
         let mut parents: Vec<Vec<usize>> = vec![Vec::new(); ops.len()];
         let mut internal_child = vec![false; ops.len()];
@@ -265,6 +280,7 @@ impl Ctx {
         }
         Ctx {
             ops,
+            pos,
             rank,
             parents,
             cross,
@@ -289,70 +305,127 @@ impl Ctx {
             binding[self.rank(s.op)] = s.device;
         }
     }
+
+    /// The in-layer children per op rank, flattened: the children of rank
+    /// `r` are `list[start[r]..start[r + 1]]`, one entry per dependency.
+    fn children(&self) -> (Vec<usize>, Vec<usize>) {
+        let n = self.ops.len();
+        let mut start = vec![0; n + 1];
+        for ps in &self.parents {
+            for &q in ps {
+                start[q + 1] += 1;
+            }
+        }
+        for r in 0..n {
+            start[r + 1] += start[r];
+        }
+        let mut next = start.clone();
+        let mut list = vec![0; start[n]];
+        for (c, ps) in self.parents.iter().enumerate() {
+            for &q in ps {
+                list[next[q]] = c;
+                next[q] += 1;
+            }
+        }
+        (start, list)
+    }
 }
 
-/// Splits the layer's ops into a list-scheduling order for determinate ops
-/// and a priority order for indeterminate ones.
-pub(crate) fn priority_orders(p: &LayerProblem<'_>) -> Result<(Vec<OpId>, Vec<OpId>), CoreError> {
-    let idx_of: BTreeMap<OpId, usize> = p.ops.iter().enumerate().map(|(i, &o)| (o, i)).collect();
-    let n = p.ops.len();
-    let mut g = mfhls_graph::Digraph::new(n);
-    for (a, b) in p.internal_deps() {
-        let (Some(&ia), Some(&ib)) = (idx_of.get(&a), idx_of.get(&b)) else {
-            return Err(CoreError::Internal(format!(
-                "internal dependency o{}->o{} references an op outside the layer",
-                a.index(),
-                b.index()
-            )));
-        };
-        g.add_edge(ia, ib)
-            .map_err(|e| CoreError::Internal(format!("layer DAG edge: {e}")))?;
-    }
-    let weights: Vec<u64> = p
+/// Emits the layer's determinate ops, as ranks, in list order: repeatedly
+/// the ready op (every determinate in-layer parent emitted) with the
+/// largest `key`. Keys must be distinct. A ready heap makes this
+/// `O((n + e) log n)`; the construction orders of the heuristic and of
+/// the SDC legalizer ([`crate::sdc_model`]) both come from here.
+pub(crate) fn list_order<K: Ord>(
+    p: &LayerProblem<'_>,
+    ctx: &Ctx,
+    key: impl Fn(usize) -> K,
+) -> Result<Vec<usize>, CoreError> {
+    let n = ctx.ops.len();
+    let det: Vec<bool> = ctx
         .ops
         .iter()
-        .map(|&o| p.assay.op(o).duration().min_duration() + p.transport.of(o))
+        .map(|&o| !p.assay.op(o).is_indeterminate())
         .collect();
-    let bl = mfhls_graph::topo::bottom_levels(&g, &weights)
-        .map_err(|e| CoreError::Internal(format!("layer DAG is cyclic: {e}")))?;
-
-    // List order: repeatedly emit the ready determinate op with the highest
-    // bottom level (ties: smaller id).
-    let det: BTreeSet<usize> = (0..n)
-        .filter(|&i| !p.assay.op(p.ops[i]).is_indeterminate())
+    let (start, list) = ctx.children();
+    let mut pending: Vec<usize> = ctx
+        .parents
+        .iter()
+        .map(|ps| ps.iter().filter(|&&q| det[q]).count())
         .collect();
-    let mut remaining_parents: Vec<usize> = (0..n)
-        .map(|i| {
-            g.predecessors(i)
-                .iter()
-                .filter(|&&q| det.contains(&q))
-                .count()
-        })
+    let mut ready: BinaryHeap<(K, usize)> = (0..n)
+        .filter(|&r| det[r] && pending[r] == 0)
+        .map(|r| (key(r), r))
         .collect();
-    let mut emitted = vec![false; n];
-    let mut det_order = Vec::with_capacity(det.len());
-    while det_order.len() < det.len() {
-        let Some(next) = det
-            .iter()
-            .copied()
-            .filter(|&i| !emitted[i] && remaining_parents[i] == 0)
-            .max_by_key(|&i| (bl[i], std::cmp::Reverse(i)))
-        else {
-            return Err(CoreError::Internal(
-                "no ready determinate op in an acyclic layer".to_owned(),
-            ));
-        };
-        emitted[next] = true;
-        det_order.push(p.ops[next]);
-        for &c in g.successors(next) {
-            if det.contains(&next) {
-                remaining_parents[c] = remaining_parents[c].saturating_sub(1);
+    let det_count = det.iter().filter(|&&d| d).count();
+    let mut order = Vec::with_capacity(det_count);
+    while let Some((_, r)) = ready.pop() {
+        order.push(r);
+        for &c in &list[start[r]..start[r + 1]] {
+            pending[c] -= 1;
+            if pending[c] == 0 && det[c] {
+                ready.push((key(c), c));
             }
         }
     }
-    let mut ind_order: Vec<usize> = (0..n).filter(|i| !det.contains(i)).collect();
-    ind_order.sort_by_key(|&i| (std::cmp::Reverse(bl[i]), i));
-    Ok((det_order, ind_order.into_iter().map(|i| p.ops[i]).collect()))
+    if order.len() < det_count {
+        return Err(CoreError::Internal(
+            "no ready determinate op in an acyclic layer".to_owned(),
+        ));
+    }
+    Ok(order)
+}
+
+/// Splits the layer's ops into a list-scheduling order for determinate ops
+/// (ready op with the highest bottom level first, ties: earlier in
+/// `p.ops`) and a priority order for indeterminate ones (highest bottom
+/// level first, same ties). Bottom levels weigh each op by its minimum
+/// duration plus its transport estimate.
+pub(crate) fn priority_orders(
+    p: &LayerProblem<'_>,
+    ctx: &Ctx,
+) -> Result<(Vec<OpId>, Vec<OpId>), CoreError> {
+    let n = ctx.ops.len();
+    let pos = &ctx.pos;
+    // Bottom levels, children before parents (Kahn's order, reversed).
+    let (start, list) = ctx.children();
+    let mut parents_left: Vec<usize> = ctx.parents.iter().map(Vec::len).collect();
+    let mut topo: Vec<usize> = (0..n).filter(|&r| parents_left[r] == 0).collect();
+    let mut k = 0;
+    while let Some(&r) = topo.get(k) {
+        k += 1;
+        for &c in &list[start[r]..start[r + 1]] {
+            parents_left[c] -= 1;
+            if parents_left[c] == 0 {
+                topo.push(c);
+            }
+        }
+    }
+    if topo.len() < n {
+        return Err(CoreError::Internal("layer DAG is cyclic".to_owned()));
+    }
+    let mut bl = vec![0u64; n];
+    for &r in topo.iter().rev() {
+        let op = ctx.ops[r];
+        let below = list[start[r]..start[r + 1]]
+            .iter()
+            .map(|&c| bl[c])
+            .max()
+            .unwrap_or(0);
+        bl[r] = p.assay.op(op).duration().min_duration() + p.transport.of(op) + below;
+    }
+    let det_order: Vec<OpId> = list_order(p, ctx, |r| (bl[r], Reverse(pos[r])))?
+        .into_iter()
+        .map(|r| ctx.ops[r])
+        .collect();
+    let mut ind_ranks: Vec<usize> = (0..n)
+        .filter(|&r| p.assay.op(ctx.ops[r]).is_indeterminate())
+        .collect();
+    ind_ranks.sort_unstable_by_key(|&r| (Reverse(bl[r]), pos[r]));
+    let ind_order: Vec<OpId> = ind_ranks.into_iter().map(|r| ctx.ops[r]).collect();
+    #[cfg(test)]
+    tests::assert_orders_match_reference(p, &det_order, &ind_order);
+    Ok((det_order, ind_order))
 }
 
 /// Mutable scheduling state shared by construction and re-scheduling, in
@@ -371,6 +444,8 @@ struct State<'p, 'a> {
     new_paths: PairSet,
     /// Running makespan of the committed slots.
     span: u64,
+    /// Latest start among the committed slots.
+    last_start: u64,
     /// Number of entries in `new_paths`.
     path_count: u64,
     /// Creation quotas per fresh config (see [`provision_quotas`]), indexed
@@ -396,6 +471,7 @@ impl<'p, 'a> State<'p, 'a> {
             slots: vec![None; ctx.ops.len()],
             new_paths: PairSet::new(ctx.pair_cap),
             span: 0,
+            last_start: 0,
             path_count: 0,
             quotas: Vec::new(),
             created_of: Vec::new(),
@@ -419,13 +495,29 @@ impl<'p, 'a> State<'p, 'a> {
             };
             self.devices.push(bare);
         }
+        self.clear_slots();
+        true
+    }
+
+    /// Uncommits every slot, keeping the device pool.
+    fn clear_slots(&mut self) {
         self.avail.clear();
         self.avail.resize(self.devices.len(), 0);
         self.slots.fill(None);
         self.new_paths.clear();
         self.span = 0;
+        self.last_start = 0;
         self.path_count = 0;
-        true
+    }
+
+    /// Takes `from`'s committed slots, paths and running figures.
+    fn copy_slots(&mut self, from: &State<'_, '_>) {
+        self.avail.clone_from(&from.avail);
+        self.slots.clone_from(&from.slots);
+        self.new_paths.clone_from(&from.new_paths);
+        self.span = from.span;
+        self.last_start = from.last_start;
+        self.path_count = from.path_count;
     }
 
     /// Whether device `d` was created by this layer.
@@ -515,11 +607,17 @@ impl<'p, 'a> State<'p, 'a> {
     }
 
     /// Lower bound on the objective of any completion of this state, given
-    /// the exact `capex` of the created devices the final binding uses:
-    /// makespan and new paths only grow as slots commit.
-    fn lower_bound(&self, capex: u64) -> u64 {
+    /// the exact `capex` of the created devices the final binding uses,
+    /// a lower bound `ind_ready` on the indeterminate ops' earliest
+    /// starts, and `tau`, the longest indeterminate minimum duration (0
+    /// in a layer without indeterminate ops). Makespan, new paths and the
+    /// latest start only grow as slots commit, and the indeterminate ops
+    /// align no earlier than the latest start and `ind_ready`, then run
+    /// for at least `tau`.
+    fn lower_bound(&self, capex: u64, ind_ready: u64, tau: u64) -> u64 {
         let w = self.p.weights;
-        capex + w.time * self.span + w.paths * self.path_count
+        let span = self.span.max(self.last_start.max(ind_ready) + tau);
+        capex + w.time * span + w.paths * self.path_count
     }
 
     /// Records a slot and its induced paths.
@@ -541,6 +639,7 @@ impl<'p, 'a> State<'p, 'a> {
         });
         self.avail[device] = self.avail[device].max(start + dur + transport);
         self.span = self.span.max(start + dur);
+        self.last_start = self.last_start.max(start);
     }
 
     /// Capex of creating / retrofitting relative to the current configs.
@@ -620,6 +719,37 @@ impl<'p, 'a> State<'p, 'a> {
     }
 }
 
+/// The incumbent's binding as every candidate sees it, tallied once per
+/// incumbent by [`Rescheduler::derive`]: per device index of the
+/// incumbent, what the ops bound to it fix. [`Rescheduler::checkpoint`]
+/// takes the moved op out of these figures.
+#[derive(Default)]
+struct Tally {
+    /// Whether every created device could be stripped (see
+    /// [`State::reset`]).
+    valid: bool,
+    /// The incumbent's pool, created devices stripped to their container
+    /// and capacity.
+    bare: Vec<DeviceConfig>,
+    /// `bare` with each created device's accessories re-unioned over the
+    /// ops bound to it.
+    pool: Vec<DeviceConfig>,
+    /// The ranks of the ops bound to each device.
+    ops_on: Vec<Vec<usize>>,
+    /// Indeterminate ops bound to each device.
+    ind_count: Vec<usize>,
+    /// Devices holding more than one indeterminate op.
+    clashes: usize,
+    /// Ops bound to no device of the pool.
+    strays: usize,
+    /// Per device: the ops bound to it that cannot be placed on it as
+    /// `pool` stands (see [`placeable`]); `broken` is their sum.
+    broken_on: Vec<usize>,
+    broken: usize,
+    /// Capex of the created devices in use, priced on `pool`.
+    capex: u64,
+}
+
 /// The improvement passes' re-scheduling buffers, reused across ops and
 /// candidates: re-binding allocates only the solutions it returns.
 struct Rescheduler<'p, 'a> {
@@ -628,34 +758,115 @@ struct Rescheduler<'p, 'a> {
     checkpoint: State<'p, 'a>,
     /// The candidate being resumed, overwritten from `checkpoint`.
     resumed: State<'p, 'a>,
+    /// The incumbent's device per op rank.
+    binding: Vec<usize>,
+    /// What `binding` fixes; see [`Tally`].
+    tally: Tally,
     /// Rank of the op whose candidates resume from `checkpoint`.
     moved: usize,
-    /// Per device: some other op is bound to it.
-    others_use: Vec<bool>,
-    /// Per device: some other indeterminate op is bound to it.
-    others_ind: Vec<bool>,
     /// Capex of the created devices that the other ops use.
     others_capex: u64,
+    /// Lower bound on the other indeterminate ops' earliest starts at the
+    /// checkpoint: their devices' `avail` and their committed parents'
+    /// release.
+    ind_ready: u64,
+    /// Ranks of the layer's indeterminate ops.
+    ind_ranks: Vec<usize>,
+    /// Per op rank: the op has an indeterminate in-layer child.
+    ind_child: Vec<bool>,
+    /// The longest minimum duration among the indeterminate ops (0 if the
+    /// layer has none).
+    tau: u64,
     /// The indeterminate ops' devices and earliest starts.
     placed: Vec<(OpId, usize, u64)>,
 }
 
 impl<'p, 'a> Rescheduler<'p, 'a> {
     fn new(p: &'p LayerProblem<'a>, ctx: &'p Ctx) -> Self {
+        let mut ind_ranks = Vec::new();
+        let mut ind_child = vec![false; ctx.ops.len()];
+        let mut tau = 0;
+        for (r, &o) in ctx.ops.iter().enumerate() {
+            let op = p.assay.op(o);
+            if op.is_indeterminate() {
+                ind_ranks.push(r);
+                tau = tau.max(op.duration().min_duration());
+                for &q in &ctx.parents[r] {
+                    ind_child[q] = true;
+                }
+            }
+        }
         Rescheduler {
             checkpoint: State::new(p, ctx),
             resumed: State::new(p, ctx),
+            binding: Vec::new(),
+            tally: Tally::default(),
             moved: UNBOUND,
-            others_use: Vec::new(),
-            others_ind: Vec::new(),
             others_capex: 0,
+            ind_ready: 0,
+            ind_ranks,
+            ind_child,
+            tau,
             placed: Vec::new(),
         }
     }
 
+    /// Takes `reference` as the incumbent: its binding, and the tally of
+    /// that binding over its device pool.
+    fn derive(&mut self, reference: &LayerSolution) {
+        self.checkpoint
+            .ctx
+            .binding_into(reference, &mut self.binding);
+        self.tally_binding(reference);
+    }
+
+    /// Tallies `self.binding` over `reference`'s device pool, created
+    /// devices stripped and re-unioned over the ops bound to them.
+    fn tally_binding(&mut self, reference: &LayerSolution) {
+        let state = &mut self.checkpoint;
+        let (p, ctx) = (state.p, state.ctx);
+        let t = &mut self.tally;
+        t.valid = state.reset(reference);
+        if !t.valid {
+            return;
+        }
+        t.bare.clone_from(&state.devices);
+        t.pool.clone_from(&state.devices);
+        let n = t.pool.len();
+        t.ops_on.iter_mut().for_each(Vec::clear);
+        t.ops_on.resize_with(n, Vec::new);
+        t.ind_count.clear();
+        t.ind_count.resize(n, 0);
+        t.strays = 0;
+        for (r, &d) in self.binding.iter().enumerate() {
+            if d >= n {
+                t.strays += 1;
+                continue;
+            }
+            t.ops_on[d].push(r);
+            let op = p.assay.op(ctx.ops[r]);
+            if state.is_created(d) {
+                t.pool[d].add_accessories(op.requirements().accessories);
+            }
+            t.ind_count[d] += usize::from(op.is_indeterminate());
+        }
+        t.clashes = t.ind_count.iter().filter(|&&c| c > 1).count();
+        t.broken_on.clear();
+        t.capex = 0;
+        let req = |r: usize| p.assay.op(ctx.ops[r]).requirements();
+        for (d, on) in t.ops_on.iter().enumerate() {
+            let cfg = &t.pool[d];
+            let broken = on.iter().filter(|&&r| !placeable(p, d, cfg, req(r)));
+            t.broken_on.push(broken.count());
+            if state.is_created(d) && !on.is_empty() {
+                t.capex += device_capex(p, cfg);
+            }
+        }
+        t.broken = t.broken_on.iter().sum();
+    }
+
     /// Prepares the candidates that move the op of rank `moved` away from
-    /// `binding` (device per op rank, in `reference.devices`). The
-    /// checkpoint becomes `reference`'s device pool (see [`State::reset`])
+    /// the incumbent. The checkpoint becomes the incumbent's device pool
     /// with the created devices' accessories re-unioned over every other
     /// op, committed over `prefix`, a prefix of the construction order
     /// without the moved op. `false` when the other ops cannot be placed
@@ -664,78 +875,78 @@ impl<'p, 'a> Rescheduler<'p, 'a> {
     /// can then be re-scheduled, since the moved op only adds accessories
     /// and conflicts.
     ///
+    /// Only the moved op's own device sees the other ops differently from
+    /// the tally, so only the ops left on it are re-unioned and re-checked.
+    ///
     /// A prefix op starts at the later of its in-layer parents' release
     /// and its device's `avail`, and its new paths depend on its parents'
     /// slots and its cross inputs. All of these come from earlier commits
     /// (the order is topological), never from configs or capex, so the
-    /// checkpoint serves every binding that agrees with `binding` on the
-    /// prefix.
-    fn checkpoint(
-        &mut self,
-        reference: &LayerSolution,
-        prefix: &[OpId],
-        binding: &[usize],
-        moved: usize,
-    ) -> bool {
+    /// checkpoint serves every binding that agrees with the incumbent on
+    /// the prefix.
+    fn checkpoint(&mut self, prefix: &[OpId], moved: usize) -> bool {
         let state = &mut self.checkpoint;
         let (p, ctx) = (state.p, state.ctx);
-        if !state.reset(reference) {
+        let t = &self.tally;
+        if !t.valid {
             return false;
         }
-        let n = state.devices.len();
+        let own = self.binding[moved];
+        let own = (own < t.pool.len()).then_some(own);
+        let op = p.assay.op(ctx.ops[moved]);
+        let strays = t.strays - usize::from(own.is_none());
+        let broken_elsewhere = t.broken - own.map_or(0, |d| t.broken_on[d]);
+        let clashes = t.clashes
+            - usize::from(op.is_indeterminate() && own.is_some_and(|d| t.ind_count[d] == 2));
+        if strays + broken_elsewhere + clashes > 0 {
+            return false;
+        }
         self.moved = moved;
-        self.others_use.clear();
-        self.others_use.resize(n, false);
-        self.others_ind.clear();
-        self.others_ind.resize(n, false);
-        for (r, &d) in binding.iter().enumerate() {
-            if r == moved {
-                continue;
-            }
-            if d >= n {
-                return false;
-            }
-            let op = p.assay.op(ctx.ops[r]);
+        state.devices.clone_from(&t.pool);
+        state.clear_slots();
+        self.others_capex = t.capex;
+        if let Some(d) = own {
+            let req = |r: usize| p.assay.op(ctx.ops[r]).requirements();
+            let others = t.ops_on[d].iter().filter(|&&r| r != moved);
+            let mut cfg = t.bare[d];
             if state.is_created(d) {
-                if !shape_fits(&state.devices[d], op.requirements()) {
-                    return false;
+                for &r in others.clone() {
+                    cfg.add_accessories(req(r).accessories);
                 }
-                state.devices[d].add_accessories(op.requirements().accessories);
-            } else if !p.bindable.get(d).copied().unwrap_or(false) {
+            }
+            if others.clone().any(|&r| !placeable(p, d, &cfg, req(r))) {
                 return false;
             }
-            self.others_use[d] = true;
-            if op.is_indeterminate() && std::mem::replace(&mut self.others_ind[d], true) {
-                return false;
-            }
-        }
-        // The unions are final only now; the moved op can only grow them.
-        for (r, &d) in binding.iter().enumerate() {
-            if r != moved
-                && !config_fits(p, &state.devices[d], p.assay.op(ctx.ops[r]).requirements())
-            {
-                return false;
+            if state.is_created(d) {
+                state.devices[d] = cfg;
+                self.others_capex -= device_capex(p, &t.pool[d]);
+                if others.count() > 0 {
+                    self.others_capex += device_capex(p, &cfg);
+                }
             }
         }
-        self.others_capex = (p.devices.len()..n)
-            .filter(|&d| self.others_use[d])
-            .map(|d| device_capex(p, &state.devices[d]))
-            .sum();
         for &op in prefix {
             debug_assert_ne!(ctx.rank(op), moved, "the moved op is not in the prefix");
-            let d = binding[ctx.rank(op)];
+            let d = self.binding[ctx.rank(op)];
             let start = state.ready_time(op).max(state.avail[d]);
             state.commit(op, d, start);
         }
+        self.ind_ready = self
+            .ind_ranks
+            .iter()
+            .filter(|&&r| r != moved)
+            .map(|&r| state.avail[self.binding[r]].max(state.ready_time(ctx.ops[r])))
+            .max()
+            .unwrap_or(0);
         true
     }
 
-    /// Re-schedules `binding`, which differs from the checkpoint's binding
-    /// only in the moved op, from the checkpoint. Checks the moved op on
-    /// its device alone and prices capex as the other ops' capex plus the
-    /// device's cost change, then [completes](Rescheduler::complete) the
-    /// schedule. Returns `None` if the move is incompatible, violates
-    /// indeterminate exclusivity, or cannot beat `bound`.
+    /// Re-schedules the incumbent with the moved op on device `d`, from
+    /// the checkpoint. Checks the moved op on its device alone and prices
+    /// capex as the other ops' capex plus the device's cost change, then
+    /// [completes](Rescheduler::complete) the schedule. Returns `None` if
+    /// the move is incompatible, violates indeterminate exclusivity, or
+    /// cannot beat `bound`.
     ///
     /// In conventional mode the moved op must not grow the accessories of
     /// a created device that other ops use: their exact signatures would
@@ -747,15 +958,16 @@ impl<'p, 'a> Rescheduler<'p, 'a> {
         &mut self,
         suffix: &[OpId],
         ind_order: &[OpId],
-        binding: &[usize],
+        d: usize,
         bound: u64,
     ) -> Option<LayerSolution> {
         let (p, ctx) = (self.checkpoint.p, self.checkpoint.ctx);
-        let d = binding[self.moved];
-        let op = p.assay.op(ctx.ops[self.moved]);
+        let (moved, own) = (self.moved, self.binding[self.moved]);
+        let op = p.assay.op(ctx.ops[moved]);
         let req = op.requirements();
+        let t = &self.tally;
         let mut cfg = *self.checkpoint.devices.get(d)?;
-        if op.is_indeterminate() && self.others_ind[d] {
+        if op.is_indeterminate() && t.ind_count[d] > usize::from(d == own) {
             return None;
         }
         let mut capex = self.others_capex;
@@ -765,7 +977,7 @@ impl<'p, 'a> Rescheduler<'p, 'a> {
             }
             let before = cfg;
             cfg.add_accessories(req.accessories);
-            let shared = self.others_use[d];
+            let shared = t.ops_on[d].len() > usize::from(d == own);
             if shared && !p.component_oriented && cfg != before {
                 return None;
             }
@@ -779,46 +991,68 @@ impl<'p, 'a> Rescheduler<'p, 'a> {
         }
         self.resumed.devices.clone_from(&self.checkpoint.devices);
         self.resumed.devices[d] = cfg;
-        self.complete(suffix, ind_order, binding, capex, bound)
+        let mut ind_ready = self.ind_ready;
+        if op.is_indeterminate() {
+            // The suffix is empty: the moved op's earliest start is final.
+            let ready = self.checkpoint.ready_time(ctx.ops[moved]);
+            ind_ready = ind_ready.max(ready).max(self.checkpoint.avail[d]);
+        }
+        self.binding[moved] = d;
+        let resumed = self.complete(suffix, ind_order, capex, ind_ready, bound);
+        self.binding[moved] = own;
+        resumed
     }
 
-    /// Continues the checkpoint under `binding`: copies its slots and
+    /// Continues the checkpoint under `self.binding`: copies its slots and
     /// paths, commits `suffix` (the rest of the construction order) and
     /// then the indeterminate ops, and finishes. The resumed state's
-    /// devices must already hold the binding's configs, and `capex` their
-    /// exact cost. Returns `None` once the running objective lower bound
-    /// reaches `bound`, which is exact for callers that adopt only
-    /// objectives below `bound`. Span and path count only grow, so the one
+    /// devices must already hold the binding's configs, `capex` their
+    /// exact cost, `ind_ready` a lower bound on the indeterminate ops'
+    /// earliest starts at the checkpoint, and `self.tally.ind_count` must
+    /// mark the devices that hold an indeterminate op. Returns `None` once
+    /// the running objective lower bound ([`State::lower_bound`]) reaches
+    /// `bound`, which is exact for callers that adopt only objectives
+    /// below `bound`. The bound only grows as slots commit, so the one
     /// check at the checkpoint fires exactly when a check after some
     /// prefix commit would have.
     fn complete(
         &mut self,
         suffix: &[OpId],
         ind_order: &[OpId],
-        binding: &[usize],
         capex: u64,
+        mut ind_ready: u64,
         bound: u64,
     ) -> Option<LayerSolution> {
         let Rescheduler {
             checkpoint: from,
             resumed: state,
+            binding,
+            tally,
+            ind_child,
+            tau,
             placed,
             ..
         } = self;
-        let ctx = from.ctx;
-        if from.lower_bound(capex) >= bound {
+        let (p, ctx, tau) = (from.p, from.ctx, *tau);
+        if from.lower_bound(capex, ind_ready, tau) >= bound {
             return None;
         }
-        state.avail.clone_from(&from.avail);
-        state.slots.clone_from(&from.slots);
-        state.new_paths.clone_from(&from.new_paths);
-        state.span = from.span;
-        state.path_count = from.path_count;
+        state.copy_slots(from);
         for &op in suffix {
-            let d = binding[ctx.rank(op)];
+            let r = ctx.rank(op);
+            let d = binding[r];
             let start = state.ready_time(op).max(state.avail[d]);
             state.commit(op, d, start);
-            if state.lower_bound(capex) >= bound {
+            // An indeterminate op starts no earlier than its device frees
+            // up and its parents release.
+            if tally.ind_count[d] > 0 {
+                ind_ready = ind_ready.max(state.avail[d]);
+            }
+            if ind_child[r] {
+                let release = start + p.assay.op(op).duration().min_duration() + p.transport.of(op);
+                ind_ready = ind_ready.max(release);
+            }
+            if state.lower_bound(capex, ind_ready, tau) >= bound {
                 return None;
             }
         }
@@ -828,7 +1062,7 @@ impl<'p, 'a> Rescheduler<'p, 'a> {
             (op, d, state.ready_time(op).max(state.avail[d]))
         }));
         align_and_commit_indeterminate(state, placed);
-        let lower = state.lower_bound(capex);
+        let lower = state.lower_bound(capex, ind_ready, tau);
         if lower >= bound {
             return None;
         }
@@ -840,6 +1074,18 @@ impl<'p, 'a> Rescheduler<'p, 'a> {
         );
         Some(sol)
     }
+}
+
+/// Whether an op with `req` can run on device `d` configured as `cfg`:
+/// a visible inherited device, or a created device of its shape, and a
+/// config that fits it.
+fn placeable(p: &LayerProblem<'_>, d: usize, cfg: &DeviceConfig, req: &Requirements) -> bool {
+    let visible = if d >= p.devices.len() {
+        shape_fits(cfg, req)
+    } else {
+        p.bindable.get(d).copied().unwrap_or(false)
+    };
+    visible && config_fits(p, cfg, req)
 }
 
 /// Area and processing cost of a created device with config `cfg`.
@@ -894,16 +1140,16 @@ fn config_fits(p: &LayerProblem<'_>, cfg: &DeviceConfig, req: &Requirements) -> 
 /// invisible or unfit inherited device (inherited configs never change), a
 /// created device whose container or capacity conflicts (only its
 /// accessories are re-unioned), or an indeterminate op joining a device
-/// that `ind_held` marks as hosting another indeterminate op.
+/// to which `ind_count` binds another indeterminate op.
 fn may_rebind(
     p: &LayerProblem<'_>,
     best: &LayerSolution,
-    ind_held: &[bool],
+    ind_count: &[usize],
     op: OpId,
     d: usize,
 ) -> bool {
     let o = p.assay.op(op);
-    if o.is_indeterminate() && ind_held[d] {
+    if o.is_indeterminate() && ind_count[d] > 0 {
         return false;
     }
     let req = o.requirements();
@@ -942,18 +1188,13 @@ fn active_device_count(state: &State<'_, '_>) -> usize {
         .count()
 }
 
-/// Budget that must stay in reserve for operations not yet scheduled:
-/// one slot per distinct fresh config among remaining determinate ops that
-/// no current device can host, plus one slot per remaining indeterminate op
-/// that cannot claim an untaken compatible device. Without this reserve the
-/// greedy can spend the whole budget on parallelism and strand a later
-/// operation kind.
-fn forced_reserve(
-    state: &State<'_, '_>,
-    remaining_det: &[OpId],
-    remaining_ind: &[OpId],
-    taken: &[bool],
-) -> usize {
+/// Budget that must stay in reserve for operations not yet scheduled is
+/// the sum of two parts. Without it the greedy can spend the whole budget
+/// on parallelism and strand a later operation kind.
+///
+/// This part: one slot per distinct fresh config among the remaining
+/// determinate ops that no current device can host.
+fn det_reserve(state: &State<'_, '_>, remaining_det: &[OpId]) -> usize {
     let ctx = state.ctx;
     let mut forced = vec![false; ctx.configs.len()];
     for &op in remaining_det {
@@ -964,6 +1205,14 @@ fn forced_reserve(
             }
         }
     }
+    forced.iter().filter(|&&f| f).count()
+}
+
+/// The other part of the reserve (see [`det_reserve`]): one slot per
+/// remaining indeterminate op that cannot claim a compatible device left
+/// untaken by `taken` and the claims before it. Depends on nothing but
+/// the device pool and `taken`.
+fn ind_reserve(state: &State<'_, '_>, remaining_ind: &[OpId], taken: &[bool]) -> usize {
     let mut virtually_taken = taken.to_vec();
     virtually_taken.resize(state.devices.len(), false);
     let mut ind_extra = 0;
@@ -975,7 +1224,7 @@ fn forced_reserve(
             None => ind_extra += 1,
         }
     }
-    forced.iter().filter(|&&f| f).count() + ind_extra
+    ind_extra
 }
 
 /// Enumerates binding candidates for `op`. `exclude` flags devices taken
@@ -1103,11 +1352,21 @@ pub(crate) fn construct(
     state.init_compat();
     state.quotas = provision_quotas(&state, det_order, ind_order);
     state.created_of = vec![0; ctx.configs.len()];
+    // The indeterminate ops' reserve while determinate ops are placed: it
+    // holds until a retrofit or a creation changes the device pool.
+    let mut ind_held_back = None;
     for (pos, &op) in det_order.iter().enumerate() {
         let ready = state.ready_time(op);
         let dur = p.assay.op(op).duration().min_duration();
         let t_out = p.transport.of(op);
-        let reserve = forced_reserve(&state, &det_order[pos + 1..], ind_order, &[]);
+        let held_back = *ind_held_back.get_or_insert_with(|| ind_reserve(&state, ind_order, &[]));
+        #[cfg(test)]
+        assert_eq!(
+            held_back,
+            ind_reserve(&state, ind_order, &[]),
+            "stale reserve"
+        );
+        let reserve = det_reserve(&state, &det_order[pos + 1..]) + held_back;
         let mut best: Option<(u64, u64, usize, Decision)> = None; // (cost, start, rank)
         for dec in candidates(&state, op, &[], reserve) {
             let d = dec.device(state.devices.len());
@@ -1135,6 +1394,9 @@ pub(crate) fn construct(
                 max_devices: p.max_devices,
             });
         };
+        if !matches!(dec, Decision::Existing(_)) {
+            ind_held_back = None;
+        }
         let d = apply_decision(&mut state, dec);
         state.commit(op, d, start);
     }
@@ -1144,7 +1406,7 @@ pub(crate) fn construct(
     let mut placed: Vec<(OpId, usize, u64)> = Vec::new();
     for (pos, &op) in ind_order.iter().enumerate() {
         let ready = state.ready_time(op);
-        let reserve = forced_reserve(&state, &[], &ind_order[pos + 1..], &taken);
+        let reserve = ind_reserve(&state, &ind_order[pos + 1..], &taken);
         let mut best: Option<(u64, u64, usize, Decision)> = None;
         for dec in candidates(&state, op, &taken, reserve) {
             let d = dec.device(state.devices.len());
@@ -1205,19 +1467,12 @@ fn align_and_commit_indeterminate(state: &mut State<'_, '_>, placed: &[(OpId, us
     if placed.is_empty() {
         return;
     }
-    let max_det_start = state
-        .slots
-        .iter()
-        .flatten()
-        .map(|s| s.start)
-        .max()
-        .unwrap_or(0);
     let t_star = placed
         .iter()
         .map(|&(_, _, e)| e)
         .max()
         .unwrap_or(0)
-        .max(max_det_start);
+        .max(state.last_start);
     for &(op, d, _) in placed {
         state.commit(op, d, t_star);
     }
@@ -1253,6 +1508,7 @@ pub(crate) mod tests {
         if !re.checkpoint.reset(reference) {
             return None;
         }
+        re.binding = binding.to_vec();
         let state = &mut re.resumed;
         // Re-derive accessory unions for created devices.
         state.devices.clone_from(&re.checkpoint.devices);
@@ -1284,6 +1540,7 @@ pub(crate) mod tests {
                 return None;
             }
         }
+        re.tally.ind_count = held.iter().map(|&h| usize::from(h)).collect();
         // Capex of the created devices in use.
         held.fill(false);
         for &d in binding {
@@ -1297,28 +1554,29 @@ pub(crate) mod tests {
                 w.area * p.costs.device_area(cfg) + w.processing * p.costs.device_processing(cfg)
             })
             .sum();
-        re.complete(det_order, ind_order, binding, capex, bound)
+        re.complete(det_order, ind_order, capex, 0, bound)
     }
 
     /// Run on every candidate the improvement loop resumes from a
-    /// checkpoint: re-scheduling the same binding from an empty prefix,
-    /// under the same bound, must give the same result — both `None`, or
-    /// equal solutions.
+    /// checkpoint: re-scheduling `re`'s incumbent with its moved op on
+    /// device `d` from an empty prefix, under the same bound, must give
+    /// the same result — both `None`, or equal solutions.
     pub(super) fn assert_resume_matches_from_scratch(
-        p: &LayerProblem<'_>,
-        ctx: &Ctx,
-        det_order: &[OpId],
-        ind_order: &[OpId],
-        binding: &[usize],
+        re: &Rescheduler<'_, '_>,
+        (det_order, ind_order): (&[OpId], &[OpId]),
+        d: usize,
         reference: &LayerSolution,
         resumed: &Option<LayerSolution>,
     ) {
+        let mut binding = re.binding.clone();
+        binding[re.moved] = d;
+        let (p, ctx) = (re.checkpoint.p, re.checkpoint.ctx);
         let full = schedule_from_scratch(
             p,
             ctx,
             det_order,
             ind_order,
-            binding,
+            &binding,
             reference,
             reference.objective,
         );
@@ -1337,7 +1595,7 @@ pub(crate) mod tests {
         p: &LayerProblem<'_>,
     ) -> Result<LayerSolution, CoreError> {
         let ctx = Ctx::new(p);
-        let (det_order, ind_order) = priority_orders(p)?;
+        let (det_order, ind_order) = priority_orders_reference(p)?;
         let mut best = construct(p, &ctx, &det_order, &ind_order)?;
         let (mut rounds, mut adoptions) = (0u64, 0u64);
         for _ in 0..solver.improvement_passes {
@@ -1392,6 +1650,88 @@ pub(crate) mod tests {
             "pruned re-binding diverged from the unpruned reference"
         );
         CROSS_CHECKED.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The construction orders as [`priority_orders`] built them before it
+    /// used a ready heap: a `Digraph` over positions in `p.ops`, its
+    /// bottom levels, and a scan of every determinate op per emission.
+    fn priority_orders_reference(
+        p: &LayerProblem<'_>,
+    ) -> Result<(Vec<OpId>, Vec<OpId>), CoreError> {
+        let idx_of: std::collections::BTreeMap<OpId, usize> =
+            p.ops.iter().enumerate().map(|(i, &o)| (o, i)).collect();
+        let n = p.ops.len();
+        let mut g = mfhls_graph::Digraph::new(n);
+        for (a, b) in p.internal_deps() {
+            let (Some(&ia), Some(&ib)) = (idx_of.get(&a), idx_of.get(&b)) else {
+                return Err(CoreError::Internal(format!(
+                    "internal dependency o{}->o{} references an op outside the layer",
+                    a.index(),
+                    b.index()
+                )));
+            };
+            g.add_edge(ia, ib)
+                .map_err(|e| CoreError::Internal(format!("layer DAG edge: {e}")))?;
+        }
+        let weights: Vec<u64> = p
+            .ops
+            .iter()
+            .map(|&o| p.assay.op(o).duration().min_duration() + p.transport.of(o))
+            .collect();
+        let bl = mfhls_graph::topo::bottom_levels(&g, &weights)
+            .map_err(|e| CoreError::Internal(format!("layer DAG is cyclic: {e}")))?;
+
+        // List order: repeatedly emit the ready determinate op with the
+        // highest bottom level (ties: smaller index).
+        let det: BTreeSet<usize> = (0..n)
+            .filter(|&i| !p.assay.op(p.ops[i]).is_indeterminate())
+            .collect();
+        let mut remaining_parents: Vec<usize> = (0..n)
+            .map(|i| {
+                g.predecessors(i)
+                    .iter()
+                    .filter(|&&q| det.contains(&q))
+                    .count()
+            })
+            .collect();
+        let mut emitted = vec![false; n];
+        let mut det_order = Vec::with_capacity(det.len());
+        while det_order.len() < det.len() {
+            let Some(next) = det
+                .iter()
+                .copied()
+                .filter(|&i| !emitted[i] && remaining_parents[i] == 0)
+                .max_by_key(|&i| (bl[i], Reverse(i)))
+            else {
+                return Err(CoreError::Internal(
+                    "no ready determinate op in an acyclic layer".to_owned(),
+                ));
+            };
+            emitted[next] = true;
+            det_order.push(p.ops[next]);
+            for &c in g.successors(next) {
+                remaining_parents[c] = remaining_parents[c].saturating_sub(1);
+            }
+        }
+        let mut ind_order: Vec<usize> = (0..n).filter(|i| !det.contains(i)).collect();
+        ind_order.sort_by_key(|&i| (Reverse(bl[i]), i));
+        Ok((det_order, ind_order.into_iter().map(|i| p.ops[i]).collect()))
+    }
+
+    /// Run by every [`priority_orders`] call in this crate's tests, so by
+    /// every heuristic and SDC solve: the ready-heap orders equal the
+    /// reference scan's.
+    pub(super) fn assert_orders_match_reference(
+        p: &LayerProblem<'_>,
+        det_order: &[OpId],
+        ind_order: &[OpId],
+    ) {
+        let (det, ind) = priority_orders_reference(p).expect("the reference orders the layer");
+        assert_eq!(
+            (det_order, ind_order),
+            (&det[..], &ind[..]),
+            "ready-heap orders diverged from the reference scan"
+        );
     }
 
     /// Re-homes an assay built by a dependent crate, which links the
@@ -1505,18 +1845,18 @@ pub(crate) mod tests {
         bound: u64,
     ) -> Option<LayerSolution> {
         let ctx = Ctx::new(p);
-        let (det_order, ind_order) = priority_orders(p).expect("acyclic layer");
-        let mut binding = Vec::new();
-        ctx.binding_into(best, &mut binding);
+        let (det_order, ind_order) = priority_orders(p, &ctx).expect("acyclic layer");
         let r = ctx.rank(op);
         let k = det_order.iter().position(|&o| o == op);
         let (prefix, suffix) = det_order.split_at(k.unwrap_or(det_order.len()));
         let mut re = Rescheduler::new(p, &ctx);
-        let ready = re.checkpoint(best, prefix, &binding, r);
-        binding[r] = d;
+        re.derive(best);
+        let ready = re.checkpoint(prefix, r);
         let resumed = ready
-            .then(|| re.resume(suffix, &ind_order, &binding, bound))
+            .then(|| re.resume(suffix, &ind_order, d, bound))
             .flatten();
+        let mut binding = re.binding.clone();
+        binding[r] = d;
         let scratch = schedule_from_scratch(p, &ctx, &det_order, &ind_order, &binding, best, bound);
         assert_eq!(
             resumed,
@@ -1640,6 +1980,41 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn a_move_onto_an_indeterminate_ops_device_loses_only_through_the_alignment() {
+        // `x` and the indeterminate `i` run side by side on two created
+        // chambers. Moving `x` onto `i`'s chamber saves a chamber and keeps
+        // the determinate makespan, but `i` then waits for `x`: only the
+        // alignment makes the move lose.
+        let mut a = Assay::new("t");
+        let x = a.add_op(Operation::new("x").with_duration(Duration::fixed(50)));
+        let i = a.add_op(Operation::new("i").with_duration(Duration::at_least(50)));
+        let costs = CostModel::default();
+        let transport = TransportTimes::initial(&a, &TransportConfig::default());
+        let p = problem(&a, &transport, &costs, vec![], 4, true);
+        let best = HeuristicLayerSolver::default().solve(&p).unwrap();
+        let di = device_of(&best, i);
+        assert_ne!(device_of(&best, x), di);
+        assert_eq!(best.makespan(), 50);
+        // Bounded by the incumbent the move aborts; unbounded, both
+        // re-schedulers agree on a schedule no better than the incumbent.
+        assert_eq!(move_op(&p, &best, x, di, best.objective), None);
+        let moved = move_op(&p, &best, x, di, u64::MAX).expect("a feasible move");
+        assert!(moved.objective >= best.objective);
+        assert_eq!(moved.makespan(), 100);
+        // Without the alignment the move would win: `x` ends at 50 and
+        // one chamber is left.
+        let capex: u64 = moved
+            .new_devices
+            .iter()
+            .map(|&d| device_capex(&p, &moved.devices[d]))
+            .sum();
+        assert!(capex + p.weights.time * 50 < best.objective);
+        // The bound prices the alignment exactly: the move survives a
+        // bound one above its objective.
+        assert_eq!(assert_accepted(&p, &best, x, di), moved);
+    }
+
+    #[test]
     fn move_onto_a_masked_inherited_device_is_rejected() {
         // The inherited chamber fits `x` but `bindable` masks it out, so
         // `x` sits on a created device and may not move onto it.
@@ -1674,18 +2049,56 @@ pub(crate) mod tests {
         let p = problem(&a, &transport, &costs, vec![(chamber, false)], 4, true);
         let best = HeuristicLayerSolver::default().solve(&p).unwrap();
         let ctx = Ctx::new(&p);
-        let (det_order, ind_order) = priority_orders(&p).unwrap();
-        let mut binding = Vec::new();
-        ctx.binding_into(&best, &mut binding);
-        binding[ctx.rank(y)] = 0;
+        let (det_order, ind_order) = priority_orders(&p, &ctx).unwrap();
         let mut re = Rescheduler::new(&p, &ctx);
-        assert!(!re.checkpoint(&best, &[], &binding, ctx.rank(x)));
+        re.derive(&best);
+        re.binding[ctx.rank(y)] = 0;
+        re.tally_binding(&best);
+        assert!(!re.checkpoint(&[], ctx.rank(x)));
+        let mut binding = re.binding.clone();
         for d in 0..best.devices.len() {
             binding[ctx.rank(x)] = d;
             let scratch =
                 schedule_from_scratch(&p, &ctx, &det_order, &ind_order, &binding, &best, u64::MAX);
             assert_eq!(scratch, None, "x onto d{d}");
         }
+    }
+
+    #[test]
+    fn checkpoint_takes_the_moved_op_out_of_an_indeterminate_clash() {
+        // Bind both indeterminate ops and `prep` to one device: no move of
+        // `prep` can be re-scheduled, but moving `i1` away can, and both
+        // re-schedulers agree on every device `i1` may move to.
+        let mut a = Assay::new("t");
+        let i1 = a.add_op(Operation::new("i1").with_duration(Duration::at_least(4)));
+        let i2 = a.add_op(Operation::new("i2").with_duration(Duration::at_least(6)));
+        let prep = a.add_op(Operation::new("prep").with_duration(Duration::fixed(3)));
+        a.add_dependency(prep, i1).unwrap();
+        let costs = CostModel::default();
+        let transport = TransportTimes::initial(&a, &TransportConfig::default());
+        let p = problem(&a, &transport, &costs, vec![], 5, true);
+        let best = HeuristicLayerSolver::default().solve(&p).unwrap();
+        let ctx = Ctx::new(&p);
+        let (det_order, ind_order) = priority_orders(&p, &ctx).unwrap();
+        let shared = device_of(&best, i2);
+        let mut re = Rescheduler::new(&p, &ctx);
+        re.derive(&best);
+        re.binding[ctx.rank(i1)] = shared;
+        re.binding[ctx.rank(prep)] = shared;
+        re.tally_binding(&best);
+        assert!(!re.checkpoint(&[], ctx.rank(prep)));
+        assert!(re.checkpoint(&det_order, ctx.rank(i1)));
+        let mut moves = 0;
+        for d in 0..best.devices.len() {
+            let resumed = re.resume(&[], &ind_order, d, u64::MAX);
+            let mut binding = re.binding.clone();
+            binding[ctx.rank(i1)] = d;
+            let scratch =
+                schedule_from_scratch(&p, &ctx, &det_order, &ind_order, &binding, &best, u64::MAX);
+            assert_eq!(resumed, scratch, "i1 onto d{d}");
+            moves += usize::from(resumed.is_some());
+        }
+        assert!(moves > 0);
     }
 
     fn solve_single_layer(assay: &Assay, max_devices: usize) -> LayerSolution {

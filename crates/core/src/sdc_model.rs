@@ -24,10 +24,11 @@
 //! surfaced through [`SolverStats`](crate::SolverStats) (`sdc_*`
 //! counters), mirroring the LP pivot counters of the exact backend.
 
-use crate::heuristic::{construct, priority_orders, Ctx};
+use crate::heuristic::{construct, list_order, priority_orders, Ctx};
 use crate::solver::{LayerSolution, LayerSolver};
 use crate::{CoreError, LayerProblem, OpId};
 use mfhls_ilp::sdc::{ConstraintId, SdcSystem};
+use std::cmp::Reverse;
 use std::collections::BTreeMap;
 
 /// The SDC layer solver; see the module docs.
@@ -56,8 +57,6 @@ struct Skeleton {
     /// Bottom levels over the layer DAG (same weights as the heuristic's
     /// priority order).
     bottom: Vec<u64>,
-    /// Determinate-op predecessor counts for the topological emit.
-    graph: mfhls_graph::Digraph,
 }
 
 /// Builds the dependency skeleton: one SDC variable per layer op, one
@@ -98,7 +97,6 @@ fn build_skeleton(p: &LayerProblem<'_>) -> Result<Skeleton, CoreError> {
         var,
         origin,
         bottom,
-        graph: g,
     })
 }
 
@@ -125,51 +123,29 @@ pub fn skeleton_makespan(p: &LayerProblem<'_>) -> Result<u64, CoreError> {
 /// dependency-ready op with the smallest current ASAP value (ties: higher
 /// bottom level, then smaller op index). Always a topological order, as
 /// [`construct`] requires.
-fn sdc_det_order(p: &LayerProblem<'_>, skel: &Skeleton) -> Result<Vec<OpId>, CoreError> {
-    let n = p.ops.len();
-    let det: Vec<bool> = (0..n)
-        .map(|i| !p.assay.op(p.ops[i]).is_indeterminate())
-        .collect();
-    let det_count = det.iter().filter(|&&d| d).count();
-    let mut remaining: Vec<usize> = (0..n)
-        .map(|i| {
-            skel.graph
-                .predecessors(i)
-                .iter()
-                .filter(|&&q| det[q])
-                .count()
-        })
-        .collect();
-    let mut emitted = vec![false; n];
-    let mut order = Vec::with_capacity(det_count);
-    while order.len() < det_count {
-        let Some(next) = (0..n)
-            .filter(|&i| det[i] && !emitted[i] && remaining[i] == 0)
-            .max_by_key(|&i| {
-                (
-                    std::cmp::Reverse(skel.sys.value(skel.var[i])),
-                    skel.bottom[i],
-                    std::cmp::Reverse(i),
-                )
-            })
-        else {
-            return Err(CoreError::Internal(
-                "no ready determinate op in an acyclic layer".to_owned(),
-            ));
-        };
-        emitted[next] = true;
-        order.push(p.ops[next]);
-        for &c in skel.graph.successors(next) {
-            remaining[c] = remaining[c].saturating_sub(1);
-        }
-    }
+fn sdc_det_order(p: &LayerProblem<'_>, ctx: &Ctx, skel: &Skeleton) -> Result<Vec<OpId>, CoreError> {
+    let order = list_order(p, ctx, |r| {
+        let i = ctx.pos[r];
+        (
+            Reverse(skel.sys.value(skel.var[i])),
+            skel.bottom[i],
+            Reverse(i),
+        )
+    })?;
+    let order: Vec<OpId> = order.into_iter().map(|r| p.ops[ctx.pos[r]]).collect();
+    #[cfg(test)]
+    assert_eq!(
+        order,
+        tests::sdc_det_order_reference(p, skel)?,
+        "ready-heap SDC order diverged from the reference scan"
+    );
     Ok(order)
 }
 
 impl LayerSolver for SdcLayerSolver {
     fn solve(&self, p: &LayerProblem<'_>) -> Result<LayerSolution, CoreError> {
         let ctx = Ctx::new(p);
-        let (_, ind_order) = priority_orders(p)?;
+        let (_, ind_order) = priority_orders(p, &ctx)?;
         let mut skel = build_skeleton(p)?;
         let idx_of: BTreeMap<OpId, usize> =
             p.ops.iter().enumerate().map(|(i, &o)| (o, i)).collect();
@@ -177,7 +153,7 @@ impl LayerSolver for SdcLayerSolver {
         let mut best: Option<LayerSolution> = None;
         let mut feedback: Vec<ConstraintId> = Vec::new();
         for pass in 0..=self.improvement_passes {
-            let det_order = sdc_det_order(p, &skel)?;
+            let det_order = sdc_det_order(p, &ctx, &skel)?;
             let sol = construct(p, &ctx, &det_order, &ind_order)?;
             match &best {
                 Some(b) if sol.objective >= b.objective => break,
@@ -239,6 +215,55 @@ mod tests {
     };
     use mfhls_chip::{Accessory, Capacity, ContainerKind, CostModel};
     use std::collections::BTreeSet;
+
+    /// The SDC order as [`sdc_det_order`] emitted it before it used a
+    /// ready heap: a scan of every determinate op per emission over a
+    /// `Digraph` of positions in `p.ops`.
+    pub(super) fn sdc_det_order_reference(
+        p: &LayerProblem<'_>,
+        skel: &Skeleton,
+    ) -> Result<Vec<OpId>, CoreError> {
+        let n = p.ops.len();
+        let idx_of: BTreeMap<OpId, usize> =
+            p.ops.iter().enumerate().map(|(i, &o)| (o, i)).collect();
+        let mut graph = mfhls_graph::Digraph::new(n);
+        for (a, b) in p.internal_deps() {
+            graph
+                .add_edge(idx_of[&a], idx_of[&b])
+                .map_err(|e| CoreError::Internal(format!("layer DAG edge: {e}")))?;
+        }
+        let det: Vec<bool> = (0..n)
+            .map(|i| !p.assay.op(p.ops[i]).is_indeterminate())
+            .collect();
+        let det_count = det.iter().filter(|&&d| d).count();
+        let mut remaining: Vec<usize> = (0..n)
+            .map(|i| graph.predecessors(i).iter().filter(|&&q| det[q]).count())
+            .collect();
+        let mut emitted = vec![false; n];
+        let mut order = Vec::with_capacity(det_count);
+        while order.len() < det_count {
+            let Some(next) = (0..n)
+                .filter(|&i| det[i] && !emitted[i] && remaining[i] == 0)
+                .max_by_key(|&i| {
+                    (
+                        Reverse(skel.sys.value(skel.var[i])),
+                        skel.bottom[i],
+                        Reverse(i),
+                    )
+                })
+            else {
+                return Err(CoreError::Internal(
+                    "no ready determinate op in an acyclic layer".to_owned(),
+                ));
+            };
+            emitted[next] = true;
+            order.push(p.ops[next]);
+            for &c in graph.successors(next) {
+                remaining[c] = remaining[c].saturating_sub(1);
+            }
+        }
+        Ok(order)
+    }
 
     fn chain_assay(len: usize) -> Assay {
         let mut a = Assay::new("sdc-chain");

@@ -201,7 +201,7 @@ pub enum Incoming {
 /// envelope problems, [`ErrorKind::UnsupportedVersion`] for a version
 /// mismatch.
 pub fn parse_incoming(line: &str) -> Result<Incoming, RequestError> {
-    let value = Json::parse(line).map_err(|e| {
+    let mut value = Json::parse(line).map_err(|e| {
         RequestError::new(ErrorKind::MalformedRequest, format!("invalid JSON: {e}"))
     })?;
     if value.as_object().is_none() {
@@ -292,7 +292,10 @@ pub fn parse_incoming(line: &str) -> Result<Incoming, RequestError> {
                 "'assay.netlist' must be an object (mfhls-netlist/v1)",
             ));
         }
-        AssaySource::Netlist(net.clone())
+        // Netlists are the bulkiest requests: move the subtree out of the
+        // parsed line instead of copying it.
+        let net = take_field(&mut value, "assay").and_then(|mut a| take_field(&mut a, "netlist"));
+        AssaySource::Netlist(net.unwrap_or(Json::Null))
     } else {
         return Err(RequestError::new(
             ErrorKind::MalformedRequest,
@@ -342,10 +345,22 @@ pub fn parse_incoming(line: &str) -> Result<Incoming, RequestError> {
     Ok(Incoming::Synthesize(Box::new(SynthesisRequest {
         id,
         assay,
-        config: value.get("config").cloned(),
+        config: take_field(&mut value, "config"),
         artifacts,
         deadline_ms,
     })))
+}
+
+/// Moves the value of `object`'s first `key` entry (the one [`Json::get`]
+/// returns) out, leaving `null` in its place.
+fn take_field(object: &mut Json, key: &str) -> Option<Json> {
+    match object {
+        Json::Object(entries) => entries
+            .iter_mut()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| std::mem::replace(v, Json::Null)),
+        _ => None,
+    }
 }
 
 /// Instantiates a named benchmark assay: `kinase` (scale = samples,

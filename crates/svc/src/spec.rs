@@ -148,19 +148,19 @@ fn set_field(
             *improvement_passes = value
         }
         (SolverKind::Ilp { max_nodes }, "max_nodes") => *max_nodes = value,
-        _ => {
-            let fields = info_of(backend)?.fields;
-            let listed = if fields.is_empty() {
-                "no fields".to_owned()
-            } else {
-                fields.join("|")
-            };
-            return Err(format!(
-                "solver '{backend}' has no field '{field}' ({listed})"
-            ));
-        }
+        _ => return Err(no_field(info_of(backend)?, field)),
     }
     Ok(())
+}
+
+/// The error for a field that `info`'s backend does not have.
+fn no_field(info: &BackendInfo, field: &str) -> String {
+    let listed = if info.fields.is_empty() {
+        "no fields".to_owned()
+    } else {
+        info.fields.join("|")
+    };
+    format!("solver '{}' has no field '{field}' ({listed})", info.name)
 }
 
 /// Parses the flag syntax (`--solver` and the JSON bare-string form):
@@ -276,6 +276,9 @@ pub fn spec_from_json(value: &Json) -> Result<SolverKind, String> {
     for (key, v) in entries {
         if key == "kind" {
             continue;
+        }
+        if !info.fields.contains(&key.as_str()) {
+            return Err(no_field(info, key));
         }
         let value = v
             .as_u64()

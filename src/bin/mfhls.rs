@@ -41,12 +41,31 @@ use mfhls::sim::{
 };
 use mfhls::{Assay, SynthConfig, Synthesizer, Weights};
 use std::collections::BTreeSet;
+use std::io::Write as _;
 use std::process::ExitCode;
+
+/// `println!` through a locked stdout that returns a write error from the
+/// enclosing function instead of panicking, as `println!` does on a
+/// closed pipe (`mfhls synth ... | head`).
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        writeln!(std::io::stdout().lock(), $($arg)*)?
+    };
+}
+
+/// `print!` to [`outln!`]'s terms.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write!(std::io::stdout().lock(), $($arg)*)?
+    };
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
+        // The reader has gone (`| head`): nothing is left to tell it.
+        Err(e) if is_broken_pipe(e.as_ref()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
@@ -54,12 +73,17 @@ fn main() -> ExitCode {
     }
 }
 
+/// Whether `e` is a write to a closed pipe.
+fn is_broken_pipe(e: &(dyn std::error::Error + 'static)) -> bool {
+    e.downcast_ref::<std::io::Error>()
+        .is_some_and(|e| e.kind() == std::io::ErrorKind::BrokenPipe)
+}
+
 type CliError = Box<dyn std::error::Error>;
 
 fn run(args: &[String]) -> Result<(), CliError> {
     let Some(cmd) = args.first() else {
-        print_usage();
-        return Ok(());
+        return print_usage();
     };
     match cmd.as_str() {
         "synth" => synth(&args[1..]),
@@ -72,16 +96,13 @@ fn run(args: &[String]) -> Result<(), CliError> {
         "serve" => serve(&args[1..]),
         "bench" => bench(&args[1..]),
         "gen" => gen(&args[1..]),
-        "help" | "--help" | "-h" => {
-            print_usage();
-            Ok(())
-        }
+        "help" | "--help" | "-h" => print_usage(),
         other => Err(format!("unknown command '{other}' (try 'mfhls help')").into()),
     }
 }
 
-fn print_usage() {
-    println!(
+fn print_usage() -> Result<(), CliError> {
+    outln!(
         "mfhls — component-oriented HLS for continuous-flow microfluidics (DAC'17)\n\n\
          USAGE:\n  \
          mfhls synth <file.mfa> [--conventional] [--max-devices N] [--threshold T]\n             \
@@ -132,6 +153,7 @@ fn print_usage() {
          read; run more processes to serve across cores.",
         names = mfhls::svc::backend_names()
     );
+    Ok(())
 }
 
 /// Flags shared by every subcommand that builds a [`SynthConfig`].
@@ -291,7 +313,7 @@ fn finish_trace_quietly(opts: &TraceOpts, quiet_stdout: bool) -> Result<(), CliE
         if quiet_stdout {
             eprintln!("{message}");
         } else {
-            println!("{message}");
+            outln!("{message}");
         }
     }
     Ok(())
@@ -373,7 +395,7 @@ fn synth(args: &[String]) -> Result<(), CliError> {
     if json {
         // One mfhls-api/v1 object on stdout; file artifacts still work,
         // with their confirmations diverted to stderr.
-        println!("{}", mfhls::svc::api::synth_json(&assay, &result));
+        outln!("{}", mfhls::svc::api::synth_json(&assay, &result));
         if let Some(path) = flags.value("--svg") {
             std::fs::write(path, render::to_svg(&assay, &result.schedule))?;
             eprintln!("schedule SVG written to {path}");
@@ -384,14 +406,14 @@ fn synth(args: &[String]) -> Result<(), CliError> {
         }
         return Ok(());
     }
-    println!(
+    outln!(
         "{}: {} ops ({} indeterminate) -> {} layers",
         assay.name(),
         assay.len(),
         assay.indeterminate_ops().len(),
         result.layering.num_layers()
     );
-    println!(
+    outln!(
         "exec time {} | devices {} | paths {} | runtime {:.3?}",
         result.schedule.exec_time(&assay),
         result.schedule.used_device_count(),
@@ -403,7 +425,7 @@ fn synth(args: &[String]) -> Result<(), CliError> {
         solver.merge(&it.solver);
     }
     if solver.ilp_solves > 0 {
-        println!(
+        outln!(
             "exact solver: {} solves ({} proven optimal) | {} nodes | {} LP pivots | warm-start rate {:.1}%",
             solver.ilp_solves,
             solver.proven_optimal,
@@ -413,37 +435,45 @@ fn synth(args: &[String]) -> Result<(), CliError> {
         );
     }
     if solver.sdc_solves > 0 {
-        println!(
+        outln!(
             "sdc solver: {} solves | {} constraints (+{} retracted) | {} relaxations",
-            solver.sdc_solves, solver.sdc_constraints, solver.sdc_retracts, solver.sdc_relaxations
+            solver.sdc_solves,
+            solver.sdc_constraints,
+            solver.sdc_retracts,
+            solver.sdc_relaxations
         );
     }
     if solver.portfolio_races > 0 {
-        println!(
+        outln!(
             "portfolio: {} races | wins heuristic {} / sdc {} / ilp {}",
-            solver.portfolio_races, solver.wins_heuristic, solver.wins_sdc, solver.wins_ilp
+            solver.portfolio_races,
+            solver.wins_heuristic,
+            solver.wins_sdc,
+            solver.wins_ilp
         );
     }
     if flags.has("--iterations") {
         for (k, it) in result.iterations.iter().enumerate() {
-            println!(
+            outln!(
                 "  iteration {k}: exec {} devices {} paths {}",
-                it.exec_time, it.device_count, it.path_count
+                it.exec_time,
+                it.device_count,
+                it.path_count
             );
         }
     }
     if flags.has("--gantt") {
-        println!("\n{}", render::gantt(&assay, &result.schedule, 90));
+        outln!("\n{}", render::gantt(&assay, &result.schedule, 90));
     }
     if flags.has("--report") {
         let report = analysis::analyse(&assay, &result.schedule);
-        println!("\ncritical path:");
+        outln!("\ncritical path:");
         for op in &report.critical_path {
-            println!("  {op} {}", assay.op(*op).name());
+            outln!("  {op} {}", assay.op(*op).name());
         }
-        println!("device utilisation:");
+        outln!("device utilisation:");
         for d in &report.devices {
-            println!(
+            outln!(
                 "  d{:<3} {:>3} ops  {:>5.1}%",
                 d.device,
                 d.ops,
@@ -453,11 +483,11 @@ fn synth(args: &[String]) -> Result<(), CliError> {
     }
     if let Some(path) = flags.value("--svg") {
         std::fs::write(path, render::to_svg(&assay, &result.schedule))?;
-        println!("schedule SVG written to {path}");
+        outln!("schedule SVG written to {path}");
     }
     if let Some(path) = flags.value("--csv") {
         std::fs::write(path, export::schedule_csv(&assay, &result.schedule))?;
-        println!("schedule CSV written to {path}");
+        outln!("schedule CSV written to {path}");
     }
     Ok(())
 }
@@ -465,7 +495,7 @@ fn synth(args: &[String]) -> Result<(), CliError> {
 fn validate(args: &[String]) -> Result<(), CliError> {
     check_flags("validate", args, 1, &[])?;
     let (assay, _) = load_assay(args)?;
-    println!(
+    outln!(
         "OK: '{}' parses — {} ops, {} dependencies, {} indeterminate",
         assay.name(),
         assay.len(),
@@ -474,7 +504,7 @@ fn validate(args: &[String]) -> Result<(), CliError> {
     );
     let layering = mfhls::layer_assay(&assay, 10)?;
     layering.validate(&assay, 10)?;
-    println!(
+    outln!(
         "OK: layers into {} layers at threshold 10",
         layering.num_layers()
     );
@@ -517,12 +547,12 @@ fn simulate(args: &[String]) -> Result<(), CliError> {
     };
     finish_trace_quietly(&trace, json)?;
     if json {
-        println!(
+        outln!(
             "{}",
             mfhls::svc::api::trial_stats_json(assay.name(), policy, &stats)
         );
     } else {
-        println!("{stats}");
+        outln!("{stats}");
     }
     Ok(())
 }
@@ -591,7 +621,7 @@ fn faultsim(args: &[String]) -> Result<(), CliError> {
     let cfg = SimConfig { model, seed };
     let base = simulate_hybrid(&assay, schedule, &cfg)?;
     if !json {
-        println!(
+        outln!(
             "{}: {} ops -> {} layers, {} devices | baseline hybrid makespan {}m (seed {seed})",
             assay.name(),
             assay.len(),
@@ -619,12 +649,12 @@ fn faultsim(args: &[String]) -> Result<(), CliError> {
             ),
         };
         faults.forced_failures.push(ForcedFailure { device, layer });
-        println!("\nforced failure: device d{device} at layer boundary {layer}");
+        outln!("\nforced failure: device d{device} at layer boundary {layer}");
         let quarantined: BTreeSet<usize> = [device].into_iter().collect();
         match resynthesize_suffix(&assay, schedule, &BTreeSet::new(), &quarantined, &config) {
             Ok(plan) => {
                 plan.schedule.validate(&plan.assay)?;
-                println!(
+                outln!(
                     "recovered schedule: {} ops over {} layers, exec time {}, devices {:?} (quarantined d{device} unused: {})",
                     plan.assay.len(),
                     plan.schedule.layers.len(),
@@ -633,7 +663,7 @@ fn faultsim(args: &[String]) -> Result<(), CliError> {
                     !plan.uses_quarantined()
                 );
             }
-            Err(e) => println!("recovery infeasible from the start boundary: {e}"),
+            Err(e) => outln!("recovery infeasible from the start boundary: {e}"),
         }
     }
 
@@ -661,12 +691,12 @@ fn faultsim(args: &[String]) -> Result<(), CliError> {
             );
         }
         finish_trace_quietly(&trace, true)?;
-        println!("{out}");
+        outln!("{out}");
         return Ok(());
     }
     let run = run_with_recovery(&assay, schedule, &cfg, &faults, &policy, &config)?;
     if faults.is_none() {
-        println!(
+        outln!(
             "\nfault-free run: makespan {}m ({} baseline — {})",
             run.makespan,
             if run.makespan == base.makespan {
@@ -681,18 +711,18 @@ fn faultsim(args: &[String]) -> Result<(), CliError> {
             }
         );
     } else {
-        println!("\nfault-injected run (seed {seed}):");
+        outln!("\nfault-injected run (seed {seed}):");
         for ev in &run.fault_events {
-            println!("  {ev:?}");
+            outln!("  {ev:?}");
         }
         match &run.outcome {
-            RunOutcome::Completed => println!(
+            RunOutcome::Completed => outln!(
                 "  completed all {} ops in {}m after {} re-synthesis(es)",
                 run.completed.len(),
                 run.makespan,
                 run.resyntheses
             ),
-            RunOutcome::Degraded(d) => println!("  {d}"),
+            RunOutcome::Degraded(d) => outln!("  {d}"),
         }
     }
 
@@ -704,7 +734,7 @@ fn faultsim(args: &[String]) -> Result<(), CliError> {
             forced_failures: Vec::new(),
             ..faults
         };
-        println!(
+        outln!(
             "\nsurvivability over {n} seeded trials (device failure {:.1}%, op abort {:.1}%, \
              degradation {:.1}%, path blockage {:.1}%):",
             faults.device_failure * 100.0,
@@ -716,7 +746,7 @@ fn faultsim(args: &[String]) -> Result<(), CliError> {
             &assay, schedule, model, &faults, &policy, &config, n, pad_factor, latency,
         )?;
         for st in &stats {
-            println!("  {st}");
+            outln!("  {st}");
         }
     }
     finish_trace(&trace)?;
@@ -756,9 +786,9 @@ fn export_lp(args: &[String]) -> Result<(), CliError> {
     match flags.value("--out") {
         Some(path) => {
             std::fs::write(path, text)?;
-            println!("LP model for layer {layer_idx} written to {path}");
+            outln!("LP model for layer {layer_idx} written to {path}");
         }
-        None => print!("{text}"),
+        None => out!("{text}"),
     }
     Ok(())
 }
@@ -780,9 +810,9 @@ fn graph(args: &[String]) -> Result<(), CliError> {
     match flags.value("--out") {
         Some(path) => {
             std::fs::write(path, text)?;
-            println!("DOT graph written to {path}");
+            outln!("DOT graph written to {path}");
         }
-        None => print!("{text}"),
+        None => out!("{text}"),
     }
     Ok(())
 }
@@ -795,7 +825,7 @@ fn trace_check(args: &[String]) -> Result<(), CliError> {
     };
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let n = mfhls::obs::validate_jsonl(&text).map_err(|e| format!("{path}: {e}"))?;
-    println!("OK: {path} is a valid mfhls-obs/v1 trace ({n} records)");
+    outln!("OK: {path} is a valid mfhls-obs/v1 trace ({n} records)");
     Ok(())
 }
 
@@ -880,11 +910,11 @@ fn serve(args: &[String]) -> Result<(), CliError> {
 
 fn bench(args: &[String]) -> Result<(), CliError> {
     check_flags("bench", args, 0, &[])?;
-    println!("Running the Table 2 benchmark cases (see mfhls-bench for the full harness):\n");
+    outln!("Running the Table 2 benchmark cases (see mfhls-bench for the full harness):\n");
     for (case, tag, assay) in mfhls::assays::benchmarks() {
         let ours = Synthesizer::new(SynthConfig::default()).run(&assay)?;
         let conv = mfhls::core::conventional::run(&assay, SynthConfig::default())?;
-        println!(
+        outln!(
             "case {case} {tag} ({} ops): ours {} D{} P{} | conv {} D{} P{}",
             assay.len(),
             ours.schedule.exec_time(&assay),
@@ -961,7 +991,7 @@ fn gen(args: &[String]) -> Result<(), CliError> {
         let mut failures = 0usize;
         for outcome in &outcomes {
             if outcome.passed() {
-                println!(
+                outln!(
                     "ok   {} ops={} edges={} exec={}",
                     outcome.name,
                     outcome.ops,
@@ -970,13 +1000,13 @@ fn gen(args: &[String]) -> Result<(), CliError> {
                 );
             } else {
                 failures += 1;
-                println!("FAIL {}:", outcome.name);
+                outln!("FAIL {}:", outcome.name);
                 for v in &outcome.violations {
-                    println!("  - {v}");
+                    outln!("  - {v}");
                 }
             }
         }
-        println!("{} checked, {failures} failed", outcomes.len());
+        outln!("{} checked, {failures} failed", outcomes.len());
         if failures > 0 {
             return Err(
                 format!("{failures} of {} metamorphic checks failed", outcomes.len()).into(),
@@ -997,7 +1027,7 @@ fn gen(args: &[String]) -> Result<(), CliError> {
                     let path = format!("{dir}/{}.{ext}", assay.name());
                     std::fs::write(&path, &doc).map_err(|e| format!("cannot write {path}: {e}"))?;
                 }
-                None => print!("{doc}"),
+                None => out!("{doc}"),
             }
         }
     }

@@ -715,3 +715,36 @@ fn serve_stream_is_cache_invariant_end_to_end() {
         assert_eq!(stdout, baseline, "serve responses differ under {args:?}");
     }
 }
+
+#[test]
+fn a_reader_that_leaves_early_ends_the_run_quietly() {
+    // `mfhls synth ... | head`: the read end closes before the first
+    // write, so every write to stdout meets a broken pipe.
+    for args in [
+        &[
+            "synth",
+            "protocols/benchmarks/case2_gene_expression.mfa",
+            "--format",
+            "json",
+        ][..],
+        &[
+            "synth",
+            "protocols/benchmarks/case2_gene_expression.mfa",
+            "--gantt",
+            "--report",
+        ],
+        &["help"],
+    ] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_mfhls"))
+            .args(args)
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("binary runs");
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("binary exits");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+        assert!(out.status.success() && err.is_empty(), "{args:?}: {err}");
+    }
+}

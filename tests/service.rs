@@ -659,6 +659,43 @@ fn hybrid_is_answered_as_the_heuristic_ilp_portfolio() {
     assert!(raced, "{}", lines[1]);
 }
 
+/// A solver object's field is checked by name before its value is
+/// converted, so an unknown field is refused as unknown whatever its
+/// value, and only a known field's value draws the integer error.
+#[test]
+fn solver_objects_refuse_unknown_fields_by_name() {
+    let under = |id: &str, solver: &str| {
+        format!(
+            r#"{{"version":"{VERSION}","type":"synthesize","id":"{id}","assay":{{"benchmark":"kinase","scale":1}},"config":{{"solver":{solver}}}}}"#
+        )
+    };
+    let input = format!(
+        "{}\n{}\n{}\n\n",
+        under("foo", r#"{"kind":"ilp","foo":"x"}"#),
+        under("legs", r#"{"kind":"hybrid","backends":["sdc"]}"#),
+        under("typed", r#"{"kind":"ilp","max_nodes":"x"}"#),
+    );
+    let (out, _) = serve(ServiceConfig::default(), &input);
+    let errors: Vec<(String, String)> = out
+        .lines()
+        .map(|line| {
+            let v = Json::parse(line).unwrap();
+            let error = v.get("error").expect("an error response");
+            let text = |k: &str| error.get(k).and_then(Json::as_str).unwrap().to_owned();
+            (text("kind"), text("message"))
+        })
+        .collect();
+    let config_error = |m: &str| ("config_error".to_owned(), m.to_owned());
+    assert_eq!(
+        errors,
+        [
+            config_error("solver 'ilp' has no field 'foo' (max_nodes)"),
+            config_error("solver 'hybrid' has no field 'backends' (no fields)"),
+            config_error("solver 'ilp': field 'max_nodes' wants a non-negative integer"),
+        ]
+    );
+}
+
 #[test]
 fn oversized_assay_is_rejected_at_admission() {
     let input = format!(
