@@ -1,19 +1,16 @@
-//! Layer-solution memoization for progressive re-synthesis — per-run and
-//! shared across runs.
+//! Layer-solution memoization for progressive re-synthesis.
 //!
 //! Re-synthesis (§3.2) repeatedly re-solves per-layer scheduling problems;
 //! across iterations some of those sub-problems are *structurally
 //! identical* — same device pool, same inherited paths, same transport
-//! estimates. A [`LayerCache`] lives for the duration of one
-//! [`Synthesizer::run_seeded`](crate::Synthesizer::run_seeded) call and maps
-//! the structural identity of a sub-problem to its solved
-//! [`LayerSolution`], so a revisit skips the solver entirely.
+//! estimates. Each [`Synthesizer::run_seeded`](crate::Synthesizer::run_seeded)
+//! call keeps a memo that maps the structural identity of a sub-problem to
+//! its solved [`LayerSolution`], so a revisit skips the solver entirely.
 //!
-//! Because the per-run cache never outlives a run, everything constant
-//! within a run (the assay, the layering, weights, costs, the solver
-//! configuration, the device budget, the binding mode) is deliberately
-//! *not* part of the key. The key captures exactly the inputs that vary
-//! between passes:
+//! Because the memo never outlives a run, everything constant within a run
+//! (the assay, the layering, weights, costs, the solver configuration, the
+//! device budget, the binding mode) is deliberately *not* part of the key.
+//! The key captures exactly the inputs that vary between passes:
 //!
 //! * the layer index (which fixes the op set under a fixed layering — the
 //!   ops are still stored verbatim as a guard),
@@ -23,29 +20,21 @@
 //! * the per-op transport-time estimates (these change whenever transport
 //!   refinement changes an op's estimate).
 //!
-//! # Cross-request sharing
+//! # Reading through to a backing
 //!
-//! A long-lived synthesis service (`mfhls-svc`) sees the same assays over
-//! and over; a cache that dies with each run wastes exactly the workload
-//! that dominates. A [`SharedLayerCache`] outlives individual runs: it is
-//! handed to a [`Synthesizer`](crate::Synthesizer) behind an `Arc` (see
-//! [`Synthesizer::with_shared_cache`](crate::Synthesizer::with_shared_cache))
-//! and re-scopes every [`LayerKey`] with a [`CacheContext`] — a canonical
-//! fingerprint of everything the per-run key deliberately omits (the full
-//! assay structure and the solver-relevant configuration). Two runs share
-//! entries iff their contexts are byte-identical, so distinct assays or
-//! configs can never alias.
+//! A run may be handed a [`CacheBacking`] that outlives it (see
+//! [`Synthesizer::with_shared_cache`](crate::Synthesizer::with_shared_cache)):
+//! a miss in the run's own map reads through to the backing, and a fresh
+//! solve is written behind to it. The backing scopes every [`LayerKey`]
+//! with the run's [`CacheContext`] — a canonical fingerprint of everything
+//! the per-run key omits (the full assay structure and the
+//! solver-relevant configuration) — so entries of distinct assays or
+//! configs can never alias. `mfhls-store`'s persistent store is the
+//! backing the service attaches; [`SharedLayerCache`] is a bounded
+//! in-memory one. A run without a backing builds no context.
 //!
-//! The shared cache is bounded: insertions beyond the configured capacity
-//! evict the oldest entry (FIFO by a global insertion stamp — a
-//! deterministic function of the insertion *sequence*, though the sequence
-//! itself depends on request execution order). Hit/miss/eviction counters
-//! are exposed via [`SharedLayerCache::stats`] and surfaced as `mfhls-obs`
-//! counters by the service.
-//!
-//! Lookups consult the in-memory map first, then the [`CacheBacking`]
-//! (store read-through). The three outcomes are counted separately
-//! ([`CacheCounters`]): exact hits, store fills, and misses.
+//! The three lookup outcomes are counted separately ([`CacheCounters`]):
+//! hits in the run's own map, fills from the backing, and misses.
 //!
 //! # Canonical layer signatures
 //!
@@ -66,8 +55,8 @@
 
 use crate::{LayerProblem, LayerSolution, OpId, SynthConfig};
 use mfhls_chip::DeviceConfig;
-use std::collections::hash_map::{DefaultHasher, Entry};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::hash_map::DefaultHasher;
+use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex};
@@ -88,16 +77,17 @@ use std::sync::{Arc, Mutex};
 /// search, which zeroes their `ilp_solves`/`pivots` on those layers.
 pub const SOLVER_EPOCH: u32 = 2;
 
-/// A persistence layer behind a [`SharedLayerCache`]: the cache reads
-/// through to it on a miss and writes behind to it on insert.
+/// A layer-solution tier shared across runs: a run reads through to it on
+/// a miss in its own memo and writes behind to it after a fresh solve.
 ///
 /// Implementations must be *pure accelerators*: `fetch` either returns a
 /// solution previously passed to `persist` for exactly that
 /// `(context, key)` pair, or `None`. They must never fail a lookup — a
 /// broken backing store degrades to always-`None`/no-op, surfacing
-/// problems through its own diagnostics, so the cache (and every response
+/// problems through its own diagnostics, so a run (and every response
 /// built from it) behaves identically whether the backing is healthy,
-/// degraded, or absent. `mfhls-store` provides the on-disk implementation.
+/// degraded, or absent. `mfhls-store` provides the on-disk implementation,
+/// [`SharedLayerCache`] a bounded in-memory one.
 pub trait CacheBacking: Send + Sync + std::fmt::Debug {
     /// Returns the persisted solution for `(context, key)`, if any.
     fn fetch(&self, context: &CacheContext, key: &LayerKey) -> Option<LayerSolution>;
@@ -512,24 +502,23 @@ fn distinct_colours(osig: &[u64], dsig: &[u64]) -> usize {
     all.len()
 }
 
-/// How a cache lookup was satisfied; see [`CacheCounters`].
+/// How a layer lookup was satisfied; see [`CacheCounters`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HitClass {
-    /// Found under the exact `(context, key)` pair.
+pub(crate) enum HitClass {
+    /// Found in the run's own map.
     Exact,
     /// Filled by reading through to the [`CacheBacking`].
     Store,
 }
 
 /// Classified demand-lookup counters. `store_hits` are read-through fills
-/// from the persistent backing — deliberately *not* folded into the
-/// in-memory hit counts (a fill did disk work and says nothing about the
-/// in-memory cache's effectiveness).
+/// from a [`CacheBacking`] — deliberately *not* folded into the exact
+/// hits (a fill asked the backing, the run's own map could not answer).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheCounters {
-    /// Demand lookups satisfied by the exact index.
+    /// Demand lookups satisfied by the run's own map.
     pub exact_hits: u64,
-    /// Demand lookups filled by the persistent backing.
+    /// Demand lookups filled by the backing.
     pub store_hits: u64,
     /// Demand lookups nothing could satisfy.
     pub misses: u64,
@@ -547,79 +536,12 @@ impl CacheCounters {
         self.store_hits += other.store_hits;
         self.misses += other.misses;
     }
-
-    fn count(&mut self, class: HitClass) {
-        match class {
-            HitClass::Exact => self.exact_hits += 1,
-            HitClass::Store => self.store_hits += 1,
-        }
-    }
-}
-
-/// A per-run memo table of solved layer sub-problems with hit/miss
-/// accounting. See the module docs for the key contract.
-#[derive(Debug, Default)]
-pub struct LayerCache {
-    map: HashMap<LayerKey, LayerSolution>,
-    counters: CacheCounters,
-}
-
-impl LayerCache {
-    /// Creates an empty cache.
-    pub fn new() -> LayerCache {
-        LayerCache::default()
-    }
-
-    /// Looks up a solution, counting the outcome.
-    pub fn lookup(&mut self, key: &LayerKey) -> Option<(LayerSolution, HitClass)> {
-        if let Some(sol) = self.map.get(key) {
-            self.counters.exact_hits += 1;
-            return Some((sol.clone(), HitClass::Exact));
-        }
-        self.counters.misses += 1;
-        None
-    }
-
-    /// Stores a solution (counted as part of the preceding
-    /// [`LayerCache::lookup`] miss).
-    pub fn insert(&mut self, key: LayerKey, solution: LayerSolution) {
-        self.map.insert(key, solution);
-    }
-
-    /// Demand lookups that found a solution since the last
-    /// [`LayerCache::take_counters`] call.
-    pub fn hits(&self) -> u64 {
-        self.counters.hits()
-    }
-
-    /// Demand lookups that missed since the last
-    /// [`LayerCache::take_counters`] call.
-    pub fn misses(&self) -> u64 {
-        self.counters.misses
-    }
-
-    /// Number of cached layer solutions.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the cache holds no solutions.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Returns the counters accumulated since the previous call and resets
-    /// them — one call per re-synthesis iteration gives per-iteration
-    /// figures.
-    pub fn take_counters(&mut self) -> CacheCounters {
-        std::mem::take(&mut self.counters)
-    }
 }
 
 /// The canonical fingerprint of everything a [`LayerKey`] deliberately
 /// omits because it is constant within one run: the full assay structure
-/// and the solver-relevant configuration. A [`SharedLayerCache`] scopes
-/// every key with one of these so entries from different assays or
+/// and the solver-relevant configuration. A [`CacheBacking`] scopes every
+/// key with one of these so entries from different assays or
 /// configurations can never alias.
 ///
 /// The encoding runs to kilobytes for a mid-sized assay, so a context
@@ -704,82 +626,20 @@ impl CacheContext {
     }
 }
 
-/// Aggregate counters of a [`SharedLayerCache`].
-///
-/// The hit/miss split is diagnostic: it depends on the cache's history —
-/// which requests ran first, and so on their interleaving across workers —
-/// while the schedules served from the cache never do.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Demand lookups satisfied by the exact in-memory index.
-    pub hits: u64,
-    /// Demand lookups filled by reading through to the backing store.
-    /// Split from `hits` deliberately: a fill did disk work, so folding it
-    /// into the in-memory hit count (as earlier releases did) overstates
-    /// the cache's effectiveness.
-    pub store_hits: u64,
-    /// Demand lookups that missed everywhere.
-    pub misses: u64,
-    /// Entries stored: solved layers, promoted store hits, and records
-    /// warm-loaded from a store.
-    pub insertions: u64,
-    /// Entries dropped to keep the cache within its capacity.
-    pub evictions: u64,
-    /// Entries currently held.
-    pub entries: usize,
-    /// Configured entry bound.
-    pub capacity: usize,
-}
-
-impl CacheStats {
-    /// Satisfied lookups (any hit class) over all lookups, or 0.0 before
-    /// the first lookup.
-    pub fn hit_rate(&self) -> f64 {
-        let hits = self.hits + self.store_hits;
-        let total = hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            hits as f64 / total as f64
-        }
-    }
-}
-
-/// A layer-key scoped by its run context; the key type of the shared map.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct SharedKey {
-    context: CacheContext,
-    key: LayerKey,
+/// A bounded, thread-safe, in-memory [`CacheBacking`]: it holds the
+/// `capacity` most recently persisted solutions and evicts the oldest
+/// first (FIFO by insertion).
+#[derive(Debug)]
+pub struct SharedLayerCache {
+    state: Mutex<SharedState>,
+    capacity: usize,
 }
 
 #[derive(Debug, Default)]
 struct SharedState {
-    map: HashMap<SharedKey, LayerSolution>,
-    /// Insertion stamps, oldest first — the FIFO eviction order.
-    order: BTreeMap<u64, SharedKey>,
-    next_stamp: u64,
-    /// Lifetime classified counters.
-    counters: CacheCounters,
-    /// Counters since the last [`SharedLayerCache::take_window_counters`]
-    /// call.
-    window: CacheCounters,
-    insertions: u64,
-    evictions: u64,
-}
-
-/// A bounded, thread-safe layer-solution cache shared across synthesis
-/// runs. See the module docs for the key contract and the eviction policy.
-///
-/// When a [`CacheBacking`] is attached ([`SharedLayerCache::set_backing`])
-/// the cache *reads through* to it on a miss (a persisted solution is
-/// promoted back into the map and served as a hit) and *writes behind* to
-/// it on every fresh insert. The backing is consulted strictly outside the
-/// cache lock, so a slow or faulty store never blocks concurrent lookups.
-#[derive(Debug)]
-pub struct SharedLayerCache {
-    state: Mutex<SharedState>,
-    backing: Mutex<Option<Arc<dyn CacheBacking>>>,
-    capacity: usize,
+    map: HashMap<CacheContext, HashMap<LayerKey, LayerSolution>>,
+    /// Every held entry, oldest first — the eviction order.
+    order: VecDeque<(CacheContext, LayerKey)>,
 }
 
 impl SharedLayerCache {
@@ -787,241 +647,115 @@ impl SharedLayerCache {
     pub fn new(capacity: usize) -> SharedLayerCache {
         SharedLayerCache {
             state: Mutex::new(SharedState::default()),
-            backing: Mutex::new(None),
             capacity: capacity.max(1),
-        }
-    }
-
-    /// Attaches a persistence layer. Subsequent misses read through to it
-    /// and subsequent inserts write behind to it. Attach *after* any bulk
-    /// warm-load so the loaded entries are not immediately re-persisted.
-    pub fn set_backing(&self, backing: Arc<dyn CacheBacking>) {
-        *lock_or_recover(&self.backing) = Some(backing);
-    }
-
-    fn backing(&self) -> Option<Arc<dyn CacheBacking>> {
-        lock_or_recover(&self.backing).clone()
-    }
-
-    fn locked(&self) -> std::sync::MutexGuard<'_, SharedState> {
-        lock_or_recover(&self.state)
-    }
-
-    fn lookup(&self, context: &CacheContext, key: &LayerKey) -> Option<(LayerSolution, HitClass)> {
-        {
-            let mut st = self.locked();
-            // Borrow-free probe: build the composite key only on the stack.
-            let probe = SharedKey {
-                context: context.clone(),
-                key: key.clone(),
-            };
-            if let Some(sol) = st.map.get(&probe).cloned() {
-                st.counters.count(HitClass::Exact);
-                st.window.count(HitClass::Exact);
-                return Some((sol, HitClass::Exact));
-            }
-        }
-        // Read-through: consult the backing outside the lock. A persisted
-        // solution is a *store* fill — counted apart from in-memory hits
-        // (earlier releases folded these into plain hits, overstating the
-        // in-memory cache) — and is promoted into the map for subsequent
-        // lookups.
-        if let Some(backing) = self.backing() {
-            if let Some(sol) = backing.fetch(context, key) {
-                self.insert_into_map(context, key.clone(), sol.clone());
-                let mut st = self.locked();
-                st.counters.count(HitClass::Store);
-                st.window.count(HitClass::Store);
-                return Some((sol, HitClass::Store));
-            }
-        }
-        let mut st = self.locked();
-        st.counters.misses += 1;
-        st.window.misses += 1;
-        None
-    }
-
-    fn insert(&self, context: &CacheContext, key: LayerKey, solution: LayerSolution) {
-        // Write-behind: persist freshly inserted solutions, outside the
-        // lock. The backing dedups entries it already holds, so promoting
-        // a read-through result back into the map never re-persists it.
-        match self.backing() {
-            None => {
-                self.insert_into_map(context, key, solution);
-            }
-            Some(backing) => {
-                if self.insert_into_map(context, key.clone(), solution.clone()) {
-                    backing.persist(context, &key, &solution);
-                }
-            }
-        }
-    }
-
-    /// Inserts into the in-memory map only; returns whether the entry was
-    /// freshly inserted (false = already present, nothing changed).
-    fn insert_into_map(
-        &self,
-        context: &CacheContext,
-        key: LayerKey,
-        solution: LayerSolution,
-    ) -> bool {
-        let shared = SharedKey {
-            context: context.clone(),
-            key,
-        };
-        let mut guard = self.locked();
-        let st = &mut *guard;
-        let Entry::Vacant(slot) = st.map.entry(shared) else {
-            return false;
-        };
-        st.order.insert(st.next_stamp, slot.key().clone());
-        slot.insert(solution);
-        st.next_stamp += 1;
-        st.insertions += 1;
-        while st.map.len() > self.capacity {
-            let Some((&oldest, _)) = st.order.iter().next() else {
-                break;
-            };
-            if let Some(victim) = st.order.remove(&oldest) {
-                st.map.remove(&victim);
-                st.evictions += 1;
-            }
-        }
-        true
-    }
-
-    /// Inserts an entry loaded from a persistent store without notifying
-    /// the backing (bulk warm-load path; also safe before
-    /// [`SharedLayerCache::set_backing`] is called at all).
-    pub fn warm_load(&self, context: &CacheContext, key: LayerKey, solution: LayerSolution) {
-        self.insert_into_map(context, key, solution);
-    }
-
-    /// Returns the classified demand counters accumulated since the
-    /// previous call and resets the window counters (the lifetime counters
-    /// reported by [`SharedLayerCache::stats`] keep accumulating). One
-    /// call per admission window gives per-window figures — the
-    /// `mfhls-svc` serve loop uses this so its summary reports window
-    /// rates instead of silently mixing in traffic from earlier
-    /// connections.
-    pub fn take_window_counters(&self) -> CacheCounters {
-        let mut st = self.locked();
-        std::mem::take(&mut st.window)
-    }
-
-    /// Current counters and occupancy.
-    pub fn stats(&self) -> CacheStats {
-        let st = self.locked();
-        CacheStats {
-            hits: st.counters.exact_hits,
-            store_hits: st.counters.store_hits,
-            misses: st.counters.misses,
-            insertions: st.insertions,
-            evictions: st.evictions,
-            entries: st.map.len(),
-            capacity: self.capacity,
         }
     }
 
     /// Number of cached layer solutions.
     pub fn len(&self) -> usize {
-        self.locked().map.len()
+        lock_or_recover(&self.state).order.len()
     }
 
     /// Whether the cache holds no solutions.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+}
 
-    /// Drops every entry (counters are kept).
-    pub fn clear(&self) {
-        let mut st = self.locked();
-        st.map.clear();
-        st.order.clear();
+impl CacheBacking for SharedLayerCache {
+    fn fetch(&self, context: &CacheContext, key: &LayerKey) -> Option<LayerSolution> {
+        lock_or_recover(&self.state)
+            .map
+            .get(context)?
+            .get(key)
+            .cloned()
+    }
+
+    fn persist(&self, context: &CacheContext, key: &LayerKey, solution: &LayerSolution) {
+        let mut guard = lock_or_recover(&self.state);
+        let st = &mut *guard;
+        let entries = st.map.entry(context.clone()).or_default();
+        if entries.contains_key(key) {
+            return;
+        }
+        entries.insert(key.clone(), solution.clone());
+        st.order.push_back((context.clone(), key.clone()));
+        while st.order.len() > self.capacity {
+            let Some((context, key)) = st.order.pop_front() else {
+                break;
+            };
+            if let Some(entries) = st.map.get_mut(&context) {
+                entries.remove(&key);
+                if entries.is_empty() {
+                    st.map.remove(&context);
+                }
+            }
+        }
     }
 }
 
-/// The cache view one synthesis run works against: either a private
-/// [`LayerCache`] that dies with the run, or a [`SharedLayerCache`] handle
-/// scoped by the run's [`CacheContext`]. Either way the run keeps its own
-/// hit/miss counters so [`IterationStats`](crate::IterationStats) reports
-/// per-run figures.
-#[derive(Debug)]
-pub enum RunCache {
-    /// A per-run memo table (the default).
-    Local(LayerCache),
-    /// A handle into a cross-request shared cache.
-    Shared {
-        /// The long-lived cache.
-        cache: Arc<SharedLayerCache>,
-        /// This run's scoping context.
-        context: CacheContext,
-        /// Classified demand counters charged to this run.
-        counters: CacheCounters,
-    },
+/// The layer memo of one synthesis run: the run's own map, read through
+/// to an optional [`CacheBacking`] scoped by the run's [`CacheContext`].
+/// The run keeps its own classified counters, so
+/// [`IterationStats`](crate::IterationStats) reports per-run figures.
+#[derive(Debug, Default)]
+pub(crate) struct RunCache {
+    map: HashMap<LayerKey, LayerSolution>,
+    backing: Option<(Arc<dyn CacheBacking>, CacheContext)>,
+    counters: CacheCounters,
 }
 
 impl RunCache {
-    /// A fresh per-run cache.
-    pub fn local() -> RunCache {
-        RunCache::Local(LayerCache::new())
-    }
-
-    /// A handle into `cache`, scoped to `assay` under `config`.
-    pub fn shared(
-        cache: Arc<SharedLayerCache>,
+    /// A memo for synthesising `assay` under `config`, reading through to
+    /// `backing` when one is given.
+    pub(crate) fn new(
+        backing: Option<&Arc<dyn CacheBacking>>,
         assay: &crate::Assay,
         config: &SynthConfig,
     ) -> RunCache {
-        RunCache::Shared {
-            context: CacheContext::of(assay, config),
-            cache,
-            counters: CacheCounters::default(),
+        RunCache {
+            backing: backing.map(|b| (Arc::clone(b), CacheContext::of(assay, config))),
+            ..RunCache::default()
         }
     }
 
-    /// Looks up a solution, counting the classified outcome.
-    pub fn lookup(&mut self, key: &LayerKey) -> Option<(LayerSolution, HitClass)> {
-        match self {
-            RunCache::Local(c) => c.lookup(key),
-            RunCache::Shared {
-                cache,
-                context,
-                counters,
-            } => match cache.lookup(context, key) {
-                Some((sol, class)) => {
-                    counters.count(class);
-                    Some((sol, class))
-                }
-                None => {
-                    counters.misses += 1;
-                    None
-                }
-            },
+    /// Looks up a solution, counting the classified outcome. A fill from
+    /// the backing joins the run's own map.
+    pub(crate) fn lookup(&mut self, key: &LayerKey) -> Option<(LayerSolution, HitClass)> {
+        if let Some(sol) = self.map.get(key) {
+            self.counters.exact_hits += 1;
+            return Some((sol.clone(), HitClass::Exact));
         }
+        if let Some((backing, context)) = &self.backing {
+            if let Some(sol) = backing.fetch(context, key) {
+                self.counters.store_hits += 1;
+                self.map.insert(key.clone(), sol.clone());
+                return Some((sol, HitClass::Store));
+            }
+        }
+        self.counters.misses += 1;
+        None
     }
 
-    /// Stores a demand-solved solution.
-    pub fn insert(&mut self, key: LayerKey, solution: LayerSolution) {
-        match self {
-            RunCache::Local(c) => c.insert(key, solution),
-            RunCache::Shared { cache, context, .. } => cache.insert(context, key, solution),
+    /// Stores a freshly solved solution, writing it behind to the backing.
+    pub(crate) fn insert(&mut self, key: LayerKey, solution: LayerSolution) {
+        if let Some((backing, context)) = &self.backing {
+            backing.persist(context, &key, &solution);
         }
+        self.map.insert(key, solution);
     }
 
-    /// Returns this run's classified counters since the previous call and
-    /// resets them.
-    pub fn take_counters(&mut self) -> CacheCounters {
-        match self {
-            RunCache::Local(c) => c.take_counters(),
-            RunCache::Shared { counters, .. } => std::mem::take(counters),
-        }
+    /// Returns this run's counters since the previous call and resets
+    /// them — one call per re-synthesis iteration gives per-iteration
+    /// figures.
+    pub(crate) fn take_counters(&mut self) -> CacheCounters {
+        std::mem::take(&mut self.counters)
     }
 }
 
 /// Locks `mutex`, recovering from poison: a poisoned mutex means a solver
-/// panicked mid-operation, but neither the map nor the backing slot is
-/// ever left partially mutated, so keep serving.
+/// panicked mid-operation, but no guarded map is ever left partially
+/// mutated, so keep serving.
 pub(crate) fn lock_or_recover<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     match mutex.lock() {
         Ok(g) => g,
@@ -1100,12 +834,13 @@ mod tests {
         let costs = CostModel::default();
         let p = problem(&a, &t, &costs);
         let key = LayerKey::of(&p, 0);
-        let mut cache = LayerCache::new();
+        // Without a backing, a run builds no context.
+        let mut cache = RunCache::new(None, &a, &SynthConfig::default());
+        assert!(cache.backing.is_none());
         assert!(cache.lookup(&key).is_none());
         let sol = crate::solver::SolverKind::default().solve(&p).unwrap();
         cache.insert(key.clone(), sol.clone());
         assert_eq!(cache.lookup(&key), Some((sol.clone(), HitClass::Exact)));
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
         assert_eq!(
             cache.take_counters(),
             CacheCounters {
@@ -1115,8 +850,6 @@ mod tests {
             }
         );
         assert_eq!(cache.take_counters(), CacheCounters::default());
-        assert_eq!(cache.len(), 1);
-        assert!(!cache.is_empty());
     }
 
     #[test]
@@ -1179,61 +912,50 @@ mod tests {
         let p = problem(&a, &t, &costs);
         let sol = crate::solver::SolverKind::default().solve(&p).unwrap();
         let config = SynthConfig::default();
+        let counted = |exact_hits, store_hits, misses| CacheCounters {
+            exact_hits,
+            store_hits,
+            misses,
+        };
 
         let shared = Arc::new(SharedLayerCache::new(2));
-        let mut run_a = RunCache::shared(shared.clone(), &a, &config);
+        let backing: Arc<dyn CacheBacking> = shared.clone();
         let key0 = LayerKey::of(&p, 0);
-        assert!(run_a.lookup(&key0).is_none());
-        run_a.insert(key0.clone(), sol.clone());
-        assert_eq!(run_a.lookup(&key0), Some((sol.clone(), HitClass::Exact)));
-        assert_eq!(
-            run_a.take_counters(),
-            CacheCounters {
-                exact_hits: 1,
-                misses: 1,
-                ..CacheCounters::default()
-            }
-        );
+        let mut first = RunCache::new(Some(&backing), &a, &config);
+        assert!(first.lookup(&key0).is_none());
+        first.insert(key0.clone(), sol.clone());
+        assert_eq!(first.lookup(&key0), Some((sol.clone(), HitClass::Exact)));
+        assert_eq!(first.take_counters(), counted(1, 0, 1));
+
+        // A later run of the same assay reads the entry through once; its
+        // repeat is then the run's own hit.
+        let mut second = RunCache::new(Some(&backing), &a, &config);
+        assert_eq!(second.lookup(&key0), Some((sol.clone(), HitClass::Store)));
+        assert_eq!(second.lookup(&key0), Some((sol.clone(), HitClass::Exact)));
+        assert_eq!(second.take_counters(), counted(1, 1, 0));
 
         // A different context never sees the entry.
         let mut b = assay();
         b.add_op(Operation::new("z").with_duration(Duration::fixed(9)));
-        let mut run_b = RunCache::shared(shared.clone(), &b, &config);
-        assert!(run_b.lookup(&key0).is_none());
-        assert_eq!(
-            run_b.take_counters(),
-            CacheCounters {
-                misses: 1,
-                ..CacheCounters::default()
-            }
-        );
+        let mut other = RunCache::new(Some(&backing), &b, &config);
+        assert!(other.lookup(&key0).is_none());
+        assert_eq!(other.take_counters(), counted(0, 0, 1));
 
-        // FIFO eviction keeps the bound: capacity 2, three inserts.
-        run_a.insert(LayerKey::of(&p, 1), sol.clone());
-        run_a.insert(LayerKey::of(&p, 2), sol.clone());
-        let stats = shared.stats();
-        assert_eq!(stats.entries, 2);
-        assert_eq!(stats.capacity, 2);
-        assert_eq!(stats.evictions, 1);
-        assert_eq!(stats.insertions, 3);
-        assert!(stats.hit_rate() > 0.0);
-        // The oldest entry (key0) was the victim; the newest survives.
-        assert!(run_a.lookup(&key0).is_none());
-        assert_eq!(
-            run_a.lookup(&LayerKey::of(&p, 2)),
-            Some((sol.clone(), HitClass::Exact))
-        );
-        assert_eq!(
-            run_a.take_counters(),
-            CacheCounters {
-                exact_hits: 1,
-                misses: 1,
-                ..CacheCounters::default()
-            }
-        );
-
-        shared.clear();
-        assert!(shared.is_empty());
+        // FIFO eviction keeps the bound: capacity 2, three entries. The
+        // oldest entry (key0) was the victim; a re-persisted entry changes
+        // nothing.
+        first.insert(LayerKey::of(&p, 1), sol.clone());
+        first.insert(LayerKey::of(&p, 2), sol.clone());
+        let ctx = CacheContext::of(&a, &config);
+        shared.persist(&ctx, &LayerKey::of(&p, 2), &sol);
+        assert_eq!(shared.len(), 2);
+        assert_eq!(shared.fetch(&ctx, &key0), None);
+        for layer in [1, 2] {
+            assert_eq!(
+                shared.fetch(&ctx, &LayerKey::of(&p, layer)),
+                Some(sol.clone())
+            );
+        }
     }
 
     /// A two-op single-layer assay; swapping `d0` and `d1` poses the same

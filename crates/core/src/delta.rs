@@ -159,20 +159,6 @@ impl AssayShape {
     }
 }
 
-/// Counters reported by [`DeltaCache::stats`] and drained per admission
-/// window by [`DeltaCache::take_window_stats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DeltaStats {
-    /// Full-shape hits: an entire synthesis run was skipped.
-    pub hits: u64,
-    /// Lookups that found no identically-shaped entry.
-    pub misses: u64,
-    /// Results inserted.
-    pub insertions: u64,
-    /// Entries evicted (FIFO) to respect the capacity bound.
-    pub evictions: u64,
-}
-
 struct CachedRun {
     shape: AssayShape,
     result: SynthesisResult,
@@ -181,8 +167,6 @@ struct CachedRun {
 struct DeltaState {
     entries: HashMap<Arc<[u8]>, CachedRun>,
     order: VecDeque<Arc<[u8]>>,
-    stats: DeltaStats,
-    window: DeltaStats,
 }
 
 /// A bounded, thread-safe map from [`AssayShape`] to finished
@@ -203,7 +187,6 @@ impl std::fmt::Debug for DeltaCache {
         f.debug_struct("DeltaCache")
             .field("capacity", &self.capacity)
             .field("entries", &st.entries.len())
-            .field("stats", &st.stats)
             .finish()
     }
 }
@@ -216,8 +199,6 @@ impl DeltaCache {
             state: Mutex::new(DeltaState {
                 entries: HashMap::new(),
                 order: VecDeque::new(),
-                stats: DeltaStats::default(),
-                window: DeltaStats::default(),
             }),
             capacity: capacity.max(1),
         }
@@ -225,20 +206,8 @@ impl DeltaCache {
 
     /// Returns the cached result for an identically-shaped request, if any.
     pub fn lookup_full(&self, shape: &AssayShape) -> Option<SynthesisResult> {
-        let mut st = lock_or_recover(&self.state);
-        match st.entries.get(shape.bytes()) {
-            Some(run) => {
-                let result = run.result.clone();
-                st.stats.hits += 1;
-                st.window.hits += 1;
-                Some(result)
-            }
-            None => {
-                st.stats.misses += 1;
-                st.window.misses += 1;
-                None
-            }
-        }
+        let st = lock_or_recover(&self.state);
+        st.entries.get(shape.bytes()).map(|run| run.result.clone())
     }
 
     /// The cached shape sharing the longest non-empty layer prefix with
@@ -264,8 +233,6 @@ impl DeltaCache {
     /// shape refreshes the stored result without growing the cache.
     pub fn insert(&self, shape: &AssayShape, result: &SynthesisResult) {
         let mut st = lock_or_recover(&self.state);
-        st.stats.insertions += 1;
-        st.window.insertions += 1;
         let key: Arc<[u8]> = Arc::clone(&shape.bytes);
         if st.entries.contains_key(&key) {
             if let Some(run) = st.entries.get_mut(&key) {
@@ -278,8 +245,6 @@ impl DeltaCache {
                 break;
             };
             st.entries.remove(&old);
-            st.stats.evictions += 1;
-            st.window.evictions += 1;
         }
         st.order.push_back(Arc::clone(&key));
         st.entries.insert(
@@ -289,17 +254,6 @@ impl DeltaCache {
                 result: result.clone(),
             },
         );
-    }
-
-    /// Lifetime counters.
-    pub fn stats(&self) -> DeltaStats {
-        lock_or_recover(&self.state).stats
-    }
-
-    /// Drains and returns the counters accumulated since the previous call
-    /// (per-admission-window reporting).
-    pub fn take_window_stats(&self) -> DeltaStats {
-        std::mem::take(&mut lock_or_recover(&self.state).window)
     }
 
     /// Number of cached results.
@@ -543,12 +497,9 @@ mod tests {
             .unwrap();
         assert_eq!(replay.schedule, direct.schedule);
 
-        let stats = cache.stats();
-        assert_eq!(stats.hits, 1);
-        assert_eq!(stats.misses, 1);
-        assert_eq!(stats.insertions, 1);
-        assert_eq!(cache.take_window_stats(), stats);
-        assert_eq!(cache.take_window_stats(), DeltaStats::default());
+        // Re-inserting a held shape refreshes it without growing the cache.
+        cache.insert(&renamed, &direct);
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]
@@ -566,7 +517,6 @@ mod tests {
         assert_eq!(cache.len(), 1);
         assert!(cache.lookup_full(&base).is_none(), "FIFO evicts the oldest");
         assert!(cache.lookup_full(&ext).is_some());
-        assert_eq!(cache.stats().evictions, 1);
     }
 
     #[test]

@@ -77,10 +77,10 @@ pub mod validate;
 
 pub use assay::Assay;
 pub use cache::{
-    structural_op_colours, CacheBacking, CacheContext, CacheCounters, CacheStats,
-    CanonicalLayerKey, HitClass, LayerCache, LayerKey, LayerKeyParts, RunCache, SharedLayerCache,
+    structural_op_colours, CacheBacking, CacheContext, CacheCounters, CanonicalLayerKey, LayerKey,
+    LayerKeyParts, SharedLayerCache,
 };
-pub use delta::{AssayShape, DeltaCache, DeltaStats};
+pub use delta::{AssayShape, DeltaCache};
 pub use layering::{layer_assay, Layering};
 pub use op::{Duration, OpId, Operation};
 pub use problem::{LayerProblem, Weights};

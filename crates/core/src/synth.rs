@@ -1,7 +1,7 @@
 //! The synthesis driver: layering, per-layer solving with device
 //! inheritance, transport refinement, and progressive re-synthesis (§3.2).
 
-use crate::cache::{HitClass, LayerKey, RunCache, SharedLayerCache};
+use crate::cache::{CacheBacking, CacheCounters, HitClass, LayerKey, RunCache};
 use crate::problem::path_key;
 use crate::{
     layer_assay, Assay, CoreError, ExecTime, HybridSchedule, LayerProblem, LayerSchedule,
@@ -208,19 +208,19 @@ pub struct IterationStats {
     /// Weighted objective of the full assay.
     pub objective: u64,
     /// Layer sub-problems this iteration served from the memo cache (both
-    /// hit classes: exact hits and store fills).
+    /// hit classes: the run's own hits and fills from its backing).
     ///
-    /// With the per-run cache the hit/miss split is a function of the run
-    /// alone, identical at any thread count. Behind a shared cache it also
-    /// depends on what earlier runs left there, so traces class cache
-    /// outcomes as diagnostics.
+    /// Without a backing the hit/miss split is a function of the run
+    /// alone, identical at any thread count. With one, it also depends on
+    /// what earlier runs left there, so traces class cache outcomes as
+    /// diagnostics.
     pub cache_hits: u64,
     /// Always 0: the canonical layer index whose hits it counted was
     /// removed in 0.16.0. It stays only because the benchmark reads it for
     /// its `core.cache.canonical_hits` metric.
     pub cache_canonical_hits: u64,
-    /// The subset of `cache_hits` filled by reading through to a
-    /// persistent store.
+    /// The subset of `cache_hits` filled by reading through to the run's
+    /// [`CacheBacking`].
     pub cache_store_hits: u64,
     /// Layer sub-problems this iteration had to solve from scratch.
     pub cache_misses: u64,
@@ -229,7 +229,7 @@ pub struct IterationStats {
     /// Unlike the cache split, these never depend on the cache's history:
     /// the counters live inside each cached [`crate::LayerSolution`], so a
     /// cache hit replays the original solve's counters and the sums are
-    /// identical with the cache on, off or shared. All zero under the pure
+    /// identical with the cache on, off or backed. All zero under the pure
     /// heuristic solver.
     pub solver: crate::SolverStats,
 }
@@ -253,13 +253,26 @@ impl SynthesisResult {
     pub fn final_stats(&self) -> &IterationStats {
         self.iterations.last().expect("at least one iteration")
     }
+
+    /// The run's layer-cache split, summed over its iterations.
+    pub fn cache_counters(&self) -> CacheCounters {
+        let mut total = CacheCounters::default();
+        for it in &self.iterations {
+            total.absorb(&CacheCounters {
+                exact_hits: it.cache_hits - it.cache_store_hits,
+                store_hits: it.cache_store_hits,
+                misses: it.cache_misses,
+            });
+        }
+        total
+    }
 }
 
 /// Drives the full synthesis flow of the paper.
 #[derive(Debug, Clone)]
 pub struct Synthesizer {
     config: SynthConfig,
-    shared_cache: Option<Arc<SharedLayerCache>>,
+    backing: Option<Arc<dyn CacheBacking>>,
 }
 
 impl Synthesizer {
@@ -267,18 +280,18 @@ impl Synthesizer {
     pub fn new(config: SynthConfig) -> Self {
         Synthesizer {
             config,
-            shared_cache: None,
+            backing: None,
         }
     }
 
-    /// Memoizes layer solutions in `cache` instead of a per-run table, so
-    /// structurally identical sub-problems are shared *across* runs (the
-    /// `mfhls-svc` service hands every worker the same cache). Ignored
-    /// while [`SynthConfig::layer_cache`] is `false`. Schedules are
-    /// bitwise identical with any cache arrangement — the cache is a pure
-    /// accelerator.
-    pub fn with_shared_cache(mut self, cache: Arc<SharedLayerCache>) -> Self {
-        self.shared_cache = Some(cache);
+    /// Backs the run's layer memo with `backing`, a tier shared *across*
+    /// runs: a miss in the run's own map reads through to it, and a fresh
+    /// solve is written behind to it (the `mfhls-svc` service hands every
+    /// run its persistent store). Ignored while [`SynthConfig::layer_cache`]
+    /// is `false`. Schedules are bitwise identical with any backing or
+    /// none — the cache is a pure accelerator.
+    pub fn with_shared_cache(mut self, backing: Arc<dyn CacheBacking>) -> Self {
+        self.backing = Some(backing);
         self
     }
 
@@ -336,11 +349,10 @@ impl Synthesizer {
         // device pool (D of §3.2) and is moved — never cloned — into the
         // result at the end.
         let mut prev: Option<Pass> = None;
-        let mut cache: Option<RunCache> =
-            self.config.layer_cache.then(|| match &self.shared_cache {
-                Some(shared) => RunCache::shared(shared.clone(), assay, &self.config),
-                None => RunCache::local(),
-            });
+        let mut cache: Option<RunCache> = self
+            .config
+            .layer_cache
+            .then(|| RunCache::new(self.backing.as_ref(), assay, &self.config));
 
         for iter in 0..self.config.max_iterations.max(1) {
             let _iter_span = obs::span(obs::Level::Debug, "iteration", &[("iter", iter.into())]);
@@ -538,9 +550,9 @@ impl Synthesizer {
                     let key = LayerKey::of(&problem, li);
                     match cache.lookup(&key) {
                         Some((sol, class)) => {
-                            // Diagnostic, not logical: with a shared cache
-                            // the hit class depends on what other requests
-                            // ran first.
+                            // Diagnostic, not logical: with a backing the
+                            // hit class depends on what other runs left
+                            // there.
                             let name = match class {
                                 HitClass::Exact => "cache_hit",
                                 HitClass::Store => "cache_store_hit",
@@ -738,22 +750,24 @@ mod tests {
         let baseline = Synthesizer::new(SynthConfig::default())
             .run(&assay)
             .unwrap();
-        let shared = std::sync::Arc::new(SharedLayerCache::new(64));
-        let cold = Synthesizer::new(SynthConfig::default())
-            .with_shared_cache(shared.clone())
-            .run(&assay)
-            .unwrap();
-        let before = shared.stats();
-        let warm = Synthesizer::new(SynthConfig::default())
-            .with_shared_cache(shared.clone())
-            .run(&assay)
-            .unwrap();
-        let after = shared.stats();
+        let shared = std::sync::Arc::new(crate::SharedLayerCache::new(64));
+        let run = || {
+            Synthesizer::new(SynthConfig::default())
+                .with_shared_cache(shared.clone())
+                .run(&assay)
+                .unwrap()
+        };
+        let cold = run();
+        assert!(!shared.is_empty());
+        let warm = run();
         assert_eq!(baseline.schedule, cold.schedule);
         assert_eq!(baseline.schedule, warm.schedule);
-        // The second run demand-hits entries the first run inserted.
-        assert!(after.hits > before.hits, "{before:?} -> {after:?}");
-        assert!(warm.iterations.iter().map(|it| it.cache_hits).sum::<u64>() > 0);
+        // The second run reads through every layer the first one solved.
+        let (cold, warm) = (cold.cache_counters(), warm.cache_counters());
+        assert_eq!(cold.store_hits, 0, "{cold:?}");
+        assert_eq!(warm.store_hits, cold.misses, "{warm:?}");
+        assert_eq!(warm.misses, 0, "{warm:?}");
+        assert_eq!(warm.hits(), cold.hits() + cold.misses);
     }
 
     #[test]

@@ -137,42 +137,8 @@ where
     run_indexed(items.len(), |i| f(&items[i]))
 }
 
-/// Like [`par_map`] but hands `f` the item's index as well — the natural
-/// shape for seeded trials (`f(seed_index, _)`).
-///
-/// # Panics
-///
-/// Propagates the first observed panic from `f` (original payload).
-pub fn par_map_indexed<T: Sync, R: Send, F>(items: &[T], f: F) -> Vec<R>
-where
-    F: Fn(usize, &T) -> R + Sync,
-{
-    run_indexed(items.len(), |i| f(i, &items[i]))
-}
-
-/// Splits `items` into contiguous chunks of at most `chunk_size` and maps
-/// `f(chunk_start_index, chunk)` over them in parallel. Results come back
-/// in chunk order. Useful when per-item work is too small to amortise the
-/// claim overhead.
-///
-/// # Panics
-///
-/// Panics if `chunk_size == 0`; propagates panics from `f`.
-pub fn par_chunks<T: Sync, R: Send, F>(items: &[T], chunk_size: usize, f: F) -> Vec<R>
-where
-    F: Fn(usize, &[T]) -> R + Sync,
-{
-    assert!(chunk_size > 0, "par_chunks requires a non-zero chunk size");
-    let n_chunks = items.len().div_ceil(chunk_size);
-    run_indexed(n_chunks, |c| {
-        let start = c * chunk_size;
-        let end = (start + chunk_size).min(items.len());
-        f(start, &items[start..end])
-    })
-}
-
-/// The shared engine: evaluates `work(0..n)` on the resolved pool and
-/// returns the results in index order.
+/// Evaluates `work(0..n)` on the resolved pool and returns the results
+/// in index order.
 fn run_indexed<R: Send>(n: usize, work: impl Fn(usize) -> R + Sync) -> Vec<R> {
     let threads = max_threads().min(n.max(1));
     if threads <= 1 || n <= 1 {
@@ -252,28 +218,6 @@ mod tests {
             })
         });
         assert_eq!(out, (0..64).map(|i| i * 10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn indexed_variant_sees_correct_indices() {
-        let items = vec!["a", "b", "c", "d"];
-        let out = with_threads(4, || par_map_indexed(&items, |i, s| format!("{i}{s}")));
-        assert_eq!(out, vec!["0a", "1b", "2c", "3d"]);
-    }
-
-    #[test]
-    fn chunks_cover_everything_in_order() {
-        let items: Vec<u32> = (0..103).collect();
-        let sums = with_threads(4, || {
-            par_chunks(&items, 10, |start, chunk| {
-                (start, chunk.iter().sum::<u32>())
-            })
-        });
-        assert_eq!(sums.len(), 11);
-        assert_eq!(sums[0].0, 0);
-        assert_eq!(sums[10].0, 100);
-        let total: u32 = sums.iter().map(|&(_, s)| s).sum();
-        assert_eq!(total, (0..103).sum::<u32>());
     }
 
     #[test]

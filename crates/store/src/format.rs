@@ -27,8 +27,8 @@
 //!
 //! Every kind carries a context string (the [`CacheContext`]
 //! canonical encoding), the [`LayerKeyParts`], and the [`LayerSolution`] —
-//! everything needed to re-populate a `SharedLayerCache` entry in a later
-//! process. Kinds 1 and 2 end with the eleven pre-0.11 solver counters;
+//! everything a later process needs to answer a run's read-through for
+//! that layer. Kinds 1 and 2 end with the eleven pre-0.11 solver counters;
 //! kinds 3 and 4 count-prefix them ([`KIND_SOLUTION_V3`]).
 //!
 //! Kinds 2 and 4 are *read, never written*. Releases 0.9.0–0.15.0 wrote

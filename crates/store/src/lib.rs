@@ -1,15 +1,19 @@
 //! `mfhls-store` — a crash-safe, zero-dependency, on-disk solution store.
 //!
-//! The `mfhls serve` service memoizes per-layer scheduling solutions in a
-//! bounded in-memory [`SharedLayerCache`](mfhls_core::SharedLayerCache);
-//! this crate persists those entries across process restarts, so a
-//! restarted service warms instantly instead of re-solving its whole
-//! working set. The store is strictly a **pure accelerator**: it can only
+//! Each synthesis run memoizes its per-layer scheduling solutions; this
+//! crate is the tier shared across runs and process restarts. The
+//! `mfhls serve` service hands every run the store as its
+//! [`CacheBacking`](mfhls_core::CacheBacking): a layer the run has not
+//! solved itself is read through from the store's in-memory index, and a
+//! fresh solve is appended, so a restarted service answers from its old
+//! records instead of re-solving its whole working set. The store is
+//! strictly a **pure accelerator**: it can only
 //! ever hand back solutions it was previously handed for exactly the same
 //! `(context, key)` pair, and every storage fault — short write, torn
 //! tail, bit rot, full disk, unreadable file, crash mid-append — degrades
-//! it gracefully to memory-only operation. A response byte never depends
-//! on the store's health.
+//! it gracefully to memory-only operation (it keeps answering from what
+//! it loaded and drops later appends). A response byte never depends on
+//! the store's health.
 //!
 //! Three layers:
 //!
@@ -23,10 +27,10 @@
 //!   segments of `kind ‖ len ‖ checksum ‖ payload` records, with a
 //!   scanner that quarantines corrupt records and detects torn tails
 //!   without ever panicking.
-//! * [`store`] — [`SolutionStore`]: open/scan/quarantine, bulk warm-load
-//!   into a `SharedLayerCache`, deduplicated appends with atomic segment
-//!   rotation, read-through fetch, and the degradation state machine,
-//!   all surfaced through [`StoreStats`] and `store_*` obs counters.
+//! * [`store`] — [`SolutionStore`]: open/scan/quarantine into an index
+//!   keyed by context, deduplicated appends with atomic segment rotation,
+//!   read-through fetch, and the degradation state machine, all surfaced
+//!   through [`StoreStats`] and `store_*` obs counters.
 //!
 //! ```
 //! use mfhls_store::{MemIo, SolutionStore, StoreConfig};

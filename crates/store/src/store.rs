@@ -1,8 +1,8 @@
 //! The crash-safe persistent solution store.
 //!
 //! See the crate docs for the big picture; this module holds
-//! [`SolutionStore`] — open/scan/quarantine, warm-load, append with
-//! rotation, read-through fetch — and its degradation state machine.
+//! [`SolutionStore`] — open/scan/quarantine, append with rotation,
+//! read-through fetch — and its degradation state machine.
 //!
 //! # Crash-consistency protocol
 //!
@@ -26,9 +26,9 @@
 use crate::error::{CorruptKind, StoreError, StoreOp};
 use crate::format::{empty_segment, encode_record, scan_segment, SolutionRecord, SEGMENT_MAGIC_V2};
 use crate::io::StoreIo;
-use mfhls_core::{CacheBacking, CacheContext, LayerKey, LayerSolution, SharedLayerCache};
+use mfhls_core::{CacheBacking, CacheContext, LayerKey, LayerSolution};
 use mfhls_obs as obs;
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
@@ -82,21 +82,10 @@ pub struct StoreStats {
     pub last_error: Option<String>,
 }
 
-/// One live (loaded or appended) entry.
-#[derive(Debug)]
-struct Entry {
-    context: CacheContext,
-    key: LayerKey,
-    solution: LayerSolution,
-}
-
 #[derive(Debug, Default)]
 struct Inner {
-    /// `(context canonical form, key) -> index into records`.
-    index: HashMap<(String, LayerKey), usize>,
-    /// Every live entry, in load-then-append order (warm-load replays
-    /// this order, which is deterministic for a given disk image).
-    records: Vec<Entry>,
+    /// Every live (loaded or appended) solution, by context, then key.
+    index: HashMap<CacheContext, HashMap<LayerKey, LayerSolution>>,
     /// Path of the segment appends currently go to.
     active: PathBuf,
     /// Byte length of the active segment.
@@ -108,10 +97,16 @@ struct Inner {
     stats: StoreStats,
 }
 
+impl Inner {
+    fn get(&self, context: &CacheContext, key: &LayerKey) -> Option<&LayerSolution> {
+        self.index.get(context)?.get(key)
+    }
+}
+
 /// The persistent, crash-safe, append-only solution store. Open one per
 /// store directory; share it behind an [`Arc`] (it is internally
-/// synchronised). Implements [`CacheBacking`], so attaching it to a
-/// [`SharedLayerCache`] makes the cache read through and write behind.
+/// synchronised). Implements [`CacheBacking`], so a synthesis run handed
+/// the store reads through to it and writes behind to it.
 #[derive(Debug)]
 pub struct SolutionStore {
     dir: PathBuf,
@@ -261,7 +256,6 @@ impl SolutionStore {
                 }
             }
         }
-        inner.stats.entries = inner.index.len();
         obs::diagnostic_counter("store_loaded", inner.stats.loaded as i64);
 
         if segments.is_empty() {
@@ -278,26 +272,14 @@ impl SolutionStore {
         }
     }
 
-    /// Replays every loaded entry into `cache` (bulk warm-load). Call
-    /// *before* [`SharedLayerCache::set_backing`] so the load is not
-    /// re-persisted. Returns how many entries were offered.
-    pub fn warm_into(&self, cache: &SharedLayerCache) -> u64 {
-        let inner = self.locked();
-        for e in &inner.records {
-            cache.warm_load(&e.context, e.key.clone(), e.solution.clone());
-        }
-        inner.records.len() as u64
-    }
-
     /// Returns the persisted solution for `(context, key)`, if any.
     pub fn fetch(&self, context: &CacheContext, key: &LayerKey) -> Option<LayerSolution> {
         let mut inner = self.locked();
-        let probe = (context.as_str().to_owned(), key.clone());
-        match inner.index.get(&probe).copied() {
-            Some(at) => {
+        match inner.get(context, key).cloned() {
+            Some(solution) => {
                 inner.stats.hits += 1;
                 obs::diagnostic_counter("store_hit", 1);
-                Some(inner.records[at].solution.clone())
+                Some(solution)
             }
             None => {
                 inner.stats.misses += 1;
@@ -327,8 +309,7 @@ impl SolutionStore {
             inner.stats.dropped += 1;
             return Err(StoreError::Degraded { cause });
         }
-        let probe = (context.as_str().to_owned(), key.clone());
-        if inner.index.contains_key(&probe) {
+        if inner.get(context, key).is_some() {
             return Ok(());
         }
         let framed = encode_record(&SolutionRecord {
@@ -370,8 +351,7 @@ impl SolutionStore {
             None => {
                 inner.active_len += framed.len() as u64;
                 inner.stats.appended += 1;
-                index_record_parts(&mut inner, context.clone(), key.clone(), solution.clone());
-                inner.stats.entries = inner.index.len();
+                index_entry(&mut inner, context.clone(), key.clone(), solution.clone());
                 obs::diagnostic_counter("store_appended", 1);
                 Ok(())
             }
@@ -397,7 +377,6 @@ impl SolutionStore {
         let inner = self.locked();
         let mut stats = inner.stats.clone();
         stats.degraded = inner.degraded.is_some();
-        stats.entries = inner.index.len();
         stats
     }
 }
@@ -473,28 +452,17 @@ fn rotate(inner: &mut Inner, io: &dyn StoreIo, dir: &Path, seq: u64) -> bool {
 fn index_record(inner: &mut Inner, rec: SolutionRecord) {
     let context = CacheContext::from_canonical(&rec.context);
     let key = LayerKey::from_parts(rec.key);
-    index_record_parts(inner, context, key, rec.solution);
+    index_entry(inner, context, key, rec.solution);
 }
 
-fn index_record_parts(
-    inner: &mut Inner,
-    context: CacheContext,
-    key: LayerKey,
-    solution: LayerSolution,
-) {
-    let probe = (context.as_str().to_owned(), key.clone());
-    // A duplicate (e.g. the same key persisted by two past processes)
-    // keeps the first: all solvers are deterministic, so the payloads are
-    // identical.
-    if inner.index.contains_key(&probe) {
-        return;
+/// Indexes one solution. A duplicate (e.g. the same key persisted by two
+/// past processes) keeps the first: all solvers are deterministic, so the
+/// payloads are identical.
+fn index_entry(inner: &mut Inner, context: CacheContext, key: LayerKey, solution: LayerSolution) {
+    if let Entry::Vacant(slot) = inner.index.entry(context).or_default().entry(key) {
+        slot.insert(solution);
+        inner.stats.entries += 1;
     }
-    inner.index.insert(probe, inner.records.len());
-    inner.records.push(Entry {
-        context,
-        key,
-        solution,
-    });
 }
 
 impl CacheBacking for SolutionStore {

@@ -350,16 +350,13 @@ fn a_directory_mixing_every_record_kind_opens_warm_and_appends_kind_3() {
     assert_eq!(stats.quarantined + stats.quarantined_segments, 0);
     assert_eq!(stats.entries, records.len());
 
-    // Every record answers an exact fetch...
+    // Every record answers an exact fetch, counted as a store hit.
     for rec in &records {
         let key = LayerKey::from_parts(rec.key.clone());
         let ctx = CacheContext::from_canonical(&rec.context);
         assert_eq!(store.fetch(&ctx, &key), Some(rec.solution.clone()));
     }
-    // ...and is offered to a warm-loading cache.
-    let cache = mfhls_core::SharedLayerCache::new(64);
-    assert_eq!(store.warm_into(&cache), records.len() as u64);
-    assert_eq!(cache.len(), records.len());
+    assert_eq!(store.stats().hits, records.len() as u64);
 
     // A re-persisted entry is a no-op; a new one lands as kind 3 in the
     // active (latest) segment and survives a reload.

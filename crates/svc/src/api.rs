@@ -733,27 +733,25 @@ pub fn response_ok(
 }
 
 /// The nondeterministic `diagnostics` payload: wall-clock runtime and the
-/// per-run layer-cache split (which may vary with the thread count and,
-/// for the shared cache, with cross-request interleaving). `cache_hits`
-/// is the total; `cache_store_hits` (read-through fills from a persistent
-/// store) is its classified subset, the remainder being exact in-memory
-/// hits. `delta_hit` marks a response replayed whole from
-/// the service's delta cache — its other counters then describe the run
-/// that originally produced the result. `solver` is echoed back as the
+/// per-run layer-cache split (which, with a persistent store attached,
+/// depends on what earlier requests left there). `cache_hits` is the
+/// total; `cache_store_hits` (read-through fills from the store) is its
+/// classified subset, the remainder being hits in the run's own memo.
+/// `delta_hit` marks a response replayed whole from the service's delta
+/// cache — its other counters then describe the run that originally
+/// produced the result. `solver` is echoed back as the
 /// fully-resolved structured spec ([`crate::spec::spec_json`]) so clients
 /// see exactly which strategy — defaults filled in — served the request.
 pub fn diagnostics_json(result: &SynthesisResult, delta_hit: bool, solver: &SolverKind) -> Json {
-    let hits: u64 = result.iterations.iter().map(|it| it.cache_hits).sum();
-    let store: u64 = result.iterations.iter().map(|it| it.cache_store_hits).sum();
-    let misses: u64 = result.iterations.iter().map(|it| it.cache_misses).sum();
+    let cache = result.cache_counters();
     obj(vec![
         (
             "runtime_us",
             Json::Int(result.runtime.as_micros().min(i64::MAX as u128) as i64),
         ),
-        ("cache_hits", Json::Int(hits as i64)),
-        ("cache_store_hits", Json::Int(store as i64)),
-        ("cache_misses", Json::Int(misses as i64)),
+        ("cache_hits", Json::Int(cache.hits() as i64)),
+        ("cache_store_hits", Json::Int(cache.store_hits as i64)),
+        ("cache_misses", Json::Int(cache.misses as i64)),
         ("delta_hit", Json::Bool(delta_hit)),
         ("solver", crate::spec::spec_json(solver)),
     ])

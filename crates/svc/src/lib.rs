@@ -12,9 +12,10 @@
 //!   builders the CLI's `--format json` mode reuses.
 //! * [`service`] — [`SynthesisService`]: deterministic admission windows,
 //!   each read, solved in admission order and written on the calling
-//!   thread before the next is read; a bounded cross-request
-//!   [`SharedLayerCache`](mfhls_core::SharedLayerCache), typed overload
-//!   rejection, and byte-identical responses with the caches on or off.
+//!   thread before the next is read; a bounded whole-request
+//!   [`DeltaCache`](mfhls_core::DeltaCache), an optional persistent layer
+//!   store every run reads through, typed overload rejection, and
+//!   byte-identical responses with the caches on or off.
 //!   Runs over any `BufRead`/`Write` pair (the CLI wires up
 //!   stdin/stdout) or a local TCP listener.
 //!

@@ -1,6 +1,6 @@
 //! The batched synthesis service: deterministic admission windows, each
-//! solved to completion on the serving thread, with a cross-request
-//! shared layer cache.
+//! solved to completion on the serving thread, with a whole-request delta
+//! cache and an optional persistent layer store.
 //!
 //! # Determinism model
 //!
@@ -24,21 +24,25 @@
 //!   order]`.
 //!
 //! Queue occupancy is therefore a pure function of the input stream, and
-//! so is the rest of the loop's work: one thread meets the shared caches
+//! so is the rest of the loop's work: one thread meets the delta cache
 //! with the same lookups in the same order on every run, so the summary's
 //! hit/miss split and delta-replay count repeat along with the response
 //! bytes (`tests/service.rs` pins both; the CI `serve-smoke` job diffs two
 //! runs end to end). Only positive `deadline_ms` values read a clock.
 //! Serving across cores is a matter of running more processes.
 //!
-//! # The shared cache
+//! # Reuse across requests
 //!
-//! All requests served by one [`SynthesisService`] share a bounded
-//! [`SharedLayerCache`]: request *N* re-solving a layer that request *M*
-//! already solved gets a cache hit. The cache is a pure accelerator —
-//! `mfhls-core` pins that schedules are identical with the cache on or
-//! off — so it never changes a response byte; its hit/miss split is
-//! reported as diagnostics.
+//! A request whose positional shape matches an earlier one replays that
+//! result from the bounded [`DeltaCache`]. Every other request runs
+//! synthesis with its own per-run layer memo; with a [`SolutionStore`]
+//! attached ([`SynthesisService::with_store`]) the memo reads through to
+//! the store and writes behind to it, so the store is the one layer tier
+//! shared across requests. Both are pure accelerators — `mfhls-core` pins
+//! that schedules are identical with any cache arrangement — so neither
+//! changes a response byte. The summary's window hit/miss split sums the
+//! layer-cache split of every run the loop synthesized (replays excluded)
+//! and is reported as diagnostics.
 
 use crate::api::{
     parse_incoming, response_error, response_ok, Artifacts, ErrorKind, Incoming, RequestError,
@@ -46,8 +50,7 @@ use crate::api::{
 };
 use crate::json::Json;
 use mfhls_core::{
-    Assay, AssayShape, CacheStats, DeltaCache, RetryPolicy, SharedLayerCache, SynthConfig,
-    Synthesizer,
+    Assay, AssayShape, CacheCounters, DeltaCache, RetryPolicy, SynthConfig, Synthesizer,
 };
 use mfhls_obs as obs;
 use mfhls_store::{SolutionStore, StoreStats};
@@ -61,11 +64,8 @@ pub struct ServiceConfig {
     /// Maximum requests admitted per window; further requests are
     /// rejected with `overloaded` until the window flushes.
     pub queue_capacity: usize,
-    /// Bound on the shared layer cache (entries; FIFO eviction).
+    /// Bound on the delta cache (whole results; FIFO eviction).
     pub cache_entries: usize,
-    /// Share the layer cache across requests. Off = every request gets
-    /// its own per-run cache (responses identical either way).
-    pub shared_cache: bool,
     /// Admission bound on operations per assay (inline DSL `repeat`
     /// blocks can multiply a small request into a huge one).
     pub max_ops: usize,
@@ -84,7 +84,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             queue_capacity: 128,
             cache_entries: 256,
-            shared_cache: true,
             max_ops: 512,
             delta_cache: true,
         }
@@ -106,16 +105,12 @@ pub struct ServiceSummary {
     pub batches: u64,
     /// Whether a `shutdown` control ended the loop.
     pub shutdown: bool,
-    /// Shared-cache statistics at the end of the loop.
-    pub cache: CacheStats,
-    /// Cache hits (any class) observed by this loop's own admission
-    /// windows (the per-window counters are drained at every flush, so
-    /// TCP-mode connections don't inherit each other's rates).
+    /// Layer-cache hits (any class) of the runs this loop synthesized.
     pub window_hits: u64,
     /// Of `window_hits`, how many were read-through fills from the
-    /// persistent store (previously misreported as plain hits).
+    /// persistent store.
     pub window_store_hits: u64,
-    /// Cache misses observed by this loop's own admission windows.
+    /// Layer-cache misses of the runs this loop synthesized.
     pub window_misses: u64,
     /// Whole-request delta-cache replays by this loop's windows.
     pub delta_hits: u64,
@@ -135,7 +130,6 @@ impl ServiceSummary {
         self.cancelled += other.cancelled;
         self.batches += other.batches;
         self.shutdown |= other.shutdown;
-        self.cache = other.cache;
         self.window_hits += other.window_hits;
         self.window_store_hits += other.window_store_hits;
         self.window_misses += other.window_misses;
@@ -163,14 +157,12 @@ impl std::fmt::Display for ServiceSummary {
         write!(
             f,
             "{} accepted, {} solved, {} rejected ({} cancelled) over {} batch(es); \
-             cache {}/{} entries, {:.1}% window hit rate",
+             {:.1}% window hit rate",
             self.accepted,
             self.solved,
             self.rejected,
             self.cancelled,
             self.batches,
-            self.cache.entries,
-            self.cache.capacity,
             self.window_hit_rate() * 100.0
         )?;
         if self.window_store_hits > 0 {
@@ -207,67 +199,48 @@ enum Outcome {
 }
 
 /// One request's solved result before serialization into the window
-/// buffer: the response value plus its deterministic accounting.
+/// buffer: the response value plus its accounting.
 struct SolvedOne {
     line: Json,
     outcome: Outcome,
     delta_hit: bool,
+    /// The layer-cache split of a fresh run; zero for replays and
+    /// rejections.
+    cache: CacheCounters,
 }
 
 /// The long-lived batched synthesis service. See the [module
 /// docs](self) for the determinism model.
 pub struct SynthesisService {
     config: ServiceConfig,
-    cache: Arc<SharedLayerCache>,
     delta: Option<DeltaCache>,
     store: Option<Arc<SolutionStore>>,
 }
 
 impl SynthesisService {
-    /// Creates a service with a fresh shared cache of
-    /// `config.cache_entries` entries.
+    /// Creates a service whose delta cache holds `config.cache_entries`
+    /// results.
     pub fn new(config: ServiceConfig) -> SynthesisService {
-        let cache = Arc::new(SharedLayerCache::new(config.cache_entries));
         let delta = config
             .delta_cache
             .then(|| DeltaCache::new(config.cache_entries));
         SynthesisService {
             config,
-            cache,
             delta,
             store: None,
         }
     }
 
-    /// Creates a service backed by a persistent [`SolutionStore`]: the
-    /// shared cache is warm-loaded from the store's surviving records,
-    /// then attached read-through/write-behind. The store is a pure
+    /// Creates a service backed by a persistent [`SolutionStore`]: every
+    /// run reads the layers it has not solved itself through from the
+    /// store and writes its fresh solves behind to it. The store is a pure
     /// accelerator — a degraded or faulted store changes diagnostics,
     /// never a response byte — so this constructor is infallible.
     pub fn with_store(config: ServiceConfig, store: Arc<SolutionStore>) -> SynthesisService {
-        let cache = Arc::new(SharedLayerCache::new(config.cache_entries));
-        let warmed = store.warm_into(&cache);
-        obs::event(
-            obs::Level::Info,
-            "svc.store_attached",
-            &[("warmed", obs::Value::U64(warmed))],
-        );
-        cache.set_backing(store.clone());
-        let delta = config
-            .delta_cache
-            .then(|| DeltaCache::new(config.cache_entries));
         SynthesisService {
-            config,
-            cache,
-            delta,
             store: Some(store),
+            ..SynthesisService::new(config)
         }
-    }
-
-    /// The cross-request shared layer cache (for inspection in tests and
-    /// the CLI summary).
-    pub fn cache(&self) -> &Arc<SharedLayerCache> {
-        &self.cache
     }
 
     /// Serves NDJSON requests from `input`, writing NDJSON responses to
@@ -342,7 +315,6 @@ impl SynthesisService {
             }
         }
         self.flush_window(&mut pending, &mut buf, &mut output, &mut summary)?;
-        summary.cache = self.cache.stats();
         summary.store = self.store.as_ref().map(|s| s.stats());
         Ok(summary)
     }
@@ -511,6 +483,7 @@ impl SynthesisService {
             &[("size", obs::Value::U64(batch.len() as u64))],
         );
         let mut delta_hits = 0u64;
+        let mut window = CacheCounters::default();
         for p in batch {
             let solved = self.solve_one(p);
             match &solved.outcome {
@@ -542,16 +515,13 @@ impl SynthesisService {
             if solved.delta_hit {
                 delta_hits += 1;
             }
+            window.absorb(&solved.cache);
             solved.line.write(buf);
             buf.push('\n');
         }
-        // Cache movement depends on what earlier requests (and the store)
-        // left in the cache, so it goes to the diagnostic class (excluded
-        // from determinism comparisons), mirroring the per-run split in
-        // IterationStats. Draining the per-window counters here (rather
-        // than diffing lifetime stats) keeps each window's — and each
-        // connection's — rate independent of what ran before it.
-        let window = self.cache.take_window_counters();
+        // Cache movement depends on what earlier requests left in the store,
+        // so it goes to the diagnostic class (excluded from determinism
+        // comparisons), like the per-run split in IterationStats.
         obs::diagnostic_counter("svc.cache_hits", window.hits() as i64);
         obs::diagnostic_counter("svc.cache_exact_hits", window.exact_hits as i64);
         obs::diagnostic_counter("svc.cache_store_hits", window.store_hits as i64);
@@ -589,6 +559,7 @@ impl SynthesisService {
             line: response_error(Some(&p.id), kind, message),
             outcome: Outcome::Rejected(kind),
             delta_hit: false,
+            cache: CacheCounters::default(),
         };
         if p.cancelled {
             return rejected(ErrorKind::Cancelled, "cancelled before execution");
@@ -628,12 +599,13 @@ impl SynthesisService {
                     ),
                     outcome: Outcome::Solved,
                     delta_hit: true,
+                    cache: CacheCounters::default(),
                 };
             }
         }
         let mut synthesizer = Synthesizer::new(p.config.clone());
-        if self.config.shared_cache {
-            synthesizer = synthesizer.with_shared_cache(self.cache.clone());
+        if let Some(store) = &self.store {
+            synthesizer = synthesizer.with_shared_cache(store.clone());
         }
         let (outcome, fingerprint) = if p.artifacts.trace {
             let (r, trace) = obs::with_capture(
@@ -664,6 +636,7 @@ impl SynthesisService {
                     ),
                     outcome: Outcome::Solved,
                     delta_hit: false,
+                    cache: result.cache_counters(),
                 }
             }
             Err(e) => rejected(ErrorKind::SynthesisError, &e.to_string()),
@@ -877,34 +850,52 @@ mod tests {
         assert_eq!(summary.solved, 1);
     }
 
+    /// The `diagnostics` cache split of one response line.
+    fn split(line: &str) -> (i64, i64, i64) {
+        let v = Json::parse(line).unwrap();
+        let d = v.get("diagnostics").expect("diagnostics artifact");
+        let count = |k: &str| d.get(k).and_then(Json::as_i64).unwrap();
+        (
+            count("cache_hits"),
+            count("cache_store_hits"),
+            count("cache_misses"),
+        )
+    }
+
     #[test]
-    fn shared_cache_hits_across_requests() {
-        // Delta cache off: it would replay the duplicate whole and leave
-        // the layer cache — the thing under test — untouched.
-        let service = SynthesisService::new(ServiceConfig {
-            delta_cache: false,
-            ..ServiceConfig::default()
-        });
-        let input = format!("{}\n\n{}\n", req("first", 4), req("second", 4));
-        let (_, summary) = run(&service, &input);
-        assert_eq!(summary.solved, 2);
-        assert!(
-            summary.cache.hits > 0,
-            "identical request should hit the shared cache: {:?}",
-            summary.cache
+    fn identical_requests_report_the_same_cache_split() {
+        // `trace` makes both requests bypass the delta cache, so each one
+        // runs synthesis. No layer tier is shared across requests, so the
+        // second run memoizes exactly what the first one did.
+        let traced = |id: &str| {
+            req(id, 4).replace(
+                r#","assay""#,
+                r#","artifacts":["trace","diagnostics"],"assay""#,
+            )
+        };
+        let service = SynthesisService::new(ServiceConfig::default());
+        let (out, summary) = run(&service, &format!("{}\n\n{}\n", traced("a"), traced("b")));
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines.len(), 2, "{out}");
+        let (first, second) = (split(lines[0]), split(lines[1]));
+        assert!(first.2 > 0, "{first:?}");
+        assert_eq!(first, second);
+        assert_eq!(summary.delta_hits, 0, "{summary:?}");
+        // The summary sums both runs' splits.
+        let window = (
+            summary.window_hits,
+            summary.window_store_hits,
+            summary.window_misses,
         );
-        assert!(
-            summary.window_hits > 0,
-            "window counters should see the same hits: {summary:?}"
-        );
+        let twice = |n: i64| 2 * n as u64;
+        assert_eq!(window, (twice(first.0), twice(first.1), twice(first.2)));
     }
 
     #[test]
     fn window_counters_reset_between_serve_loops() {
-        // The bug this pins: the summary previously diffed lifetime cache
-        // stats, so a second connection inherited the first one's rate.
-        // (Delta cache off so the duplicate actually reaches the layer
-        // cache instead of being replayed whole.)
+        // Each loop counts only the runs it synthesized itself. (Delta
+        // cache off so the duplicate actually runs instead of being
+        // replayed whole.)
         let config = ServiceConfig {
             delta_cache: false,
             ..ServiceConfig::default()
@@ -912,24 +903,27 @@ mod tests {
         let service = SynthesisService::new(config.clone());
         let warm = format!("{}\n\n{}\n", req("a", 4), req("b", 4));
         let (_, first) = run(&service, &warm);
-        assert!(first.window_hits > 0);
+        let window = |s: &ServiceSummary| (s.window_hits, s.window_store_hits, s.window_misses);
+        // Two identical requests count twice what one counts.
+        let (_, one) = run(&SynthesisService::new(config.clone()), &req("a", 4));
+        assert!(one.window_misses > 0, "{one:?}");
+        assert_eq!(
+            window(&first),
+            (2 * one.window_hits, 0, 2 * one.window_misses)
+        );
         // A loop over a disjoint assay counts exactly what the same loop
         // counts on a fresh service, whatever the first loop racked up.
         // That need not be zero hits: a run can meet one of its own layer
         // problems again in a later re-synthesis pass.
         let (_, second) = run(&service, &req("fresh", 7));
         let (_, alone) = run(&SynthesisService::new(config), &req("fresh", 7));
-        let window = |s: &ServiceSummary| (s.window_hits, s.window_store_hits, s.window_misses);
         assert_eq!(window(&second), window(&alone), "{second:?}");
         assert!(second.window_misses > 0, "{second:?}");
-        // Lifetime stats still accumulate for capacity accounting.
-        assert!(second.cache.hits >= first.window_hits + second.window_hits);
     }
 
     /// The config a caches-off control run serves under.
     fn caches_off() -> ServiceConfig {
         ServiceConfig {
-            shared_cache: false,
             delta_cache: false,
             ..ServiceConfig::default()
         }
@@ -1036,12 +1030,13 @@ mod tests {
             batches: 1,
             window_hits: 5,
             window_store_hits: 1,
+            window_misses: 2,
             delta_hits: 3,
             accept_retries: 2,
             ..ServiceSummary::default()
         };
         let line = summary.to_string();
-        assert!(line.contains("(1 store)"), "{line}");
+        assert!(line.contains("; 71.4% window hit rate (1 store)"), "{line}");
         assert!(line.contains("3 delta replays"), "{line}");
         assert!(line.contains("2 accept retries"), "{line}");
         // merge() adds another loop's replays and retries.

@@ -14,8 +14,7 @@
 //! mfhls export-lp protocol.mfa [--layer K] [--out FILE]
 //! mfhls trace-check trace.jsonl
 //! mfhls serve [--queue N] [--cache-entries N] [--max-ops N]
-//!             [--no-shared-cache] [--no-delta-cache]
-//!             [--store DIR] [--tcp ADDR] [--once]
+//!             [--no-delta-cache] [--store DIR] [--tcp ADDR] [--once]
 //! mfhls bench
 //! mfhls gen [--seed S] [--count N] [--profile P|all] [--format dsl|netlist]
 //!           [--out DIR] [--check] [--threads N]
@@ -28,8 +27,8 @@
 //! object instead of prose. `serve` runs the batched synthesis service of
 //! `mfhls-svc` over stdin/stdout NDJSON (or a local TCP listener): one
 //! thread reads each admission window, solves it in admission order and
-//! writes it before reading the next, sharing a bounded layer cache
-//! across requests. Unknown flags, flags
+//! writes it before reading the next, replaying repeated requests from a
+//! bounded delta cache. Unknown flags, flags
 //! missing their value, and zero/absurd sizing values are rejected with a
 //! targeted error naming the flag and a nonzero exit code.
 
@@ -119,8 +118,7 @@ fn print_usage() -> Result<(), CliError> {
          mfhls graph <file.mfa> [--layers] [--out FILE]\n  \
          mfhls trace-check <trace.jsonl>\n  \
          mfhls serve [--queue N] [--cache-entries N] [--max-ops N]\n             \
-         [--no-shared-cache] [--no-delta-cache]\n             \
-         [--store DIR] [--tcp ADDR] [--once]\n  \
+         [--no-delta-cache] [--store DIR] [--tcp ADDR] [--once]\n  \
          mfhls bench\n  \
          mfhls gen [--seed S] [--count N] [--profile P|all]\n             \
          [--format dsl|netlist] [--out DIR] [--check] [--threads N]\n\n\
@@ -144,9 +142,13 @@ fn print_usage() -> Result<(), CliError> {
          --log LEVEL   echo trace records at or above LEVEL to stderr\n                \
          (error|warn|info|debug|trace).\n  \
          --store DIR   (serve) persist solved layers to DIR (mfhls-store/v2\n                \
-         segments; v1 directories still load) so a restarted\n                \
-         server warms instantly; corrupt or unwritable stores\n                \
+         segments; v1 directories still load); every request\n                \
+         reads the layers it has not solved itself back from\n                \
+         it, across restarts. Corrupt or unwritable stores\n                \
          degrade to memory-only, never fail a request.\n  \
+         --cache-entries N (serve) whole results the delta cache keeps\n                \
+         (default 256); a request shaped like a kept one is\n                \
+         replayed without synthesis.\n  \
          --queue N     (serve) requests admitted per window (default 128);\n                \
          further ones draw a typed 'overloaded' error. Each window\n                \
          is solved on one thread and written before the next is\n                \
@@ -833,7 +835,6 @@ const SERVE_FLAGS: &[(&str, bool)] = &[
     ("--queue", true),
     ("--cache-entries", true),
     ("--max-ops", true),
-    ("--no-shared-cache", false),
     ("--no-delta-cache", false),
     ("--store", true),
     ("--tcp", true),
@@ -870,18 +871,18 @@ fn serve(args: &[String]) -> Result<(), CliError> {
     if max_ops == 0 {
         return Err("--max-ops wants at least 1".into());
     }
+    let cache_entries = flags.parsed("--cache-entries", defaults.cache_entries)?;
+    if cache_entries == 0 {
+        return Err("flag '--cache-entries' of 'mfhls serve' wants at least 1".into());
+    }
     let config = mfhls::svc::ServiceConfig {
         queue_capacity,
-        cache_entries: flags.parsed("--cache-entries", defaults.cache_entries)?,
-        shared_cache: !flags.has("--no-shared-cache"),
+        cache_entries,
         delta_cache: !flags.has("--no-delta-cache"),
         max_ops,
     };
     let service = match flags.value("--store") {
         Some(dir) => {
-            if flags.has("--no-shared-cache") {
-                return Err("--store needs the shared cache; drop --no-shared-cache".into());
-            }
             let store = mfhls::store::SolutionStore::open(
                 std::path::Path::new(dir),
                 mfhls::store::StoreConfig::default(),

@@ -23,8 +23,8 @@
 //! | [`ilp`] | `mfhls-ilp` | the MILP solver substrate (simplex + branch-and-bound) |
 //! | [`obs`] | `mfhls-obs` | deterministic structured tracing (spans, events, counters, exporters) |
 //! | [`par`] | `mfhls-par` | deterministic scoped thread pool (`par_map`, thread-count control) |
-//! | [`store`] | `mfhls-store` | crash-safe on-disk solution store (`mfhls-store/v2` segments, v1 still read, fault injection, graceful degradation) |
-//! | [`svc`] | `mfhls-svc` | batched synthesis service: `mfhls-api/v1` NDJSON requests over stdin/stdout or TCP |
+//! | [`store`] | `mfhls-store` | crash-safe on-disk solution store, the one layer tier shared across runs (`mfhls-store/v2` segments, v1 still read, fault injection, graceful degradation) |
+//! | [`svc`] | `mfhls-svc` | batched synthesis service: `mfhls-api/v1` NDJSON requests over stdin/stdout or TCP, delta-cache replay, per-run layer memos reading through an optional store |
 //! | [`bench`] | `mfhls-bench` | benchmark harness, seeded assay generation (`mfhls gen`) and metamorphic oracles |
 //!
 //! The most common items are re-exported at the top level.

@@ -631,7 +631,7 @@ fn serve_repeats_its_stdout_and_summary_end_to_end() {
     assert_eq!(stdout, stdout_again, "a second run changed a response");
     assert_eq!(summary, summary_again, "a second run changed the summary");
     assert!(summary.contains("2 accepted, 2 solved"), "{summary}");
-    let (cold, _) = serve_batch(&["serve", "--no-shared-cache", "--no-delta-cache"]);
+    let (cold, _) = serve_batch(&["serve", "--no-delta-cache"]);
     assert_eq!(stdout, cold, "the caches changed a response");
 }
 
@@ -667,6 +667,13 @@ fn serve_rejects_bad_flags() {
     let out = mfhls_with_stdin(&["serve", "--queue", "0"], "");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("--queue"));
+    let out = mfhls_with_stdin(&["serve", "--cache-entries", "0"], "");
+    assert!(!out.status.success(), "serve --cache-entries 0 must fail");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("'--cache-entries'") && err.contains("at least 1"),
+        "{err}"
+    );
     let out = mfhls_with_stdin(&["serve", "--bogus"], "");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag"));
@@ -691,25 +698,30 @@ fn serve_validates_shard_window_queue_bounds_at_parse_time() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("--queue"));
     // The retired serve-plane axes are not serve flags.
-    for flag in ["--shards", "--window", "--workers"] {
-        let out = mfhls_with_stdin(&["serve", flag, "2"], "");
-        assert!(!out.status.success(), "serve {flag} 2 must fail");
+    for args in [
+        &["serve", "--shards", "2"][..],
+        &["serve", "--window", "2"],
+        &["serve", "--workers", "2"],
+        &["serve", "--no-shared-cache"],
+    ] {
+        let out = mfhls_with_stdin(args, "");
+        assert!(!out.status.success(), "{args:?} must fail");
         let err = String::from_utf8_lossy(&out.stderr);
+        let flag = args[1];
         assert!(err.contains(&format!("unknown flag '{flag}'")), "{err}");
     }
 }
 
 #[test]
 fn serve_stream_is_cache_invariant_end_to_end() {
-    // Responses follow admission order and the caches are pure
-    // accelerators: stdout must be byte-for-byte identical on a second
-    // run and with either cache, or both, turned off.
+    // Responses follow admission order and the delta cache is a pure
+    // accelerator: stdout must be byte-for-byte identical on a second run
+    // and with it turned off or cut to one entry.
     let (baseline, _) = serve_batch(&["serve"]);
     for args in [
         &["serve"][..],
         &["serve", "--no-delta-cache"],
-        &["serve", "--no-shared-cache"],
-        &["serve", "--no-shared-cache", "--no-delta-cache"],
+        &["serve", "--cache-entries", "1"],
     ] {
         let (stdout, _) = serve_batch(args);
         assert_eq!(stdout, baseline, "serve responses differ under {args:?}");

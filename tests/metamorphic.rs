@@ -117,8 +117,7 @@ fn serve(config: ServiceConfig, input: &str) -> (String, ServiceSummary) {
 
 /// The serve-plane cache oracle: one window of generated assays, half
 /// submitted as inline DSL and half as `mfhls-netlist/v1` sources, must
-/// produce byte-identical NDJSON with the shared layer cache and the
-/// delta cache on or off.
+/// produce byte-identical NDJSON with the delta cache on or off.
 #[test]
 fn serve_plane_is_cache_oblivious_over_generated_assays() {
     let mut input = String::new();
@@ -157,7 +156,6 @@ fn serve_plane_is_cache_oblivious_over_generated_assays() {
     let cached = serve(ServiceConfig::default(), &input);
     let uncached = serve(
         ServiceConfig {
-            shared_cache: false,
             delta_cache: false,
             ..ServiceConfig::default()
         },

@@ -2,16 +2,15 @@
 //!
 //! The service's determinism contract extends the workspace-wide one
 //! pinned in `tests/determinism.rs`: NDJSON responses must be
-//! **byte-identical** from run to run and with the shared cross-request
-//! layer cache and the whole-request delta cache on or off — because the
-//! caches are pure accelerators and one thread solves each window in
-//! admission order. With no thread timing in the loop, a second run
-//! repeats the whole summary too, cache hit/miss split and delta replays
-//! included. These tests drive a large in-flight window (the
-//! ≥64-request acceptance criterion), mixed traffic, a seeded
-//! near-duplicate stream, typed rejection paths, the cache eviction
-//! bound, and the observability counters, each against a second run and
-//! a caches-off run.
+//! **byte-identical** from run to run and with the whole-request delta
+//! cache on or off — because the caches are pure accelerators and one
+//! thread solves each window in admission order. With no thread timing in
+//! the loop, a second run repeats the whole summary too, cache hit/miss
+//! split and delta replays included. These tests drive a large in-flight
+//! window (the ≥64-request acceptance criterion), mixed traffic, a seeded
+//! near-duplicate stream, typed rejection paths, the delta cache's
+//! eviction bound, and the observability counters, each against a second
+//! run and a caches-off run.
 
 use mfhls::svc::{Json, ServiceConfig, ServiceSummary, SynthesisService, VERSION};
 use std::io::BufReader;
@@ -72,12 +71,11 @@ fn dsl_request(id: &str, text: String, extra: Vec<(&str, Json)>) -> String {
 }
 
 /// Serves `input` under `config`, again on a fresh service, and once more
-/// with both caches off. Asserts that the three response streams are
+/// with the delta cache off. Asserts that the three response streams are
 /// byte-identical and the first two summaries equal; returns the first
 /// run.
 fn serve_thrice(config: ServiceConfig, input: &str) -> (String, ServiceSummary) {
     let control = ServiceConfig {
-        shared_cache: false,
         delta_cache: false,
         ..config.clone()
     };
@@ -161,10 +159,11 @@ fn sixty_four_in_flight_requests_repeat_and_match_caches_off() {
 }
 
 #[test]
-fn responses_are_identical_with_shared_cache_on_and_off() {
+fn repeated_windows_are_identical_with_the_delta_cache_on_and_off() {
     // Two windows with repeated protocols: the second window replays the
-    // first's assays, so the shared cache serves hits — which must not
-    // change a single response byte.
+    // first's assays from the delta cache — which must not change a
+    // single response byte. With it off every request runs, and each
+    // repeat memoizes exactly what its first run did.
     let mut input = String::new();
     for window in 0..2 {
         for i in 0..8 {
@@ -173,72 +172,59 @@ fn responses_are_identical_with_shared_cache_on_and_off() {
         }
         input.push('\n');
     }
-    let (out_on, summary_on) = serve(
-        ServiceConfig {
-            shared_cache: true,
-            ..ServiceConfig::default()
-        },
-        &input,
-    );
-    let (out_off, summary_off) = serve(
-        ServiceConfig {
-            shared_cache: false,
-            ..ServiceConfig::default()
-        },
-        &input,
-    );
-    assert_eq!(out_on, out_off, "shared cache changed a response");
-    assert!(
-        summary_on.cache.hits > 0,
-        "replayed window should hit the shared cache: {:?}",
-        summary_on.cache
-    );
+    let (out_on, on) = serve(ServiceConfig::default(), &input);
+    let off_config = ServiceConfig {
+        delta_cache: false,
+        ..ServiceConfig::default()
+    };
+    let (out_off, off) = serve(off_config.clone(), &input);
+    assert_eq!(out_on, out_off, "the delta cache changed a response");
+    assert_eq!(on.delta_hits, 8, "{on:?}");
+    assert_eq!(off.delta_hits, 0, "{off:?}");
+    assert!(on.window_misses > 0, "{on:?}");
+    let window = |s: &ServiceSummary| (s.window_hits, s.window_store_hits, s.window_misses);
     assert_eq!(
-        summary_off.cache.hits + summary_off.cache.misses,
-        0,
-        "disabled shared cache must stay untouched: {:?}",
-        summary_off.cache
+        window(&off),
+        (2 * on.window_hits, 0, 2 * on.window_misses),
+        "{off:?}"
     );
+    let first_window = input.split("\n\n").next().unwrap_or_default();
+    assert_eq!(window(&serve(off_config, first_window).1), window(&on));
 }
 
 #[test]
 fn eviction_bound_is_respected_across_requests() {
+    // A 4-result delta cache over 12 distinct protocols, then the last
+    // and first four again: the late ones are still held and replay, the
+    // early ones were evicted and run afresh.
     let config = ServiceConfig {
         cache_entries: 4,
         ..ServiceConfig::default()
     };
-    let service = SynthesisService::new(config);
-    // 12 distinct protocols, one window each: far more layer solutions
-    // than the bound allows.
     let mut input = String::new();
-    for i in 0..12 {
-        input.push_str(&request(&format!("d{i}"), 100 + i, 3, vec![]));
+    for i in (0..12).chain(8..12).chain(0..4) {
+        input.push_str(&request(&format!("d{i}"), 100, 1 + i, vec![]));
         input.push_str("\n\n");
     }
-    let mut out = Vec::new();
-    let summary = service
-        .serve(BufReader::new(input.as_bytes()), &mut out)
-        .expect("in-memory serve cannot fail");
-    assert_eq!(summary.solved, 12);
-    let stats = service.cache().stats();
-    assert!(
-        stats.entries <= 4,
-        "bounded cache exceeded its capacity: {stats:?}"
-    );
-    assert!(
-        stats.misses > 4,
-        "distinct protocols should miss more often than the bound: {stats:?}"
-    );
+    let (_, summary) = serve_thrice(config, &input);
+    assert_eq!(summary.solved, 20);
+    assert_eq!(summary.delta_hits, 4, "{summary:?}");
 }
 
 #[test]
 fn cache_and_admission_counters_flow_through_obs() {
     // The service narrates itself through `mfhls-obs`: admission and
     // solve events in the logical class, cache movement as diagnostics.
+    // The second request asks for a trace, so it runs instead of
+    // replaying the first.
+    let traced = vec![(
+        "artifacts",
+        Json::Array(vec![Json::Str("trace".to_owned())]),
+    )];
     let input = format!(
         "{r}\n\n{r2}\n\n",
         r = request("first", 7, 4, vec![]),
-        r2 = request("second", 7, 4, vec![])
+        r2 = request("second", 7, 4, traced)
     );
     mfhls::obs::start_capture(mfhls::obs::CaptureConfig::default());
     let (out, summary) = serve(ServiceConfig::default(), &input);
@@ -262,22 +248,27 @@ fn cache_and_admission_counters_flow_through_obs() {
     ] {
         assert!(jsonl.contains(name), "trace is missing '{name}'");
     }
-    // The identical second request replayed the first's layer solutions;
-    // counters aggregate into one record per name at capture end, and
-    // the hit total agrees with the summary.
-    assert!(summary.cache.hits > 0, "{:?}", summary.cache);
-    let hit_lines: Vec<&str> = jsonl
-        .lines()
-        .filter(|l| l.contains("svc.cache_hits"))
-        .collect();
-    assert_eq!(hit_lines.len(), 1, "one aggregated record per counter");
-    let record = mfhls::svc::Json::parse(hit_lines[0]).expect("counter record is JSON");
-    let total = record
-        .get("fields")
-        .and_then(|f| f.get("total"))
-        .and_then(mfhls::svc::Json::as_i64)
-        .expect("counter record carries a total");
-    assert_eq!(total, summary.cache.hits as i64);
+    // Counters aggregate into one record per name at capture end, and
+    // the totals agree with the summary.
+    assert!(summary.window_misses > 0, "{summary:?}");
+    assert_eq!(summary.delta_hits, 0, "{summary:?}");
+    for (name, expected) in [
+        ("svc.cache_hits", summary.window_hits),
+        ("svc.cache_misses", summary.window_misses),
+    ] {
+        let lines: Vec<&str> = jsonl
+            .lines()
+            .filter(|l| l.contains(&format!("\"{name}\"")))
+            .collect();
+        assert_eq!(lines.len(), 1, "one aggregated record per counter");
+        let record = mfhls::svc::Json::parse(lines[0]).expect("counter record is JSON");
+        let total = record
+            .get("fields")
+            .and_then(|f| f.get("total"))
+            .and_then(mfhls::svc::Json::as_i64)
+            .expect("counter record carries a total");
+        assert_eq!(total, expected as i64, "{name}");
+    }
 }
 
 #[test]
@@ -567,16 +558,8 @@ fn near_duplicate_stream_is_byte_identical_across_configs_and_caches() {
         ("default", base.clone()),
         ("second run", base.clone()),
         (
-            "no shared cache",
-            ServiceConfig {
-                shared_cache: false,
-                ..base.clone()
-            },
-        ),
-        (
             "caches off",
             ServiceConfig {
-                shared_cache: false,
                 delta_cache: false,
                 ..base.clone()
             },
@@ -590,13 +573,17 @@ fn near_duplicate_stream_is_byte_identical_across_configs_and_caches() {
         assert_eq!(out.lines().count(), lines, "{name}");
         assert_eq!(summary.solved + summary.rejected, lines as u64, "{name}");
         // One thread admits each window's requests to the delta cache in
-        // order, so the replay count is a function of the stream.
+        // order, so the replay count is a function of the stream, and so
+        // is the layer-cache split of the runs it leaves.
+        let counts = (
+            summary.delta_hits,
+            summary.window_hits,
+            summary.window_store_hits,
+            summary.window_misses,
+        );
         match name {
-            "caches off" => {
-                assert_eq!(summary.delta_hits, 0, "{summary:?}");
-                assert_eq!(summary.window_hits, 0, "{summary:?}");
-            }
-            _ => assert_eq!(summary.delta_hits, 63, "{name}: {summary:?}"),
+            "caches off" => assert_eq!(counts, (0, 52, 0, 192), "{summary:?}"),
+            _ => assert_eq!(counts, (63, 6, 0, 32), "{name}: {summary:?}"),
         }
         match &baseline {
             None => baseline = Some((out, summary)),

@@ -186,8 +186,8 @@ fn sigkill_mid_write_restart_is_byte_identical_and_warm() {
     let (out, summary) = serve(&service, &input);
     assert_eq!(out, expected, "warm restart changed a response");
     assert!(
-        summary.window_hits > 0,
-        "warm-loaded entries should serve hits: {summary:?}"
+        summary.window_store_hits > 0,
+        "stored entries should serve hits: {summary:?}"
     );
     assert_eq!(
         store.stats().appended,
@@ -271,9 +271,10 @@ fn a_store_of_kind_4_records_opens_warm_and_serves_the_same_bytes() {
 
 #[test]
 fn an_evicting_cache_reads_back_through_the_store() {
-    // A 2-entry cache cannot hold window 1's four layer solutions, so
-    // window 2's replays miss the map and must be served by the store —
-    // the read-through path — still byte-identically.
+    // A 2-result delta cache cannot hold window 1's four results, so
+    // window 2's repeats of the evicted ones run again, and their fresh
+    // runs read every layer back through the store — still
+    // byte-identically.
     let input = workload();
     let expected = baseline(&input);
     let config = ServiceConfig {
@@ -288,7 +289,7 @@ fn an_evicting_cache_reads_back_through_the_store() {
     let trace = mfhls::obs::finish_capture().expect("capture was active");
     assert_eq!(out, expected, "read-through changed a response");
     let stats = store.stats();
-    assert!(stats.hits > 0, "evicted entries should re-read: {stats}");
+    assert!(stats.hits > 0, "evicted results should re-read: {stats}");
     let jsonl = trace.to_jsonl();
     for name in ["store_appended", "store_hit", "store_miss"] {
         assert!(jsonl.contains(name), "trace is missing '{name}'");
@@ -302,6 +303,50 @@ fn an_evicting_cache_reads_back_through_the_store() {
             "'{name}' leaked into the logical fingerprint"
         );
     }
+}
+
+/// The `diagnostics` cache split (hits, store hits, misses) of one
+/// response line.
+fn split(line: &str) -> (u64, u64, u64) {
+    let v = Json::parse(line).expect("response is JSON");
+    let d = v.get("diagnostics").expect("diagnostics artifact");
+    let count = |k: &str| d.get(k).and_then(Json::as_i64).expect("a count") as u64;
+    (
+        count("cache_hits"),
+        count("cache_store_hits"),
+        count("cache_misses"),
+    )
+}
+
+#[test]
+fn a_repeat_request_reads_every_layer_back_through_a_cold_store() {
+    // `trace` makes both identical requests bypass the delta cache, so
+    // both run synthesis. The first solves its layers and appends them;
+    // the second, with no warm-load in between, reads each of them back
+    // through the store.
+    let traced = |id: &str| {
+        request(id, 3, 5).replacen(
+            r#","assay""#,
+            r#","artifacts":["trace","diagnostics"],"assay""#,
+            1,
+        )
+    };
+    let input = format!("{}\n\n{}\n", traced("first"), traced("second"));
+    let io = Arc::new(MemIo::new());
+    let store = Arc::new(SolutionStore::open(DIR, StoreConfig::default(), io));
+    let service = SynthesisService::with_store(ServiceConfig::default(), store.clone());
+    let (out, summary) = serve(&service, &input);
+    let lines: Vec<&str> = out.lines().collect();
+    assert_eq!(lines.len(), 2, "{out}");
+    let ((hits, store_hits, misses), second) = (split(lines[0]), split(lines[1]));
+    assert!(misses > 0, "{out}");
+    assert_eq!(store_hits, 0, "a cold store answered: {out}");
+    // Every fresh layer is read back once; the second run's own repeats
+    // stay its own hits, as in the first run.
+    assert_eq!(second, (hits + misses, misses, 0), "{out}");
+    let stats = store.stats();
+    assert_eq!((stats.appended, stats.hits), (misses, misses), "{stats}");
+    assert_eq!(summary.window_store_hits, misses, "{summary:?}");
 }
 
 /// A portfolio request on paper case 1 (kinase, scale 2): one whose exact
