@@ -75,7 +75,11 @@ use std::sync::{Arc, Mutex};
 /// Epoch 1 covers every release through 0.12.0. Epoch 2 (0.13.0): the
 /// portfolio's exact legs skip models the pivot-work budget cannot
 /// search, which zeroes their `ilp_solves`/`pivots` on those layers.
-pub const SOLVER_EPOCH: u32 = 2;
+/// Epoch 3 (0.24.0): branch-and-bound measures each strong-branching
+/// probe from its node's LP objective and starts probes only within
+/// their share of the search's pivots, which moves the exact search's
+/// counters and, on budget-bound or tied layers, its solutions.
+pub const SOLVER_EPOCH: u32 = 3;
 
 /// A layer-solution tier shared across runs: a run reads through to it on
 /// a miss in its own memo and writes behind to it after a fresh solve.
@@ -101,20 +105,12 @@ pub trait CacheBacking: Send + Sync + std::fmt::Debug {
 /// The structural identity of one per-layer sub-problem; see the module
 /// docs for what is (and is not) part of the key.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct LayerKey {
-    layer: usize,
-    ops: Vec<OpId>,
-    devices: Vec<DeviceConfig>,
-    bindable: Vec<bool>,
-    existing_paths: Vec<(usize, usize)>,
-    cross_inputs: Vec<(OpId, usize)>,
-    transport: Vec<u64>,
-}
+pub struct LayerKey(LayerKeyParts);
 
 impl LayerKey {
     /// Extracts the structural key of `problem` as posed for `layer`.
     pub fn of(problem: &LayerProblem<'_>, layer: usize) -> LayerKey {
-        LayerKey {
+        LayerKey(LayerKeyParts {
             layer,
             ops: problem.ops.clone(),
             devices: problem.devices.clone(),
@@ -126,43 +122,27 @@ impl LayerKey {
                 .iter()
                 .map(|&o| problem.transport.of(o))
                 .collect(),
-        }
+        })
     }
 
-    /// Decomposes the key into its constituent fields, for persistence
-    /// layers that need to serialise it ([`CacheBacking`] implementations).
-    pub fn to_parts(&self) -> LayerKeyParts {
-        LayerKeyParts {
-            layer: self.layer,
-            ops: self.ops.clone(),
-            devices: self.devices.clone(),
-            bindable: self.bindable.clone(),
-            existing_paths: self.existing_paths.clone(),
-            cross_inputs: self.cross_inputs.clone(),
-            transport: self.transport.clone(),
-        }
+    /// The key's constituent fields, borrowed, for persistence layers that
+    /// serialise it ([`CacheBacking`] implementations).
+    pub fn parts(&self) -> &LayerKeyParts {
+        &self.0
     }
 
-    /// Reassembles a key from fields previously produced by
-    /// [`LayerKey::to_parts`]. Round-trips exactly: the reassembled key is
+    /// Reassembles a key from fields previously read through
+    /// [`LayerKey::parts`]. Round-trips exactly: the reassembled key is
     /// `==` (and hashes equal) to the original.
     pub fn from_parts(parts: LayerKeyParts) -> LayerKey {
-        LayerKey {
-            layer: parts.layer,
-            ops: parts.ops,
-            devices: parts.devices,
-            bindable: parts.bindable,
-            existing_paths: parts.existing_paths,
-            cross_inputs: parts.cross_inputs,
-            transport: parts.transport,
-        }
+        LayerKey(parts)
     }
 }
 
 /// The constituent fields of a [`LayerKey`], exposed (fields public) so a
 /// [`CacheBacking`] implementation outside this crate can serialise and
 /// reassemble keys without this crate committing to a wire format.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct LayerKeyParts {
     /// Layer index within the layering.
     pub layer: usize,
@@ -890,7 +870,7 @@ mod tests {
         assert_eq!(
             ctx.as_str(),
             concat!(
-                "epoch2|cfg:d25 t10 wWeights { time: 20, area: 6, processing: 3, paths: 12 } ",
+                "epoch3|cfg:d25 t10 wWeights { time: 20, area: 6, processing: 3, paths: 12 } ",
                 "cCostModel { ring_area: [40, 24, 16, 18446744073709551615], ",
                 "chamber_area: [18446744073709551615, 12, 8, 4], ",
                 "ring_processing: [10, 8, 6, 18446744073709551615], ",

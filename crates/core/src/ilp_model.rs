@@ -281,6 +281,12 @@ struct ModelFacts {
     free_pairs: Vec<(usize, usize)>,
     /// Indices of the indeterminate ops.
     indeterminate: Vec<usize>,
+    /// Side of the square path-key matrices: every device slot and every
+    /// cross-layer parent's device.
+    path_dim: usize,
+    /// Row-major `path_dim × path_dim` mask over path keys `(a, b)`,
+    /// `a <= b`: the path was inherited from an earlier layer.
+    existing: Vec<bool>,
 }
 
 impl ModelFacts {
@@ -330,6 +336,17 @@ impl ModelFacts {
         let indeterminate = (0..n)
             .filter(|&i| p.assay.op(ops[i]).is_indeterminate())
             .collect();
+        let path_dim = p
+            .cross_inputs
+            .iter()
+            .map(|&(_, pd)| pd + 1)
+            .fold(n_devices, usize::max);
+        let mut existing = vec![false; path_dim * path_dim];
+        for &(a, b) in &p.existing_paths {
+            if a <= b && b < path_dim {
+                existing[a * path_dim + b] = true;
+            }
+        }
         ModelFacts {
             n_existing,
             n_devices,
@@ -338,7 +355,14 @@ impl ModelFacts {
             cross,
             free_pairs,
             indeterminate,
+            path_dim,
+            existing,
         }
+    }
+
+    /// Index of the path key `(a, b)`, `a <= b`, in the path-key matrices.
+    fn path_index(&self, (a, b): (usize, usize)) -> usize {
+        a * self.path_dim + b
     }
 
     fn can_bind(&self, op: usize, slot: usize) -> bool {
@@ -360,7 +384,6 @@ impl ModelFacts {
     /// get no row.
     fn for_each_path_row(
         &self,
-        p: &LayerProblem<'_>,
         mut row: impl FnMut(Option<(usize, usize)>, (usize, usize), (usize, usize)),
     ) {
         for &(a, b) in &self.internal {
@@ -370,7 +393,7 @@ impl ModelFacts {
                         continue;
                     }
                     let key = path_key(d1, d2);
-                    if !p.existing_paths.contains(&key) {
+                    if !self.existing[self.path_index(key)] {
                         row(Some((a, d1)), (b, d2), key);
                     }
                 }
@@ -382,11 +405,27 @@ impl ModelFacts {
                     continue;
                 }
                 let key = path_key(pd, d);
-                if !p.existing_paths.contains(&key) {
+                if !self.existing[self.path_index(key)] {
                     row(None, (child, d), key);
                 }
             }
         }
+    }
+
+    /// The eq.-21 path rows and the distinct path keys they pay for (one
+    /// column each).
+    fn path_counts(&self) -> (usize, usize) {
+        let (mut rows, mut keys) = (0, 0);
+        let mut seen = vec![false; self.existing.len()];
+        self.for_each_path_row(|_, _, key| {
+            rows += 1;
+            let k = self.path_index(key);
+            if !seen[k] {
+                seen[k] = true;
+                keys += 1;
+            }
+        });
+        (rows, keys)
     }
 
     /// `(rows, columns)` of the model [`build_model`] makes from these
@@ -412,12 +451,7 @@ impl ModelFacts {
             .flat_map(|(x, &a)| ind[x + 1..].iter().map(move |&b| (a, b)))
             .map(|(a, b)| self.shared_slots(a, b))
             .sum();
-        let mut path_rows = 0;
-        let mut path_keys = BTreeSet::new();
-        self.for_each_path_row(p, |_, _, key| {
-            path_rows += 1;
-            path_keys.insert(key);
-        });
+        let (path_rows, path_keys) = self.path_counts();
         let rows = 6 * n_new // used <= 1, accessories only on used devices
             + n_new.saturating_sub(1) // symmetry breaking
             + n_new * kind_and_accessory_rows + n // eqs. 6-7, eq. 5
@@ -426,7 +460,7 @@ impl ModelFacts {
             + ind.len() * n.saturating_sub(1) + exclusive_rows // eq. 14
             + n // eq. 15
             + path_rows; // eq. 21
-        let cols = 11 * n_new + binds + n + 3 * self.free_pairs.len() + 1 + path_keys.len();
+        let cols = 11 * n_new + binds + n + 3 * self.free_pairs.len() + 1 + path_keys;
         (rows, cols)
     }
 }
@@ -577,7 +611,7 @@ fn build_model(p: &LayerProblem<'_>, facts: &ModelFacts) -> BuiltModel {
     // ---- Paths (eq. 21) ----------------------------------------------------
     // One variable per device pair that could newly carry a transfer.
     let mut path_vars: BTreeMap<(usize, usize), VarId> = BTreeMap::new();
-    facts.for_each_path_row(p, |from, to, key| {
+    facts.for_each_path_row(|from, to, key| {
         let pv = *path_vars
             .entry(key)
             .or_insert_with(|| m.binary(&format!("path_{}_{}", key.0, key.1)));
@@ -1034,6 +1068,64 @@ mod tests {
                 visit(&format!("{tag} layer {li} inherited"), &warm);
             }
         }
+    }
+
+    /// A path row: the sending op's binding (`None` for a cross-layer
+    /// parent), the receiving op's binding and the path key.
+    type PathRow = (Option<(usize, usize)>, (usize, usize), (usize, usize));
+
+    /// The eq.-21 path rows enumerated by looking every key up in
+    /// `existing_paths`, as the walker did before the dense matrices: the
+    /// reference [`ModelFacts::for_each_path_row`] is checked against.
+    /// Also returns how many rows the inherited paths removed.
+    fn path_rows_by_set_lookup(facts: &ModelFacts, p: &LayerProblem<'_>) -> (Vec<PathRow>, usize) {
+        let (mut rows, mut inherited) = (Vec::new(), 0);
+        let mut visit = |row: PathRow| {
+            if p.existing_paths.contains(&row.2) {
+                inherited += 1;
+            } else {
+                rows.push(row);
+            }
+        };
+        for &(a, b) in &facts.internal {
+            for d1 in 0..facts.n_devices {
+                for d2 in 0..facts.n_devices {
+                    if d1 != d2 && facts.can_bind(a, d1) && facts.can_bind(b, d2) {
+                        visit((Some((a, d1)), (b, d2), path_key(d1, d2)));
+                    }
+                }
+            }
+        }
+        for &(child, pd) in &facts.cross {
+            for d in 0..facts.n_devices {
+                if d != pd && facts.can_bind(child, d) {
+                    visit((None, (child, d), path_key(pd, d)));
+                }
+            }
+        }
+        (rows, inherited)
+    }
+
+    #[test]
+    fn path_rows_and_counts_match_the_set_lookups() {
+        let (mut checked, mut inherited) = (0, 0);
+        for_each_layer_problem(|tag, p| {
+            let facts = ModelFacts::of(p);
+            let mut rows = Vec::new();
+            facts.for_each_path_row(|from, to, key| rows.push((from, to, key)));
+            let (reference, removed) = path_rows_by_set_lookup(&facts, p);
+            assert_eq!(rows, reference, "{tag}: path rows differ");
+            let keys: BTreeSet<_> = reference.iter().map(|row| row.2).collect();
+            assert_eq!(
+                facts.path_counts(),
+                (reference.len(), keys.len()),
+                "{tag}: (path rows, path keys)"
+            );
+            checked += 1;
+            inherited += removed;
+        });
+        assert!(checked >= 100, "layer walk degenerated: {checked} problems");
+        assert!(inherited > 0, "no inherited path removed a row");
     }
 
     #[test]

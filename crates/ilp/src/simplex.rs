@@ -358,6 +358,14 @@ impl BoundedSimplex {
         self.ub[..self.n].copy_from_slice(ub);
     }
 
+    /// Replaces structural `j`'s bounds for the next
+    /// [`BoundedSimplex::solve`] call, keeping every other column's.
+    pub fn set_bound(&mut self, j: usize, lb: f64, ub: f64) {
+        assert!(j < self.n, "column {j} is not structural");
+        self.lb[j] = lb;
+        self.ub[j] = ub;
+    }
+
     /// Lifetime pivot count (monotonic across warm restarts and cold resets).
     pub fn pivots(&self) -> u64 {
         self.pivots
@@ -675,28 +683,35 @@ impl BoundedSimplex {
     /// are clamped into their bounds (they satisfy them to `OPT_EPS` at
     /// optimality).
     pub fn extract(&self) -> (Vec<f64>, f64) {
-        let x: Vec<f64> = (0..self.n)
-            .map(|j| {
-                let v = match self.row_of[j] {
-                    usize::MAX => {
-                        if self.at_upper[j] {
-                            self.ub[j]
-                        } else {
-                            self.lb[j]
-                        }
-                    }
-                    i => self.xb[i],
-                };
-                v.max(self.lb[j]).min(self.ub[j])
-            })
-            .collect();
+        let x: Vec<f64> = (0..self.n).map(|j| self.value(j)).collect();
         let objective = (0..self.n).map(|j| self.cost[j] * x[j]).sum();
         (x, objective)
+    }
+
+    /// The objective [`BoundedSimplex::extract`] returns, bit for bit,
+    /// without collecting the point.
+    pub fn objective(&self) -> f64 {
+        (0..self.n).map(|j| self.cost[j] * self.value(j)).sum()
+    }
+
+    /// Structural `j`'s value in the current basis, clamped into its bounds.
+    fn value(&self, j: usize) -> f64 {
+        let v = match self.row_of[j] {
+            usize::MAX => {
+                if self.at_upper[j] {
+                    self.ub[j]
+                } else {
+                    self.lb[j]
+                }
+            }
+            i => self.xb[i],
+        };
+        v.max(self.lb[j]).min(self.ub[j])
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -1099,7 +1114,7 @@ mod tests {
     /// The layer models of one pass over `assay`, as LP text: each layer
     /// posed over the devices and paths the heuristic left after the
     /// layers before it, the way the synthesis loop poses them.
-    fn layer_models(assay: &mfhls_core::Assay) -> Vec<String> {
+    pub(crate) fn layer_models(assay: &mfhls_core::Assay) -> Vec<String> {
         use mfhls_core::{LayerSolver, TransportConfig, TransportTimes};
         let config = mfhls_core::SynthConfig::default();
         let layering = mfhls_core::layer_assay(assay, config.indeterminate_threshold)

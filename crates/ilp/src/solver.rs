@@ -22,7 +22,11 @@ const PROBE_PIVOTS: u64 = 2_000;
 const DIVE_PIVOTS: u64 = 20_000;
 /// Observations per direction before a variable's pseudo-cost is trusted.
 const RELIABILITY: u32 = 1;
-/// Total strong-branching probes allowed per search.
+/// Strong branching's share of the search: a probe may start only while
+/// the pivots spent on probes are at most `1 / PROBE_SHARE` of the
+/// search's other pivots (root, node re-solves and dives).
+const PROBE_SHARE: u64 = 2;
+/// Total strong-branching probes allowed per search, within the share.
 const STRONG_BUDGET: u64 = 48;
 /// Pseudo-cost gain recorded when a probe proves a child infeasible.
 const INFEASIBLE_GAIN: f64 = 1e6;
@@ -220,6 +224,11 @@ pub struct BranchAndBound<'a> {
     /// The very first solve uses the basis fresh from construction; it is
     /// counted as a cold solve even in warm-start mode.
     fresh_basis: bool,
+    /// The part of the simplex's pivots spent in strong-branching probes.
+    probe_pivots: u64,
+    /// (probe pivots, other pivots) as each probe started, for the tests.
+    #[cfg(test)]
+    probe_starts: Vec<(u64, u64)>,
     stats: SolveStats,
 }
 
@@ -289,6 +298,9 @@ impl<'a> BranchAndBound<'a> {
             n_dn: vec![0; n],
             n_up: vec![0; n],
             fresh_basis: true,
+            probe_pivots: 0,
+            #[cfg(test)]
+            probe_starts: Vec::new(),
             stats: SolveStats::default(),
         })
     }
@@ -407,7 +419,7 @@ impl<'a> BranchAndBound<'a> {
                 }
             }
 
-            let (j, xj) = self.choose_branch(&node.lb, &node.ub, &cands);
+            let (j, xj) = self.choose_branch(&node.lb, &node.ub, &cands, obj);
             let floor = xj.floor();
             let f_dn = xj - floor;
             // Explore the nearer branch first (pushed last).
@@ -462,10 +474,25 @@ impl<'a> BranchAndBound<'a> {
         }
     }
 
-    /// One LP solve over the persistent simplex. In warm-start mode the
-    /// carried basis is reused (it is dual feasible for any bounds); in
-    /// scratch mode the tableau is reset to the cold basis first.
+    /// One LP solve over the box `lb`/`ub`, returning its point and
+    /// objective.
     fn solve_node(&mut self, lb: &[f64], ub: &[f64], cap: u64) -> NodeLp {
+        self.sx.set_bounds(lb, ub);
+        match self.solve_lp(cap) {
+            SimplexOutcome::Optimal => {
+                let (x, obj) = self.sx.extract();
+                NodeLp::Optimal(x, obj)
+            }
+            SimplexOutcome::Infeasible => NodeLp::Infeasible,
+            SimplexOutcome::PivotLimit => NodeLp::Limit,
+        }
+    }
+
+    /// One LP solve over the persistent simplex, within the bounds it
+    /// holds. In warm-start mode the carried basis is reused (it is dual
+    /// feasible for any bounds); in scratch mode the tableau is reset to
+    /// the cold basis first.
+    fn solve_lp(&mut self, cap: u64) -> SimplexOutcome {
         // Clamp every per-call cap to the remaining global pivot budget,
         // so probes and dives cannot overrun it either. An exhausted
         // budget (cap 0) still returns `Optimal` when the carried basis
@@ -483,17 +510,9 @@ impl<'a> BranchAndBound<'a> {
             self.stats.warm_solves += 1;
         }
         self.fresh_basis = false;
-        self.sx.set_bounds(lb, ub);
         let out = self.sx.solve(cap);
         self.stats.pivots = self.sx.pivots();
-        match out {
-            SimplexOutcome::Optimal => {
-                let (x, obj) = self.sx.extract();
-                NodeLp::Optimal(x, obj)
-            }
-            SimplexOutcome::Infeasible => NodeLp::Infeasible,
-            SimplexOutcome::PivotLimit => NodeLp::Limit,
-        }
+        out
     }
 
     /// Deterministic rounding/diving heuristic: repeatedly fix the most
@@ -537,8 +556,15 @@ impl<'a> BranchAndBound<'a> {
     /// (bindings, configurations, conflict selectors) collapses the big-M
     /// disjunctions much faster than squeezing start-time integers — then
     /// the pseudo-cost product rule decides, with unreliable pseudo-costs
-    /// initialized by bounded strong-branching probes.
-    fn choose_branch(&mut self, lb: &[f64], ub: &[f64], cands: &[(usize, f64)]) -> (usize, f64) {
+    /// initialized by bounded strong-branching probes from the node's LP
+    /// objective `node_obj`.
+    fn choose_branch(
+        &mut self,
+        lb: &[f64],
+        ub: &[f64],
+        cands: &[(usize, f64)],
+        node_obj: f64,
+    ) -> (usize, f64) {
         let nbins = cands.iter().filter(|&&(j, _)| self.is_binary[j]).count();
         let pool: Vec<(usize, f64)> = if nbins > 0 {
             cands
@@ -554,14 +580,14 @@ impl<'a> BranchAndBound<'a> {
         }
 
         // Reliability initialization: probe unobserved directions with a
-        // bounded warm dual solve, in ascending variable order.
+        // bounded warm dual solve, in ascending variable order, while the
+        // probes stay within their share of the search.
         for &(j, xj) in &pool {
-            let floor = xj.floor();
-            if self.n_dn[j] < RELIABILITY && self.stats.strong_branches < STRONG_BUDGET {
-                self.probe(lb, ub, j, floor, false, xj - floor);
+            if self.n_dn[j] < RELIABILITY && self.probe_allowed() {
+                self.probe(lb, ub, (j, xj), false, node_obj);
             }
-            if self.n_up[j] < RELIABILITY && self.stats.strong_branches < STRONG_BUDGET {
-                self.probe(lb, ub, j, floor, true, (floor + 1.0) - xj);
+            if self.n_up[j] < RELIABILITY && self.probe_allowed() {
+                self.probe(lb, ub, (j, xj), true, node_obj);
             }
         }
 
@@ -589,33 +615,45 @@ impl<'a> BranchAndBound<'a> {
         best
     }
 
-    /// One strong-branching probe: solve the would-be child LP under a pivot
-    /// cap and record the observed degradation as a pseudo-cost observation.
-    fn probe(&mut self, lb: &[f64], ub: &[f64], j: usize, floor: f64, up: bool, frac: f64) {
+    /// Whether a strong-branching probe may start: fewer than
+    /// `STRONG_BUDGET` probes have run, and their pivots are at most
+    /// `1 / PROBE_SHARE` of the search's other pivots.
+    fn probe_allowed(&self) -> bool {
+        let probe = self.probe_pivots;
+        self.stats.strong_branches < STRONG_BUDGET
+            && probe * PROBE_SHARE <= self.sx.pivots() - probe
+    }
+
+    /// One strong-branching probe of the fractional `x_j = xj`: solve the
+    /// would-be child LP under a pivot cap and record its degradation from
+    /// the node's LP objective `node_obj` as a pseudo-cost observation.
+    fn probe(&mut self, lb: &[f64], ub: &[f64], (j, xj): (usize, f64), up: bool, node_obj: f64) {
         self.stats.strong_branches += 1;
-        let base = self.sx.extract().1;
-        let mut clb = lb.to_vec();
-        let mut cub = ub.to_vec();
-        if up {
-            clb[j] = (floor + 1.0).max(clb[j]);
+        #[cfg(test)]
+        self.probe_starts
+            .push((self.probe_pivots, self.sx.pivots() - self.probe_pivots));
+        let floor = xj.floor();
+        let (lo, hi, frac) = if up {
+            ((floor + 1.0).max(lb[j]), ub[j], (floor + 1.0) - xj)
         } else {
-            cub[j] = floor.min(cub[j]);
-        }
-        if clb[j] > cub[j] + 1e-12 {
+            (lb[j], floor.min(ub[j]), xj - floor)
+        };
+        let gain = if lo > hi + 1e-12 {
             // Empty child: branching this way closes the subtree outright.
-            let (pc, n) = if up {
-                (&mut self.pc_up[j], &mut self.n_up[j])
-            } else {
-                (&mut self.pc_dn[j], &mut self.n_dn[j])
-            };
-            *pc += INFEASIBLE_GAIN;
-            *n += 1;
-            return;
-        }
-        let gain = match self.solve_node(&clb, &cub, PROBE_PIVOTS) {
-            NodeLp::Optimal(_, child_obj) => ((child_obj - base) / frac.max(1e-6)).max(0.0),
-            NodeLp::Infeasible => INFEASIBLE_GAIN,
-            NodeLp::Limit => return, // unobserved; budget still consumed
+            INFEASIBLE_GAIN
+        } else {
+            self.sx.set_bounds(lb, ub);
+            self.sx.set_bound(j, lo, hi);
+            let before = self.sx.pivots();
+            let out = self.solve_lp(PROBE_PIVOTS);
+            self.probe_pivots += self.sx.pivots() - before;
+            match out {
+                SimplexOutcome::Optimal => {
+                    ((self.sx.objective() - node_obj) / frac.max(1e-6)).max(0.0)
+                }
+                SimplexOutcome::Infeasible => INFEASIBLE_GAIN,
+                SimplexOutcome::PivotLimit => return, // unobserved; budget still consumed
+            }
         };
         if up {
             self.pc_up[j] += gain;
@@ -950,5 +988,96 @@ mod tests {
                 (got, want) => panic!("trial {trial}: solver {got:?} vs enumeration {want:?}"),
             }
         }
+    }
+
+    #[test]
+    fn a_probe_records_the_same_gain_after_another_probe_at_its_node() {
+        // Two independent half-integral binaries: the root LP sits at
+        // x = y = 1/2 with objective -3/2, and each down-branch has its own
+        // degradation (x: -1, y: -1/2). A probe of y measured from the
+        // child LP an earlier probe of x left behind would record
+        // (-1/2 - -1) / (1/2) = 1 instead of 2.
+        let mut m = Model::minimize();
+        let x = m.binary("x");
+        let y = m.binary("y");
+        m.add_con(2.0 * x, Sense::Le, 1.0);
+        m.add_con(2.0 * y, Sense::Le, 1.0);
+        m.set_objective(-(x + 2.0 * y));
+        // Presolve would round both upper bounds down to 0.
+        let config = SolverConfig {
+            presolve: false,
+            ..cfg()
+        };
+        let (x, y) = (x.index(), y.index());
+        let y_down_gain = |probe_x_first: bool| {
+            let mut bb = BranchAndBound::new(&m, &config).unwrap();
+            let (lb, ub) = (bb.lb0.clone(), bb.ub0.clone());
+            let NodeLp::Optimal(_, obj) = bb.solve_node(&lb, &ub, NODE_PIVOTS) else {
+                panic!("the root LP is feasible");
+            };
+            assert!((obj + 1.5).abs() < 1e-9, "root LP objective {obj}");
+            if probe_x_first {
+                bb.probe(&lb, &ub, (x, 0.5), false, obj);
+                assert!((bb.pc_dn[x] - 1.0).abs() < 1e-9, "x gain {}", bb.pc_dn[x]);
+            }
+            bb.probe(&lb, &ub, (y, 0.5), false, obj);
+            assert_eq!(bb.n_dn[y], 1);
+            bb.pc_dn[y]
+        };
+        let alone = y_down_gain(false);
+        let after = y_down_gain(true);
+        assert!((alone - 2.0).abs() < 1e-9, "y gain alone {alone}");
+        assert_eq!(after.to_bits(), alone.to_bits(), "y gain after x {after}");
+    }
+
+    #[test]
+    fn probes_stay_within_their_share_on_gen_small_layer_models() {
+        // The layer models of the corpus assays the portfolio's exact leg
+        // searches, under budgets that stop the search early and without
+        // one. No probe starts once probes have spent more than their
+        // share of the other pivots, so only the last probe can overrun
+        // it; in a search that runs to its end, the node re-solves after
+        // it bring the totals back within the share.
+        use mfhls_bench::gen::{generate, Profile};
+        let (mut probes, mut finished_searches) = (0, 0);
+        for seed in [1, 2] {
+            for text in crate::simplex::tests::layer_models(&generate(Profile::Small, seed)) {
+                let model = crate::write::tests::read_lp(&text);
+                for max_pivots in [Some(100), Some(300), None] {
+                    let config = SolverConfig {
+                        max_pivots,
+                        ..cfg()
+                    };
+                    let mut search = BranchAndBound::new(&model, &config).unwrap();
+                    let finished = search.run().is_ok_and(|s| s.status == SolveStatus::Optimal);
+                    let s = search.stats();
+                    let what = format!(
+                        "gen-small-{seed}, {} rows, budget {max_pivots:?}",
+                        model.num_cons()
+                    );
+                    for &(probe, other) in &search.probe_starts {
+                        assert!(
+                            probe * PROBE_SHARE <= other,
+                            "{what}: a probe started at {probe} probe / {other} other pivots"
+                        );
+                    }
+                    assert_eq!(search.probe_starts.len() as u64, s.strong_branches);
+                    if finished {
+                        assert!(
+                            search.probe_pivots * PROBE_SHARE <= s.pivots - search.probe_pivots,
+                            "{what}: {} probe pivots, {s:?}",
+                            search.probe_pivots
+                        );
+                        finished_searches += 1;
+                    }
+                    probes += s.strong_branches;
+                }
+            }
+        }
+        assert!(probes >= 100, "only {probes} probes started");
+        assert!(
+            finished_searches >= 4,
+            "only {finished_searches} searches finished"
+        );
     }
 }

@@ -126,7 +126,17 @@ enum StatsLayout {
 
 /// Encodes one record ready to append, as kind 3: framing plus payload.
 pub fn encode_record(record: &SolutionRecord) -> Vec<u8> {
-    encode_record_as(record, KIND_SOLUTION_V3, [&[], &[]])
+    encode_record_parts(&record.context, &record.key, &record.solution)
+}
+
+/// [`encode_record`] from borrowed parts, so a caller that holds them
+/// need not assemble an owned [`SolutionRecord`] first.
+pub fn encode_record_parts(
+    context: &str,
+    key: &LayerKeyParts,
+    solution: &LayerSolution,
+) -> Vec<u8> {
+    encode_payload(context, key, solution, KIND_SOLUTION_V3, [&[], &[]])
 }
 
 /// Encodes `record` as any readable kind, the way earlier releases framed
@@ -136,16 +146,32 @@ pub fn encode_record(record: &SolutionRecord) -> Vec<u8> {
 /// solution. Like [`empty_segment_v1`], it exists so compatibility tests
 /// and tooling can fabricate directories that 0.9.0–0.15.0 wrote.
 pub fn encode_record_as(record: &SolutionRecord, kind: u8, canonical: [&[u8]; 2]) -> Vec<u8> {
+    encode_payload(
+        &record.context,
+        &record.key,
+        &record.solution,
+        kind,
+        canonical,
+    )
+}
+
+fn encode_payload(
+    context: &str,
+    key: &LayerKeyParts,
+    solution: &LayerSolution,
+    kind: u8,
+    canonical: [&[u8]; 2],
+) -> Vec<u8> {
     let layout = stats_layout(kind).unwrap_or(StatsLayout::Counted);
     let mut w = ByteWriter::new();
-    w.str(&record.context);
-    encode_key(&mut w, &record.key);
+    w.str(context);
+    encode_key(&mut w, key);
     if carries_canonical_bytes(kind) {
         for bytes in canonical {
             w.bytes(bytes);
         }
     }
-    encode_solution(&mut w, &record.solution, layout);
+    encode_solution(&mut w, solution, layout);
     frame_record(kind, &w.finish())
 }
 

@@ -24,7 +24,9 @@
 //!   quarantine that segment and keep loading the rest.
 
 use crate::error::{CorruptKind, StoreError, StoreOp};
-use crate::format::{empty_segment, encode_record, scan_segment, SolutionRecord, SEGMENT_MAGIC_V2};
+use crate::format::{
+    empty_segment, encode_record_parts, scan_segment, SolutionRecord, SEGMENT_MAGIC_V2,
+};
 use crate::io::StoreIo;
 use mfhls_core::{CacheBacking, CacheContext, LayerKey, LayerSolution};
 use mfhls_obs as obs;
@@ -312,11 +314,7 @@ impl SolutionStore {
         if inner.get(context, key).is_some() {
             return Ok(());
         }
-        let framed = encode_record(&SolutionRecord {
-            context: context.as_str().to_owned(),
-            key: key.to_parts(),
-            solution: solution.clone(),
-        });
+        let framed = encode_record_parts(context.as_str(), key.parts(), solution);
         if inner.active_len + framed.len() as u64 > self.config.max_segment_bytes
             && inner.active_len > SEGMENT_MAGIC_V2.len() as u64
         {

@@ -206,12 +206,12 @@ fn the_exact_leg_races_and_wins_on_gen_small_1() {
     );
     // The exact legs run on every race, and one of them is adopted,
     // improving on the heuristic.
-    assert_gen_small_race(1, (123, 3, 3), (9, 1, 9), (31, 1219, 128, 9));
+    assert_gen_small_race(1, (123, 3, 3), (9, 1, 9), (13, 218, 27, 9));
 }
 
 #[test]
 fn the_exact_legs_race_and_lose_on_gen_small_2() {
     // Every layer admits an exact leg, and none of them beats the cheap
     // legs: the exact work is spent without an adoption.
-    assert_gen_small_race(2, (63, 2, 1), (3, 0, 3), (19, 1475, 66, 3));
+    assert_gen_small_race(2, (63, 2, 1), (3, 0, 3), (13, 348, 20, 3));
 }
